@@ -3,9 +3,11 @@
 Subcommands: norm, success, phase-diagram, centering, simulate.  Each takes
 --config (INI or JSON), optional --output / --format / --seed.  Exit codes:
 0 success, 2 config/validation errors, 3 capacity errors, 4 numeric-domain
-errors.  Parallelism is controlled by the PECBENCH_WORKERS environment
-variable (default: all cores); output bytes are independent of the worker
-count.
+errors.  Sweep parallelism is controlled by the PECBENCH_WORKERS
+environment variable (default: all cores); output bytes are independent of
+the worker count.  simulate runs serially.  Its Pauli-frame shot kernel
+is exact because the noise is global depolarizing, which commutes with the
+sampled Pauli twirls; a local noise model would break it.
 """
 
 from __future__ import annotations
@@ -138,8 +140,7 @@ def cmd_simulate(config: RunConfig, args) -> str:
     seed = _seeded(config, args.seed)
     report = simulate_report(spec, config.noise_spec(),
                              n_shots=config.simulate_shots(), seed=seed,
-                             batch=config.simulate_batch(),
-                             workers=worker_count())
+                             batch=config.simulate_batch())
     report["provenance"] = make_provenance(config_hash(config), seed)
     return report_to_json(report)
 

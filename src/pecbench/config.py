@@ -62,10 +62,12 @@ class RunConfig:
         return self.data["hamiltonian"]["sites"]
 
     def layers(self) -> int:
-        return self.data.get("circuit", {}).get("layers") or self.sites()
+        circuit = self.data.get("circuit", {})
+        return circuit["layers"] if "layers" in circuit else self.sites()
 
     def qubits(self) -> int:
-        return self.data.get("circuit", {}).get("qubits") or 2 * self.sites()
+        circuit = self.data.get("circuit", {})
+        return circuit["qubits"] if "qubits" in circuit else 2 * self.sites()
 
     def seed(self) -> int:
         return self.data.get("run", {}).get("seed", 0)
@@ -219,6 +221,20 @@ def _validate(data: dict) -> dict:
     run = data.get("run", {})
     if "threshold" in run and not 0.0 < run["threshold"] < 1.0:
         raise ConfigError(f"[run] threshold must lie in (0, 1), got {run['threshold']}")
+
+    for section, key in (("circuit", "layers"), ("circuit", "qubits"), ("simulate", "batch")):
+        value = data.get(section, {}).get(key)
+        if value is not None and value < 1:
+            raise ConfigError(f"[{section}] {key} must be >= 1, got {value}")
+
+    sweep = data.get("sweep", {})
+    for lo, hi in (("p_min", "p_max"), ("shots_min", "shots_max")):
+        if (lo in sweep) != (hi in sweep):
+            given, missing = (lo, hi) if lo in sweep else (hi, lo)
+            raise ConfigError(f"[sweep] {given} given without {missing}")
+        for key in (lo, hi):
+            if key in sweep and not sweep[key] > 0:
+                raise ConfigError(f"[sweep] {key} must be > 0, got {sweep[key]}")
     return data
 
 

@@ -1,9 +1,10 @@
-"""Permutation/phase form of Pauli-string action on computational basis states.
+"""Bit-mask forms of Pauli strings on computational basis states.
 
 A Pauli string indexed by base-4 digits (0=I, 1=X, 2=Y, 3=Z; qubit 0 in the
 most significant digit) maps |b> to phase(b) |b XOR flip>.  Working with the
 (flip, phase) pair keeps conjugations and traces at O(d)/O(d^2) instead of
-dense matrix products.
+dense matrix products.  The symplectic (x, z) masks drop the phase: two
+strings anticommute exactly when parity(x1 & z2) != parity(z1 & x2).
 """
 
 from __future__ import annotations
@@ -45,3 +46,24 @@ def pauli_perm_phase(index: int, n: int) -> tuple[int, np.ndarray]:
             phase = phase * np.where(bits == 0, 1.0, -1.0)
     phase.setflags(write=False)
     return flip, phase
+
+
+def pauli_masks(index, n: int):
+    """Symplectic (x, z) masks of a Pauli index, or elementwise of an index array.
+
+    Bit k of each mask belongs to qubit n - 1 - k, the bit that the string
+    flips (x) or phases (z); x equals the flip of pauli_perm_phase.
+    """
+    x = z = 0
+    for bitpos in range(n):
+        g = (index >> (2 * bitpos)) & 3
+        x |= (((g + 1) >> 1) & 1) << bitpos  # X or Y
+        z |= (g >> 1) << bitpos  # Y or Z
+    return x, z
+
+
+def parity(values):
+    """Elementwise parity of the set bits of non-negative 64-bit integers."""
+    for shift in (1, 2, 4, 8, 16, 32):
+        values = values ^ (values >> shift)
+    return values & 1

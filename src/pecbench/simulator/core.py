@@ -1,20 +1,31 @@
-"""Desk-scale density-matrix Monte Carlo for validating the analytic stack.
+"""Desk-scale Pauli-frame Monte Carlo for validating the analytic stack.
 
 The state preparation is taken to be exact (the dense ground eigenvector),
 so the experiment isolates the interplay of layered depolarizing noise,
-quasi-probability inversion and shot noise.  Noise is applied as an
-explicit channel on the density matrix; Monte Carlo randomness enters only
-through the quasi-probability branch choices and the measurement sampling.
+quasi-probability inversion and shot noise.  Monte Carlo randomness enters
+only through the quasi-probability branch choices and the measurement
+sampling.
+
+The shot kernel uses the Pauli-frame identity.  Each noise layer is
+*global* depolarizing, rho -> (1-P) rho + P I/d, which commutes with every
+Pauli conjugation.  After D layers with sampled twirls whose product is Q,
+a shot's state is therefore (1-P)^D Q rho0 Q^dagger + (1-(1-P)^D) I/d, and
+each non-identity term reads
+
+    e_j = (1-P)^D (-1)^{anticommute(Q, P_j)} <P_j>_0.
+
+The <P_j>_0 come once from the ground vector; per shot the kernel XORs the
+twirls' (x, z) masks and takes one parity per term, with no d x d matrix.
+A local (per-qubit or per-gate) noise model does not commute with the
+twirls and would break this identity.
 
 Randomness is counter-based: each shot draws from its own Philox stream
-keyed by (seed, shot index), so results are reproducible bit for bit for
-any worker count, with chunks merged in shot-index order.
+keyed by (seed, shot index), so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,19 +33,12 @@ import numpy as np
 from .. import hubbard
 from ..errors import CapacityError, NumericDomainError, ValidationError
 from ..noise import HamiltonianSummary, NoiseCircuitSpec, gamma_layer, gamma_total, noisy_mean
-from ._pauli_ops import pauli_index, pauli_perm_phase
-
-try:  # compiled hot loop, with a pure-python fallback
-    if os.environ.get("PECBENCH_FORCE_PY_KERNEL", "") == "1":
-        raise ImportError("compiled kernel disabled via PECBENCH_FORCE_PY_KERNEL")
-    from . import _shotkernel as _kernel
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernel_py as _kernel
+from ._pauli_ops import parity, pauli_index, pauli_masks, pauli_perm_phase
 
 
 def active_kernel() -> str:
-    """Name of the shot-loop implementation selected at import time."""
-    return _kernel.KERNEL_NAME
+    """Name of the shot-loop implementation."""
+    return "pauli-frame"
 
 
 @dataclass(frozen=True)
@@ -157,64 +161,66 @@ def qpd_composition_residual(noise: NoiseCircuitSpec) -> float:
 
 # --- Monte Carlo estimators -------------------------------------------------
 
-def _term_arrays(decomp: hubbard.PauliDecomposition):
+def _frame_terms(spec: hubbard.HubbardSpec):
+    """(identity coefficient, coeffs, x masks, z masks, <P_j>_0) of the terms.
+
+    The non-identity terms are in sorted string order; <P_j>_0 is read off
+    the ground vector v as Re sum_b phase_j(b) v[b] conj(v[b ^ flip_j]).
+    """
+    decomp = hubbard.build_hubbard_pauli(spec)
     strings = sorted(decomp.terms)
     coeffs = np.array([decomp.terms[s] for s in strings])
-    d = 2**decomp.n
-    flips = np.empty(len(strings), dtype=np.int64)
-    phases = np.empty((len(strings), d), dtype=complex)
-    for i, string in enumerate(strings):
-        flips[i], phases[i] = pauli_perm_phase(pauli_index(string), decomp.n)
-    return strings, coeffs, flips, phases
+    index = np.array([pauli_index(s) for s in strings], dtype=np.int64)
+    term_x, term_z = pauli_masks(index, decomp.n)
+    v = hubbard.ground_state_vector(spec)
+    basis = np.arange(len(v))
+    expect0 = np.empty(len(strings))
+    for j, pidx in enumerate(index):
+        flip, phase = pauli_perm_phase(int(pidx), decomp.n)
+        expect0[j] = np.sum(phase * v * v[basis ^ flip].conj()).real
+    return decomp.identity_coefficient, coeffs, term_x, term_z, expect0
 
 
-def _draws_for_range(seed: int, start: int, stop: int, layers: int, d2: int,
-                     n_terms: int):
-    count = stop - start
-    u_branch = np.empty((count, layers))
-    twirl_idx = np.empty((count, layers), dtype=np.int64)
-    u_outcome = np.empty((count, n_terms))
-    key_hi = seed & 0xFFFFFFFFFFFFFFFF
-    for i, shot in enumerate(range(start, stop)):
+def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
+    u_branch = np.empty((n_shots, layers))
+    twirl_idx = np.empty((n_shots, layers), dtype=np.int64)
+    u_outcome = np.empty((n_shots, n_terms))
+    for shot in range(n_shots):
         gen = np.random.Generator(
-            np.random.Philox(key=np.array([key_hi, shot], dtype=np.uint64)))
-        u_branch[i] = gen.random(layers)
-        twirl_idx[i] = gen.integers(1, d2, size=layers)
-        u_outcome[i] = gen.random(n_terms)
+            np.random.Philox(key=np.array([seed, shot], dtype=np.uint64)))
+        u_branch[shot] = gen.random(layers)
+        twirl_idx[shot] = gen.integers(1, d2, size=layers)
+        u_outcome[shot] = gen.random(n_terms)
     return u_branch, twirl_idx, u_outcome
 
 
-def _run_chunk(args):
-    (rho0, p_layer, p_twirl, seed, start, stop, layers, n_qubits,
-     flips, phases) = args
-    d2 = (1 << n_qubits) ** 2
-    u_branch, twirl_idx, u_outcome = _draws_for_range(
-        seed, start, stop, layers, d2, len(flips))
-    return _kernel.run_shots(rho0, p_layer, p_twirl, u_branch, twirl_idx,
-                             u_outcome, flips, phases, n_qubits)
+def run_shots(expect0, term_x, term_z, keep, p_twirl, u_branch, twirl_idx,
+              u_outcome, n_qubits):
+    """Sample every shot's twirls, sign and term outcomes in the Pauli frame.
 
-
-def _run_shot_streams(rho0, noise, p_twirl, n_shots, seed, flips, phases, workers):
-    chunk_args = []
-    chunk = max(1, math.ceil(n_shots / max(1, workers)))
-    for start in range(0, n_shots, chunk):
-        stop = min(start + chunk, n_shots)
-        chunk_args.append((rho0, noise.p_layer, p_twirl, seed, start, stop,
-                           noise.layers, noise.qubits, flips, phases))
-    if workers <= 1 or len(chunk_args) == 1:
-        parts = [_run_chunk(a) for a in chunk_args]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, chunk_args))
-    sign = np.concatenate([p[0] for p in parts])
-    branch = np.vstack([p[1] for p in parts])
-    term_outcomes = np.vstack([p[2] for p in parts])
+    Per layer the pre-drawn uniform picks the twirl branch with probability
+    p_twirl; the branch then conjugates by the pre-drawn non-identity Pauli
+    and flips the shot sign.  keep = (1-P)^D scales every expectation, and
+    each term is measured once as an independent +/-1 sample with
+    P(+1) = (1 + e_j)/2, e_j clipped to [-1, 1].
+    Returns (sign, branch, term_outcomes), all discrete.
+    """
+    twirled = u_branch < p_twirl
+    branch = np.where(twirled, twirl_idx, 0)
+    sign = np.where(np.count_nonzero(twirled, axis=1) % 2 == 1, -1, 1).astype(np.int8)
+    # Up to phase, a product's base-4 digits are the XOR of its factors'
+    # digits, and the identity branch is index 0.
+    frame_x, frame_z = pauli_masks(np.bitwise_xor.reduce(branch, axis=1), n_qubits)
+    term_outcomes = np.empty(u_outcome.shape, dtype=np.int8)
+    for j in range(len(expect0)):  # one column at a time keeps memory O(shots)
+        anticommutes = parity((frame_x & term_z[j]) ^ (frame_z & term_x[j])) == 1
+        e = np.clip(keep * np.where(anticommutes, -expect0[j], expect0[j]), -1.0, 1.0)
+        term_outcomes[:, j] = np.where(u_outcome[:, j] < 0.5 * (1.0 + e), 1, -1)
     return sign, branch, term_outcomes
 
 
-def _validate_run(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int):
+def _validate_run(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int,
+                  seed: int):
     if spec.qubits > hubbard.MAX_DENSE_QUBITS:
         raise CapacityError(
             f"simulator instances are capped at {hubbard.MAX_DENSE_QUBITS} qubits, "
@@ -224,22 +230,21 @@ def _validate_run(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: i
             f"noise spec is for {noise.qubits} qubits, instance has {spec.qubits}")
     if n_shots < 1:
         raise ValidationError(f"n_shots must be >= 1, got {n_shots}")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2^64), got {seed}")
 
 
-def _estimate(spec, noise, n_shots, seed, mitigated, workers):
-    _validate_run(spec, noise, n_shots)
-    decomp = hubbard.build_hubbard_pauli(spec)
-    rho0 = np.ascontiguousarray(prepare_ground_state(spec).entries)
-    if workers is None:
-        workers = 1
+def _shot_inputs(spec, noise, n_shots, seed):
+    """Validated term data plus the per-shot draws both estimators consume."""
+    _validate_run(spec, noise, n_shots, seed)
+    identity, coeffs, term_x, term_z, expect0 = _frame_terms(spec)
+    draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(coeffs))
+    return identity, coeffs, term_x, term_z, expect0, draws
 
-    if not decomp.terms:  # zero Hamiltonian up to its identity part
-        outcomes = np.full(n_shots, decomp.identity_coefficient)
-        signs = np.ones(n_shots, dtype=np.int8)
-        branch = np.zeros((n_shots, noise.layers), dtype=np.int64)
-        return decomp, outcomes, signs, branch, np.zeros((n_shots, 0), np.int8)
 
-    _, coeffs, flips, phases = _term_arrays(decomp)
+def _estimate(inputs, noise, mitigated):
+    """Per-shot outcomes, signs and branches of one estimator."""
+    identity, coeffs, term_x, term_z, expect0, draws = inputs
     if mitigated:
         qpd = build_qpd(noise)
         p_twirl = abs(qpd.q[1]) / qpd.gamma
@@ -248,11 +253,11 @@ def _estimate(spec, noise, n_shots, seed, mitigated, workers):
         p_twirl = 0.0
         weight = 1.0
 
-    sign, branch, term_outcomes = _run_shot_streams(
-        rho0, noise, p_twirl, n_shots, seed, flips, phases, workers)
-    outcomes = (sign.astype(float) * weight * (term_outcomes @ coeffs)
-                + decomp.identity_coefficient)
-    return decomp, outcomes, sign, branch, term_outcomes
+    keep = (1.0 - noise.p_layer) ** noise.layers
+    sign, branch, term_outcomes = run_shots(expect0, term_x, term_z, keep, p_twirl,
+                                            *draws, noise.qubits)
+    outcomes = sign.astype(float) * weight * (term_outcomes @ coeffs) + identity
+    return outcomes, sign, branch
 
 
 def _records(branch, sign, outcomes):
@@ -265,18 +270,24 @@ def _records(branch, sign, outcomes):
 
 def run_pec_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
                      n_shots: int, seed: int, workers: int | None = None):
-    """Quasi-probability mitigated estimate: (mean, variance, shot records)."""
-    _, outcomes, sign, branch, _ = _estimate(spec, noise, n_shots, seed,
-                                             mitigated=True, workers=workers)
+    """Quasi-probability mitigated estimate: (mean, variance, shot records).
+
+    `workers` is accepted for compatibility and ignored; shots run serially.
+    """
+    outcomes, sign, branch = _estimate(_shot_inputs(spec, noise, n_shots, seed),
+                                       noise, mitigated=True)
     variance = float(np.var(outcomes, ddof=1)) if n_shots > 1 else 0.0
     return float(np.mean(outcomes)), variance, _records(branch, sign, outcomes)
 
 
 def run_raw_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
                      n_shots: int, seed: int, workers: int | None = None):
-    """Unmitigated estimate on the noisy state: (mean, variance)."""
-    _, outcomes, _, _, _ = _estimate(spec, noise, n_shots, seed,
-                                     mitigated=False, workers=workers)
+    """Unmitigated estimate on the noisy state: (mean, variance).
+
+    `workers` is accepted for compatibility and ignored; shots run serially.
+    """
+    outcomes, _, _ = _estimate(_shot_inputs(spec, noise, n_shots, seed),
+                               noise, mitigated=False)
     variance = float(np.var(outcomes, ddof=1)) if n_shots > 1 else 0.0
     return float(np.mean(outcomes)), variance
 
@@ -334,12 +345,14 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
                     workers: int | None = None) -> dict:
     """Run both estimators and package every validation statistic.
 
+    Both estimators share one set of term expectations and one set of
+    per-shot draws.  `workers` is accepted for compatibility and ignored.
     Flags: pec_unbiased / raw_bias_matches (3 standard errors), the
     single-shot variance against norm2^2 gamma_tot^2 with 10% slack,
     empirical gamma within 2% of the analytic overhead, batch normality
     below the 1% critical value.
     """
-    _validate_run(spec, noise, n_shots)
+    inputs = _shot_inputs(spec, noise, n_shots, seed)
     decomp = hubbard.build_hubbard_pauli(spec)
     norm2sq = hubbard.norm2_squared(decomp)
     e0 = hubbard.exact_ground_energy(spec)
@@ -350,10 +363,8 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     )
     gt = gamma_total(noise)
 
-    _, pec_outcomes, sign, branch, _ = _estimate(
-        spec, noise, n_shots, seed, mitigated=True, workers=workers)
-    _, raw_outcomes, _, _, _ = _estimate(
-        spec, noise, n_shots, seed, mitigated=False, workers=workers)
+    pec_outcomes, sign, _ = _estimate(inputs, noise, mitigated=True)
+    raw_outcomes, _, _ = _estimate(inputs, noise, mitigated=False)
 
     pec_mean = float(np.mean(pec_outcomes))
     pec_var = float(np.var(pec_outcomes, ddof=1))

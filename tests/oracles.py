@@ -4,8 +4,10 @@ Everything here is deliberately built from different primitives than the
 package under test: the Hubbard oracle works in second quantization with
 explicit fermionic ladder matrices (no Pauli strings), the erf oracle sums
 a Taylor/asymptotic series in 60-digit arithmetic, the normal-interval
-oracle integrates the density numerically, and the centering oracle
-evaluates the proxy-error closed form with mpmath in 40-digit arithmetic.
+oracle integrates the density numerically, the centering oracle
+evaluates the proxy-error closed form with mpmath in 40-digit arithmetic,
+and the shot oracle evolves an explicit density matrix through every noise
+layer with dense Kronecker-product Pauli matrices.
 """
 
 from __future__ import annotations
@@ -163,3 +165,58 @@ def saturated_centering_error_reference(inset_sigmas: float) -> float:
     with the far edge out of reach."""
     with mp.workdps(40):
         return float(1 / mp.ncdf(mpf(inset_sigmas)) - 1)
+
+
+# --- explicit density-matrix shot oracle --------------------------------
+
+_PAULI_2X2 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0 + 0j, -1.0]),
+}
+
+
+def _pauli_dense(letters: str) -> np.ndarray:
+    """Kronecker product of the letters' 2x2 matrices, qubit 0 leftmost."""
+    out = np.ones((1, 1), dtype=complex)
+    for letter in letters:
+        out = np.kron(out, _PAULI_2X2[letter])
+    return out
+
+
+def _index_letters(index: int, n: int) -> str:
+    """Letters of a base-4 Pauli index (0=I, 1=X, 2=Y, 3=Z), qubit 0 most significant."""
+    return "".join("IXYZ"[(index >> (2 * bitpos)) & 3] for bitpos in range(n - 1, -1, -1))
+
+
+def density_matrix_shots_reference(rho0, p_layer, p_twirl, u_branch, twirl_idx,
+                                   u_outcome, term_strings, n_qubits):
+    """Evolve one density matrix per shot and sample every term outcome.
+
+    Per layer: depolarize globally, rho -> (1-P) rho + P I/d, then (when the
+    pre-drawn uniform falls below p_twirl) conjugate by the pre-drawn
+    non-identity Pauli and flip the shot sign.  Each term is then measured
+    once: +1 when its uniform lies below (1 + e)/2, e = Tr(P_j rho) clipped
+    to [-1, 1].  Returns (sign, branch, term_outcomes).
+    """
+    d = rho0.shape[0]
+    n_shots, layers = u_branch.shape
+    terms = [_pauli_dense(s) for s in term_strings]
+    sign = np.ones(n_shots, dtype=np.int8)
+    branch = np.zeros((n_shots, layers), dtype=np.int64)
+    term_outcomes = np.empty((n_shots, len(terms)), dtype=np.int8)
+    for s in range(n_shots):
+        rho = np.array(rho0, dtype=complex)
+        for layer in range(layers):
+            rho = (1.0 - p_layer) * rho + (p_layer / d) * np.eye(d)
+            if u_branch[s, layer] < p_twirl:
+                index = int(twirl_idx[s, layer])
+                pauli = _pauli_dense(_index_letters(index, n_qubits))
+                rho = pauli @ rho @ pauli.conj().T
+                branch[s, layer] = index
+                sign[s] = -sign[s]
+        for j, term in enumerate(terms):
+            e = min(1.0, max(-1.0, float(np.sum(term * rho.T).real)))
+            term_outcomes[s, j] = 1 if u_outcome[s, j] < 0.5 * (1.0 + e) else -1
+    return sign, branch, term_outcomes

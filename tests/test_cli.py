@@ -169,6 +169,15 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["norm", "--config", str(malformed)]) == 2
     assert "rows" in capsys.readouterr().err
 
+    # seeds outside [0, 2^64) would alias in-range Philox keys
+    cfg = _fast_sim_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    too_big = tmp_path / "seed.cfg"
+    too_big.write_text(Path(cfg).read_text().replace("seed = 7", f"seed = {2**64}"))
+    assert main(["simulate", "--config", str(too_big)]) == 2
+    assert "seed" in capsys.readouterr().err
+
     # simulating the 128-qubit instance exceeds simulator capacity
     assert main(["simulate", "--config", REFERENCE_CFG]) == 3
 

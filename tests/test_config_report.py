@@ -105,6 +105,18 @@ def test_config_error_messages_name_the_field():
     with pytest.raises(ConfigError, match="rows"):
         parse_config_dict(bad)
 
+    sweep = {"p_min": 1e-4, "p_max": 1e-2, "shots_min": 10, "shots_max": 1e5}
+    for section, entries, field in (
+            ("simulate", {"batch": 0}, r"\[simulate\] batch"),
+            ("sweep", {**sweep, "shots_min": 0}, r"\[sweep\] shots_min"),
+            ("sweep", {**sweep, "p_max": -1e-2}, r"\[sweep\] p_max"),
+            ("sweep", {"p_min": 1e-4}, r"\[sweep\] p_min given without p_max"),
+            ("sweep", {"shots_max": 1e5}, r"\[sweep\] shots_max given without shots_min"),
+            ("circuit", {"layers": 0, "qubits": 128}, r"\[circuit\] layers"),
+            ("circuit", {"layers": 64, "qubits": 0}, r"\[circuit\] qubits")):
+        with pytest.raises(ConfigError, match=field):
+            parse_config_dict({**base, section: entries})
+
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config_dict({**base, "extras": {"x": 1}})
     with pytest.raises(ConfigError, match="exactly one"):

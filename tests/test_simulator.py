@@ -20,8 +20,9 @@ from pecbench.simulator import (
     run_raw_estimate,
     simulate_report,
 )
-from pecbench.simulator import _kernel_py
 from pecbench.simulator import core as simcore
+
+from oracles import density_matrix_shots_reference
 
 SPEC = HubbardSpec(1, 2, "open", 1.0, 4.0, 1.0)
 NOISE = NoiseCircuitSpec(layers=4, p_layer=0.05, qubits=4)
@@ -78,19 +79,43 @@ def test_qpd_composition_residual():
         qpd_composition_residual(NoiseCircuitSpec(layers=1, p_layer=0.1, qubits=5))
 
 
-def test_kernels_produce_identical_discrete_outputs():
-    decomp = build_hubbard_pauli(SPEC)
-    _, _, flips, phases = simcore._term_arrays(decomp)
-    rho0 = np.ascontiguousarray(prepare_ground_state(SPEC).entries)
-    qpd = build_qpd(NOISE)
+ORACLE_CASES = {
+    "1x2-P0.05-D4": (SPEC, 0.05, 4),
+    "1x2-P0.2-D7": (SPEC, 0.2, 7),
+    "1x2-P0-D4": (SPEC, 0.0, 4),
+    "1x3-U8-P0.3-D6": (HubbardSpec(1, 3, "open", 1.0, 8.0, 3.75), 0.3, 6),
+}
+
+
+@pytest.mark.parametrize("spec, p_layer, layers", ORACLE_CASES.values(),
+                         ids=ORACLE_CASES.keys())
+def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers):
+    noise = NoiseCircuitSpec(layers=layers, p_layer=p_layer, qubits=spec.qubits)
+    strings = sorted(build_hubbard_pauli(spec).terms)
+    _, _, term_x, term_z, expect0 = simcore._frame_terms(spec)
+    qpd = build_qpd(noise)
     p_twirl = abs(qpd.q[1]) / qpd.gamma
-    draws = simcore._draws_for_range(21, 0, 800, NOISE.layers, 256, len(flips))
-    out_py = _kernel_py.run_shots(rho0, NOISE.p_layer, p_twirl, *draws,
-                                  flips, phases, 4)
-    out_active = simcore._kernel.run_shots(rho0, NOISE.p_layer, p_twirl, *draws,
-                                           flips, phases, 4)
-    for a, b in zip(out_py, out_active):
+    draws = simcore._shot_draws(21, 800, layers, 4**spec.qubits, len(strings))
+    frame = simcore.run_shots(expect0, term_x, term_z, (1.0 - p_layer) ** layers,
+                              p_twirl, *draws, spec.qubits)
+    oracle = density_matrix_shots_reference(
+        prepare_ground_state(spec).entries, p_layer, p_twirl, *draws, strings,
+        spec.qubits)
+    for a, b in zip(frame, oracle):
         assert np.array_equal(a, b)
+    # the comparison is not vacuous: twirls are sampled whenever P > 0
+    assert (np.count_nonzero(frame[1]) > 0) == (p_layer > 0)
+
+
+def test_estimator_streams_are_pinned():
+    # recorded from the explicit density-matrix kernel; a change of stream
+    # keying or draw order moves these bits
+    mean, variance, _ = run_pec_estimate(SPEC, NOISE, 2_000, seed=2024)
+    assert mean == float.fromhex("-0x1.65d0c6a115f32p+1")
+    assert variance == float.fromhex("0x1.1e1ad9250f075p+3")
+    raw_mean, raw_variance = run_raw_estimate(SPEC, NOISE, 2_000, seed=2024)
+    assert raw_mean == float.fromhex("-0x1.26b851eb851ecp+1")
+    assert raw_variance == float.fromhex("0x1.7c9b023a72cbfp+1")
 
 
 def test_noiseless_pec_is_unbiased():
@@ -187,3 +212,11 @@ def test_simulator_capacity_and_validation():
                          10, seed=0)
     with pytest.raises(ValidationError):
         run_pec_estimate(SPEC, NOISE, 0, seed=0)
+    # seeds key the Philox streams as 64-bit words; out-of-range seeds
+    # would alias in-range ones
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match="seed"):
+            run_pec_estimate(SPEC, NOISE, 10, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_report(SPEC, NOISE, n_shots=10, seed=seed)
+    run_raw_estimate(SPEC, NOISE, 10, seed=2**64 - 1)  # the largest seed is accepted
