@@ -222,16 +222,29 @@ def _validate(data: dict) -> dict:
     if "threshold" in run and not 0.0 < run["threshold"] < 1.0:
         raise ConfigError(f"[run] threshold must lie in (0, 1), got {run['threshold']}")
 
-    for section, key in (("circuit", "layers"), ("circuit", "qubits"), ("simulate", "batch")):
+    explicit = data.get("hamiltonian", {})
+    if "norm2_squared" in explicit and not 0 <= explicit["norm2_squared"] < math.inf:
+        raise ConfigError("[hamiltonian] norm2_squared must be finite and >= 0, "
+                          f"got {explicit['norm2_squared']}")
+    if "trace_over_d" in explicit and not math.isfinite(explicit["trace_over_d"]):
+        raise ConfigError(
+            f"[hamiltonian] trace_over_d must be finite, got {explicit['trace_over_d']}")
+    for section, key in (("hamiltonian", "sites"), ("circuit", "layers"),
+                         ("circuit", "qubits"), ("simulate", "batch"),
+                         ("sweep", "p_points"), ("sweep", "shots_points"),
+                         ("centering", "shift_points"), ("centering", "width_points")):
         value = data.get(section, {}).get(key)
         if value is not None and value < 1:
             raise ConfigError(f"[{section}] {key} must be >= 1, got {value}")
 
     sweep = data.get("sweep", {})
-    for lo, hi in (("p_min", "p_max"), ("shots_min", "shots_max")):
+    for lo, hi, points in (("p_min", "p_max", "p_points"),
+                           ("shots_min", "shots_max", "shots_points")):
         if (lo in sweep) != (hi in sweep):
             given, missing = (lo, hi) if lo in sweep else (hi, lo)
             raise ConfigError(f"[sweep] {given} given without {missing}")
+        if points in sweep and lo not in sweep:
+            raise ConfigError(f"[sweep] {points} given without {lo} and {hi}")
         for key in (lo, hi):
             if key in sweep and not sweep[key] > 0:
                 raise ConfigError(f"[sweep] {key} must be > 0, got {sweep[key]}")

@@ -4,6 +4,15 @@ Mode ordering: all spin-up modes first, in row-major site order, then all
 spin-down modes.  Site (r, c) on a rows x cols lattice has index
 s = r * cols + c; its spin-up mode is s and its spin-down mode is L + s.
 
+Pauli terms are stored in symplectic form (Aaronson & Gottesman, "Improved
+simulation of stabilizer circuits", PRA 70, 052328 (2004)): an (x, z) pair
+of integer bit masks, bit n-1-m belonging to qubit m, the bit of mode m in
+a basis-state index.  Qubit m carries X when only its x bit is set, Z when
+only its z bit is set and Y when both are.  The term is
+P = i^ny X^x Z^z with ny = popcount(x & z), so P|b> = i^ny (-1)^{|b & z|}
+|b XOR x>; a Hubbard term has an even Y count, so its matrix is real.
+Letter strings over {I, X, Y, Z} exist only for display (pauli_string).
+
 Dense-matrix operations (reconstruction, exact diagonalization) are capped
 at MAX_DENSE_QUBITS qubits; the decomposition itself has O(L) terms and is
 built at any size.
@@ -20,12 +29,7 @@ from .errors import CapacityError, ValidationError
 
 MAX_DENSE_QUBITS = 12
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+_LETTERS = "IXZY"  # display letter of a qubit's x_bit | z_bit << 1
 
 
 @dataclass(frozen=True)
@@ -61,11 +65,12 @@ class HubbardSpec:
 
 @dataclass(frozen=True)
 class PauliDecomposition:
-    """Weighted Pauli strings plus the separately-stored identity weight.
+    """Weighted Pauli terms plus the separately-stored identity weight.
 
-    ``terms`` maps length-n strings over {I, X, Y, Z} to real coefficients;
-    the all-identity string is never a key, its weight lives in
-    ``identity_coefficient`` (= Tr[H] / 2^n).
+    ``terms`` maps symplectic ``(x, z)`` mask pairs (see the module
+    docstring) to real coefficients; the identity key ``(0, 0)`` is never
+    present, its weight lives in ``identity_coefficient`` (= Tr[H] / 2^n).
+    ``pauli_string`` renders a key for display.
     """
 
     n: int
@@ -73,19 +78,63 @@ class PauliDecomposition:
     identity_coefficient: float = 0.0
 
     def __post_init__(self):
-        for string, coeff in self.terms.items():
-            if len(string) != self.n:
+        limit = 1 << self.n
+        for (x, z), coeff in self.terms.items():
+            if not (0 <= x < limit and 0 <= z < limit):
                 raise ValidationError(
-                    f"Pauli string {string!r} has length {len(string)}, expected {self.n}"
-                )
-            if set(string) - set("IXYZ"):
-                raise ValidationError(f"invalid Pauli letters in {string!r}")
+                    f"Pauli masks (x={x:#x}, z={z:#x}) out of range for n={self.n}")
             if not math.isfinite(coeff):
-                raise ValidationError(f"non-finite coefficient for {string!r}")
-        if "I" * self.n in self.terms:
-            raise ValidationError("identity string must go in identity_coefficient")
+                raise ValidationError(
+                    f"non-finite coefficient for {pauli_string((x, z), self.n)}")
+        if (0, 0) in self.terms:
+            raise ValidationError("identity term must go in identity_coefficient")
         if not math.isfinite(self.identity_coefficient):
             raise ValidationError("identity_coefficient must be finite")
+
+    @classmethod
+    def from_strings(cls, n: int, strings: dict,
+                     identity_coefficient: float = 0.0) -> "PauliDecomposition":
+        """Decomposition from {length-n letter string: coefficient} (for tests)."""
+        terms = {}
+        for string, coeff in strings.items():
+            if len(string) != n or set(string) - set(_LETTERS):
+                raise ValidationError(f"{string!r} is not a Pauli string on {n} qubits")
+            x = z = 0
+            for letter in string:
+                code = _LETTERS.index(letter)
+                x, z = x << 1 | code & 1, z << 1 | code >> 1
+            terms[(x, z)] = coeff
+        return cls(n=n, terms=terms, identity_coefficient=identity_coefficient)
+
+
+def pauli_string(key: tuple[int, int], n: int) -> str:
+    """Display letters of an (x, z) key, qubit 0 leftmost."""
+    x, z = key
+    return "".join(_LETTERS[(x >> bit) & 1 | ((z >> bit) & 1) << 1]
+                   for bit in range(n - 1, -1, -1))
+
+
+def parity(values):
+    """Elementwise parity of the set bits of non-negative 64-bit integers."""
+    for shift in (1, 2, 4, 8, 16, 32):
+        values = values ^ (values >> shift)
+    return values & 1
+
+
+def real_pauli_signs(key: tuple[int, int], basis: np.ndarray) -> np.ndarray:
+    """s(b) with P|b> = s(b) |b XOR x> for each basis index b.
+
+    s(b) = (-1)^{ny/2} (-1)^{|b & z|}; a term with an odd Y count has an
+    imaginary matrix and is rejected.
+    """
+    x, z = key
+    ny = (x & z).bit_count()
+    if ny % 2:
+        raise ValidationError(
+            f"Pauli term (x={x:#x}, z={z:#x}) has an odd number of Y factors; "
+            "its matrix is not real")
+    signs = np.where(parity(basis & z) == 1, -1.0, 1.0)
+    return -signs if ny % 4 == 2 else signs
 
 
 def lattice_edges(rows: int, cols: int, boundary: str) -> list[tuple[int, int]]:
@@ -110,49 +159,40 @@ def lattice_edges(rows: int, cols: int, boundary: str) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
-def _hopping_string(n: int, p: int, q: int, kind: str) -> str:
-    # X Z..Z X (or Y Z..Z Y) between modes p < q.
-    letters = ["I"] * n
-    letters[p] = kind
-    letters[q] = kind
-    for m in range(p + 1, q):
-        letters[m] = "Z"
-    return "".join(letters)
+def _bit(n: int, mode: int) -> int:
+    return 1 << (n - 1 - mode)
 
 
 def build_hubbard_pauli(spec: HubbardSpec) -> PauliDecomposition:
     """Jordan-Wigner qubit decomposition of the Hubbard Hamiltonian.
 
-    Per edge and spin sector: two hopping strings (XZ..ZX and YZ..ZY) with
+    Per edge and spin sector: two hopping terms (XZ..ZX and YZ..ZY) with
     coefficient -t/2.  Per site: a ZZ term with +U/4 on the paired up/down
     modes.  Per mode: a single Z with mu/2 - U/4.  Identity weight:
     U*L/4 - mu*L.
     """
     L = spec.sites
     n = spec.qubits
-    terms: dict[str, float] = {}
+    terms: dict[tuple[int, int], float] = {}
 
-    def add(string: str, coeff: float) -> None:
-        terms[string] = terms.get(string, 0.0) + coeff
+    def add(key: tuple[int, int], coeff: float) -> None:
+        terms[key] = terms.get(key, 0.0) + coeff
 
     for a, b in lattice_edges(spec.rows, spec.cols, spec.boundary):
         for offset in (0, L):  # spin-up then spin-down sector
             p, q = a + offset, b + offset
-            add(_hopping_string(n, p, q, "X"), -spec.t / 2.0)
-            add(_hopping_string(n, p, q, "Y"), -spec.t / 2.0)
+            x = _bit(n, p) | _bit(n, q)
+            run = ((1 << (q - p - 1)) - 1) << (n - q)  # Z on the modes strictly between
+            add((x, run), -spec.t / 2.0)
+            add((x, x | run), -spec.t / 2.0)
 
     z_coeff = spec.mu / 2.0 - spec.U / 4.0
     for s in range(L):
-        letters = ["I"] * n
-        letters[s] = "Z"
-        letters[L + s] = "Z"
-        add("".join(letters), spec.U / 4.0)
+        add((0, _bit(n, s) | _bit(n, L + s)), spec.U / 4.0)
     for mode in range(n):
-        letters = ["I"] * n
-        letters[mode] = "Z"
-        add("".join(letters), z_coeff)
+        add((0, _bit(n, mode)), z_coeff)
 
-    terms = {s: c for s, c in terms.items() if c != 0.0}
+    terms = {key: c for key, c in terms.items() if c != 0.0}
     identity = spec.U * L / 4.0 - spec.mu * L
     return PauliDecomposition(n=n, terms=terms, identity_coefficient=identity)
 
@@ -185,22 +225,18 @@ def _check_dense_capacity(n: int) -> None:
         )
 
 
-def pauli_matrix(string: str) -> np.ndarray:
-    """Dense matrix of a Pauli string (leftmost letter = most significant qubit)."""
-    _check_dense_capacity(len(string))
-    out = np.array([[1.0 + 0.0j]])
-    for letter in string:
-        out = np.kron(out, _PAULI_1Q[letter])
-    return out
-
-
 def reconstruct_matrix(decomp: PauliDecomposition) -> np.ndarray:
-    """Dense Hermitian matrix sum_j a_j P_j + identity_coefficient * I."""
+    """Dense real symmetric matrix sum_j a_j P_j + identity_coefficient * I.
+
+    Each term is scattered into its d nonzero entries,
+    H[b XOR x, b] += a_j s_j(b); no Kronecker product is formed.
+    """
     _check_dense_capacity(decomp.n)
-    d = 2**decomp.n
-    out = np.eye(d, dtype=complex) * decomp.identity_coefficient
-    for string, coeff in decomp.terms.items():
-        out += coeff * pauli_matrix(string)
+    d = 1 << decomp.n
+    basis = np.arange(d)
+    out = np.eye(d) * decomp.identity_coefficient
+    for key, coeff in decomp.terms.items():
+        out[basis ^ key[0], basis] += coeff * real_pauli_signs(key, basis)
     return out
 
 
@@ -211,9 +247,10 @@ def exact_ground_energy(spec: HubbardSpec) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def ground_state_vector(spec: HubbardSpec) -> np.ndarray:
-    """First eigenvector of the dense eigensolver (deterministic tie-break)."""
-    _check_dense_capacity(spec.qubits)
-    h = reconstruct_matrix(build_hubbard_pauli(spec))
-    _, vecs = np.linalg.eigh(h)
-    return vecs[:, 0]
+def ground_state(decomp: PauliDecomposition) -> tuple[float, np.ndarray]:
+    """(lowest eigenvalue, its eigenvector) from one dense real eigh (n <= 12).
+
+    The vector is the eigensolver's first column (deterministic tie-break).
+    """
+    energies, vecs = np.linalg.eigh(reconstruct_matrix(decomp))
+    return float(energies[0]), vecs[:, 0]

@@ -33,7 +33,7 @@ import numpy as np
 from .. import hubbard
 from ..errors import CapacityError, NumericDomainError, ValidationError
 from ..noise import HamiltonianSummary, NoiseCircuitSpec, gamma_layer, gamma_total, noisy_mean
-from ._pauli_ops import parity, pauli_index, pauli_masks, pauli_perm_phase
+from ._pauli_ops import pauli_index, pauli_masks, pauli_perm_phase
 
 
 def active_kernel() -> str:
@@ -85,8 +85,8 @@ class ShotRecord:
 
 def prepare_ground_state(spec: hubbard.HubbardSpec) -> DensityMatrix:
     """Pure-state density matrix of the dense eigensolver's ground vector."""
-    v = hubbard.ground_state_vector(spec)
-    return DensityMatrix(n=spec.qubits, entries=np.outer(v, v.conj()))
+    _, v = hubbard.ground_state(hubbard.build_hubbard_pauli(spec))
+    return DensityMatrix(n=spec.qubits, entries=np.outer(v, v))
 
 
 def apply_depolarizing(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -120,12 +120,15 @@ def build_qpd(noise: NoiseCircuitSpec) -> QuasiProbDecomposition:
 # --- superoperator oracles (small n), used to verify the QPD ---------------
 
 def _conjugation_superoperator(index: int, n: int) -> np.ndarray:
-    # row-major vec: vec(P rho P) = (P kron P^T) vec(rho)
+    # row-major vec: P rho P sends entry (i, j) to (i ^ flip, j ^ flip)
+    # with weight phase[i] conj(phase[j])
     d = 1 << n
     flip, phase = pauli_perm_phase(index, n)
-    mat = np.zeros((d, d), dtype=complex)
-    mat[np.arange(d) ^ flip, np.arange(d)] = phase
-    return np.kron(mat, mat.T)
+    moved = np.arange(d) ^ flip
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    mat[(moved[:, None] * d + moved).ravel(), np.arange(d * d)] = \
+        np.outer(phase, phase.conj()).ravel()
+    return mat
 
 
 def depolarizing_superoperator(n: int, p: float) -> np.ndarray:
@@ -162,22 +165,25 @@ def qpd_composition_residual(noise: NoiseCircuitSpec) -> float:
 # --- Monte Carlo estimators -------------------------------------------------
 
 def _frame_terms(spec: hubbard.HubbardSpec):
+    """_term_data of the instance and its dense ground vector."""
+    decomp = hubbard.build_hubbard_pauli(spec)
+    return _term_data(decomp, hubbard.ground_state(decomp)[1])
+
+
+def _term_data(decomp: hubbard.PauliDecomposition, v: np.ndarray):
     """(identity coefficient, coeffs, x masks, z masks, <P_j>_0) of the terms.
 
-    The non-identity terms are in sorted string order; <P_j>_0 is read off
-    the ground vector v as Re sum_b phase_j(b) v[b] conj(v[b ^ flip_j]).
+    The non-identity terms are in base-4 index order, the sorted order of
+    their display strings; each term's position picks its u_outcome column.
+    <P_j>_0 = sum_b s_j(b) v[b] v[b ^ x_j] on the real ground vector v.
     """
-    decomp = hubbard.build_hubbard_pauli(spec)
-    strings = sorted(decomp.terms)
-    coeffs = np.array([decomp.terms[s] for s in strings])
-    index = np.array([pauli_index(s) for s in strings], dtype=np.int64)
-    term_x, term_z = pauli_masks(index, decomp.n)
-    v = hubbard.ground_state_vector(spec)
+    keys = sorted(decomp.terms, key=lambda key: pauli_index(*key))
+    coeffs = np.array([decomp.terms[key] for key in keys])
+    term_x = np.array([x for x, _ in keys], dtype=np.int64)
+    term_z = np.array([z for _, z in keys], dtype=np.int64)
     basis = np.arange(len(v))
-    expect0 = np.empty(len(strings))
-    for j, pidx in enumerate(index):
-        flip, phase = pauli_perm_phase(int(pidx), decomp.n)
-        expect0[j] = np.sum(phase * v * v[basis ^ flip].conj()).real
+    expect0 = np.array([v[basis ^ key[0]] @ (hubbard.real_pauli_signs(key, basis) * v)
+                        for key in keys])
     return decomp.identity_coefficient, coeffs, term_x, term_z, expect0
 
 
@@ -213,7 +219,7 @@ def run_shots(expect0, term_x, term_z, keep, p_twirl, u_branch, twirl_idx,
     frame_x, frame_z = pauli_masks(np.bitwise_xor.reduce(branch, axis=1), n_qubits)
     term_outcomes = np.empty(u_outcome.shape, dtype=np.int8)
     for j in range(len(expect0)):  # one column at a time keeps memory O(shots)
-        anticommutes = parity((frame_x & term_z[j]) ^ (frame_z & term_x[j])) == 1
+        anticommutes = hubbard.parity((frame_x & term_z[j]) ^ (frame_z & term_x[j])) == 1
         e = np.clip(keep * np.where(anticommutes, -expect0[j], expect0[j]), -1.0, 1.0)
         term_outcomes[:, j] = np.where(u_outcome[:, j] < 0.5 * (1.0 + e), 1, -1)
     return sign, branch, term_outcomes
@@ -234,12 +240,10 @@ def _validate_run(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: i
         raise ValidationError(f"seed must lie in [0, 2^64), got {seed}")
 
 
-def _shot_inputs(spec, noise, n_shots, seed):
-    """Validated term data plus the per-shot draws both estimators consume."""
-    _validate_run(spec, noise, n_shots, seed)
-    identity, coeffs, term_x, term_z, expect0 = _frame_terms(spec)
-    draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(coeffs))
-    return identity, coeffs, term_x, term_z, expect0, draws
+def _shot_inputs(terms, noise, n_shots, seed):
+    """Term data plus the per-shot draws that the estimators consume."""
+    draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(terms[1]))
+    return (*terms, draws)
 
 
 def _estimate(inputs, noise, mitigated):
@@ -274,8 +278,9 @@ def run_pec_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
 
     `workers` is accepted for compatibility and ignored; shots run serially.
     """
-    outcomes, sign, branch = _estimate(_shot_inputs(spec, noise, n_shots, seed),
-                                       noise, mitigated=True)
+    _validate_run(spec, noise, n_shots, seed)
+    inputs = _shot_inputs(_frame_terms(spec), noise, n_shots, seed)
+    outcomes, sign, branch = _estimate(inputs, noise, mitigated=True)
     variance = float(np.var(outcomes, ddof=1)) if n_shots > 1 else 0.0
     return float(np.mean(outcomes)), variance, _records(branch, sign, outcomes)
 
@@ -286,8 +291,9 @@ def run_raw_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
 
     `workers` is accepted for compatibility and ignored; shots run serially.
     """
-    outcomes, _, _ = _estimate(_shot_inputs(spec, noise, n_shots, seed),
-                               noise, mitigated=False)
+    _validate_run(spec, noise, n_shots, seed)
+    inputs = _shot_inputs(_frame_terms(spec), noise, n_shots, seed)
+    outcomes, _, _ = _estimate(inputs, noise, mitigated=False)
     variance = float(np.var(outcomes, ddof=1)) if n_shots > 1 else 0.0
     return float(np.mean(outcomes)), variance
 
@@ -345,17 +351,20 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
                     workers: int | None = None) -> dict:
     """Run both estimators and package every validation statistic.
 
-    Both estimators share one set of term expectations and one set of
-    per-shot draws.  `workers` is accepted for compatibility and ignored.
+    One build and one dense diagonalization give the exact ground energy
+    and the vector behind the term expectations; both estimators share
+    those and one set of per-shot draws.  `workers` is accepted for
+    compatibility and ignored.
     Flags: pec_unbiased / raw_bias_matches (3 standard errors), the
     single-shot variance against norm2^2 gamma_tot^2 with 10% slack,
     empirical gamma within 2% of the analytic overhead, batch normality
     below the 1% critical value.
     """
-    inputs = _shot_inputs(spec, noise, n_shots, seed)
+    _validate_run(spec, noise, n_shots, seed)
     decomp = hubbard.build_hubbard_pauli(spec)
+    e0, v = hubbard.ground_state(decomp)
+    inputs = _shot_inputs(_term_data(decomp, v), noise, n_shots, seed)
     norm2sq = hubbard.norm2_squared(decomp)
-    e0 = hubbard.exact_ground_energy(spec)
     ham_exact = HamiltonianSummary(
         norm2=math.sqrt(norm2sq) if norm2sq > 0 else 1.0,
         trace_over_d=decomp.identity_coefficient,

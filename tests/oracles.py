@@ -6,8 +6,9 @@ explicit fermionic ladder matrices (no Pauli strings), the erf oracle sums
 a Taylor/asymptotic series in 60-digit arithmetic, the normal-interval
 oracle integrates the density numerically, the centering oracle
 evaluates the proxy-error closed form with mpmath in 40-digit arithmetic,
-and the shot oracle evolves an explicit density matrix through every noise
-layer with dense Kronecker-product Pauli matrices.
+the Pauli-sum oracle adds dense Kronecker-product matrices of display
+strings, and the shot oracle evolves an explicit density matrix through
+every noise layer with the same Kronecker-product Pauli matrices.
 """
 
 from __future__ import annotations
@@ -185,24 +186,46 @@ def _pauli_dense(letters: str) -> np.ndarray:
     return out
 
 
+def pauli_sum_matrix_reference(n: int, strings: dict,
+                               identity_coefficient: float) -> np.ndarray:
+    """identity_coefficient * I + sum_j a_j P_j, as a Kronecker-product sum.
+
+    `strings` maps length-n letter strings to coefficients; the terms are
+    added in its order.
+    """
+    out = np.eye(1 << n, dtype=complex) * identity_coefficient
+    for letters, coeff in strings.items():
+        out += coeff * _pauli_dense(letters)
+    return out
+
+
+def _mask_letters(key, n: int) -> str:
+    """Letters of a symplectic (x, z) key; bit n-1-m of each mask is qubit m."""
+    x, z = key
+    names = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+    return "".join(names[(x >> bit) & 1, (z >> bit) & 1] for bit in range(n - 1, -1, -1))
+
+
 def _index_letters(index: int, n: int) -> str:
     """Letters of a base-4 Pauli index (0=I, 1=X, 2=Y, 3=Z), qubit 0 most significant."""
     return "".join("IXYZ"[(index >> (2 * bitpos)) & 3] for bitpos in range(n - 1, -1, -1))
 
 
 def density_matrix_shots_reference(rho0, p_layer, p_twirl, u_branch, twirl_idx,
-                                   u_outcome, term_strings, n_qubits):
+                                   u_outcome, term_keys, n_qubits):
     """Evolve one density matrix per shot and sample every term outcome.
 
     Per layer: depolarize globally, rho -> (1-P) rho + P I/d, then (when the
     pre-drawn uniform falls below p_twirl) conjugate by the pre-drawn
     non-identity Pauli and flip the shot sign.  Each term is then measured
     once: +1 when its uniform lies below (1 + e)/2, e = Tr(P_j rho) clipped
-    to [-1, 1].  Returns (sign, branch, term_outcomes).
+    to [-1, 1].  The terms, given as symplectic (x, z) keys, are measured in
+    sorted letter order (I < X < Y < Z, qubit 0 leftmost): term j of that
+    order owns column j of u_outcome.  Returns (sign, branch, term_outcomes).
     """
     d = rho0.shape[0]
     n_shots, layers = u_branch.shape
-    terms = [_pauli_dense(s) for s in term_strings]
+    terms = [_pauli_dense(s) for s in sorted(_mask_letters(k, n_qubits) for k in term_keys)]
     sign = np.ones(n_shots, dtype=np.int8)
     branch = np.zeros((n_shots, layers), dtype=np.int64)
     term_outcomes = np.empty((n_shots, len(terms)), dtype=np.int8)

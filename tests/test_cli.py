@@ -178,6 +178,32 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--config", str(too_big)]) == 2
     assert "seed" in capsys.readouterr().err
 
+    # explicit-Hamiltonian summaries: a negative squared norm or no sites
+    explicit = ("[hamiltonian]\nnorm2_squared = {norm2sq}\ntrace_over_d = -112.0\n"
+                "sites = {sites}\n[bounds]\ne_minus = -290.8\ne_plus = -245.5\n"
+                "[circuit]\nlayers = 64\nqubits = 128\n[noise]\np_layer = 1e-3\n")
+    for norm2sq, sites, field in ((-1.0, 64, "[hamiltonian] norm2_squared"),
+                                  (386.0, 0, "[hamiltonian] sites")):
+        summary = tmp_path / "explicit.cfg"
+        summary.write_text(explicit.format(norm2sq=norm2sq, sites=sites))
+        for command in ("norm", "success"):
+            assert main([command, "--config", str(summary)]) == 2
+            assert field in capsys.readouterr().err
+
+    # sweep and centering point counts name their own key
+    for old, new, field in (
+            ("p_points = 6\n", "p_points = 0\n", "[sweep] p_points"),
+            ("p_min = 1e-4\np_max = 1e-2\n", "", "[sweep] p_points given without")):
+        sweep_cfg = tmp_path / "points.cfg"
+        sweep_cfg.write_text(Path(_small_sweep_cfg(tmp_path)).read_text().replace(old, new))
+        assert main(["phase-diagram", "--config", str(sweep_cfg)]) == 2
+        assert field in capsys.readouterr().err
+    centering_cfg = tmp_path / "centering.cfg"
+    centering_cfg.write_text(Path(REFERENCE_CFG).read_text()
+                             + "\n[centering]\nshift_points = 0\n")
+    assert main(["centering", "--config", str(centering_cfg)]) == 2
+    assert "[centering] shift_points" in capsys.readouterr().err
+
     # simulating the 128-qubit instance exceeds simulator capacity
     assert main(["simulate", "--config", REFERENCE_CFG]) == 3
 

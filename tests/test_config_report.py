@@ -113,9 +113,26 @@ def test_config_error_messages_name_the_field():
             ("sweep", {"p_min": 1e-4}, r"\[sweep\] p_min given without p_max"),
             ("sweep", {"shots_max": 1e5}, r"\[sweep\] shots_max given without shots_min"),
             ("circuit", {"layers": 0, "qubits": 128}, r"\[circuit\] layers"),
-            ("circuit", {"layers": 64, "qubits": 0}, r"\[circuit\] qubits")):
+            ("circuit", {"layers": 64, "qubits": 0}, r"\[circuit\] qubits"),
+            ("sweep", {**sweep, "p_points": 0}, r"\[sweep\] p_points must be >= 1"),
+            ("sweep", {**sweep, "shots_points": 0}, r"\[sweep\] shots_points must be >= 1"),
+            ("sweep", {"p_points": 5}, r"\[sweep\] p_points given without p_min"),
+            ("sweep", {"shots_points": 5}, r"\[sweep\] shots_points given without"),
+            ("centering", {"shift_points": 0}, r"\[centering\] shift_points"),
+            ("centering", {"width_points": 0}, r"\[centering\] width_points")):
         with pytest.raises(ConfigError, match=field):
             parse_config_dict({**base, section: entries})
+
+    explicit = {"norm2_squared": 386.0, "trace_over_d": -112.0, "sites": 64}
+    for key, value, field in (("norm2_squared", -1.0, r"\[hamiltonian\] norm2_squared"),
+                              ("norm2_squared", math.nan, r"\[hamiltonian\] norm2_squared"),
+                              ("norm2_squared", math.inf, r"\[hamiltonian\] norm2_squared"),
+                              ("trace_over_d", math.nan, r"\[hamiltonian\] trace_over_d"),
+                              ("sites", 0, r"\[hamiltonian\] sites")):
+        sections = {k: v for k, v in base.items() if k != "model"}
+        sections["hamiltonian"] = {**explicit, key: value}
+        with pytest.raises(ConfigError, match=field):
+            parse_config_dict(sections)
 
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config_dict({**base, "extras": {"x": 1}})

@@ -6,7 +6,16 @@ import pytest
 from pecbench import hubbard as hb
 from pecbench.errors import CapacityError, ValidationError
 
-from oracles import fermionic_hubbard_matrix, lattice_edges_reference
+from oracles import (
+    fermionic_hubbard_matrix,
+    lattice_edges_reference,
+    pauli_sum_matrix_reference,
+)
+
+
+def _display(decomp):
+    """The decomposition's terms keyed by display string, in insertion order."""
+    return {hb.pauli_string(key, decomp.n): c for key, c in decomp.terms.items()}
 
 
 def test_lattice_edges_counts():
@@ -30,24 +39,26 @@ def test_lattice_edges_match_reference_convention():
 def test_single_site_terms():
     decomp = hb.build_hubbard_pauli(hb.HubbardSpec(1, 1, "open", t=1.0, U=4.0, mu=1.0))
     # no edges: only ZZ on the up/down pair and single-Z terms
-    assert decomp.terms == {"ZZ": 1.0, "ZI": -0.5, "IZ": -0.5}
+    assert _display(decomp) == {"ZZ": 1.0, "ZI": -0.5, "IZ": -0.5}
     assert decomp.identity_coefficient == 0.0
 
 
 def test_dimer_hopping_strings():
     decomp = hb.build_hubbard_pauli(hb.HubbardSpec(1, 2, "open", t=2.0, U=0.0, mu=0.0))
-    assert decomp.terms["XXII"] == -1.0
-    assert decomp.terms["YYII"] == -1.0
-    assert decomp.terms["IIXX"] == -1.0
-    assert decomp.terms["IIYY"] == -1.0
-    assert "ZIII" not in decomp.terms
+    terms = _display(decomp)
+    assert terms["XXII"] == -1.0
+    assert terms["YYII"] == -1.0
+    assert terms["IIXX"] == -1.0
+    assert terms["IIYY"] == -1.0
+    assert "ZIII" not in terms
 
 
 def test_jordan_wigner_z_string():
     # the periodic wrap edge (0, 2) hops non-adjacent modes, threading Z
     decomp = hb.build_hubbard_pauli(hb.HubbardSpec(1, 3, "periodic", t=1.0))
-    assert decomp.terms["XZXIII"] == -0.5
-    assert decomp.terms["IIIYZY"] == -0.5
+    terms = _display(decomp)
+    assert terms["XZXIII"] == -0.5
+    assert terms["IIIYZY"] == -0.5
 
 
 def test_reconstruct_matches_fermionic_oracle():
@@ -103,9 +114,10 @@ def test_exact_ground_energies():
 
 def test_ground_state_vector_is_eigenvector():
     spec = hb.HubbardSpec(1, 2, "open", 1.0, 4.0, 1.0)
-    h = hb.reconstruct_matrix(hb.build_hubbard_pauli(spec))
-    v = hb.ground_state_vector(spec)
-    e0 = hb.exact_ground_energy(spec)
+    decomp = hb.build_hubbard_pauli(spec)
+    h = hb.reconstruct_matrix(decomp)
+    e0, v = hb.ground_state(decomp)
+    assert e0 == pytest.approx(hb.exact_ground_energy(spec), abs=1e-12)
     assert np.linalg.norm(h @ v - e0 * v) <= 1e-9
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
@@ -118,11 +130,21 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         hb.HubbardSpec(1, 1, "open", t=math.inf)
     with pytest.raises(ValidationError):
-        hb.PauliDecomposition(n=2, terms={"XYZ": 1.0})
+        hb.PauliDecomposition.from_strings(2, {"XYZ": 1.0})
     with pytest.raises(ValidationError):
-        hb.PauliDecomposition(n=2, terms={"AB": 1.0})
+        hb.PauliDecomposition.from_strings(2, {"AB": 1.0})
     with pytest.raises(ValidationError):
-        hb.PauliDecomposition(n=2, terms={"II": 1.0})
+        hb.PauliDecomposition.from_strings(2, {"II": 1.0})
+    # the same checks on the masks themselves
+    with pytest.raises(ValidationError, match="out of range"):
+        hb.PauliDecomposition(n=2, terms={(0b100, 0): 1.0})
+    with pytest.raises(ValidationError, match="identity"):
+        hb.PauliDecomposition(n=2, terms={(0, 0): 1.0})
+    with pytest.raises(ValidationError, match="non-finite"):
+        hb.PauliDecomposition(n=2, terms={(1, 0): math.nan})
+    # a single Y has an imaginary matrix, which the real reconstruction refuses
+    with pytest.raises(ValidationError, match="odd number of Y"):
+        hb.reconstruct_matrix(hb.PauliDecomposition.from_strings(2, {"YZ": 1.0}))
 
 
 def test_dense_capacity_cap():
@@ -131,4 +153,39 @@ def test_dense_capacity_cap():
     with pytest.raises(CapacityError):
         hb.exact_ground_energy(big)
     with pytest.raises(CapacityError):
-        hb.pauli_matrix("I" * 13)
+        hb.reconstruct_matrix(hb.PauliDecomposition.from_strings(13, {"Z" * 13: 1.0}))
+
+
+@pytest.mark.parametrize("rows, cols, boundary", [
+    (1, 2, "open"), (2, 2, "open"), (1, 3, "open"),
+    (1, 3, "periodic"),  # the wrap edge threads a Z string
+])
+def test_reconstruct_matches_kronecker_sum_exactly(rows, cols, boundary):
+    rng = np.random.default_rng(rows * 10 + cols)
+    for _ in range(3):
+        t, U, mu = (float(v) for v in rng.normal(size=3))
+        decomp = hb.build_hubbard_pauli(hb.HubbardSpec(rows, cols, boundary, t, U, mu))
+        ours = hb.reconstruct_matrix(decomp)
+        reference = pauli_sum_matrix_reference(decomp.n, _display(decomp),
+                                               decomp.identity_coefficient)
+        assert ours.dtype == np.float64
+        assert not np.any(reference.imag)
+        assert np.array_equal(ours, reference.real)
+
+
+def test_display_strings_round_trip():
+    decomp = hb.build_hubbard_pauli(hb.HubbardSpec(2, 3, "periodic", 0.3, 1.7, -0.9))
+    again = hb.PauliDecomposition.from_strings(decomp.n, _display(decomp),
+                                               decomp.identity_coefficient)
+    assert again == decomp
+    assert list(again.terms) == list(decomp.terms)
+
+
+def test_large_periodic_build():
+    spec = hb.HubbardSpec(40, 40, "periodic", 1.0, 8.0, 3.75)
+    decomp = hb.build_hubbard_pauli(spec)
+    assert decomp.n == 3200
+    # 3200 edges x 2 spins x 2 hops, 1600 ZZ and 3200 single Z
+    assert len(decomp.terms) == 17_600
+    assert hb.norm2_squared(decomp) == pytest.approx(
+        hb.norm2_squared_closed_form(spec), rel=1e-12)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from pecbench.errors import CapacityError, ValidationError
-from pecbench.hubbard import HubbardSpec, build_hubbard_pauli, exact_ground_energy
+from pecbench.hubbard import (
+    HubbardSpec,
+    build_hubbard_pauli,
+    exact_ground_energy,
+    pauli_string,
+)
 from pecbench.noise import NoiseCircuitSpec, gamma_layer, noisy_mean
 from pecbench.simulator import (
     DensityMatrix,
@@ -21,6 +26,7 @@ from pecbench.simulator import (
     simulate_report,
 )
 from pecbench.simulator import core as simcore
+from pecbench.simulator._pauli_ops import pauli_index, pauli_masks
 
 from oracles import density_matrix_shots_reference
 
@@ -105,6 +111,26 @@ def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers):
         assert np.array_equal(a, b)
     # the comparison is not vacuous: twirls are sampled whenever P > 0
     assert (np.count_nonzero(frame[1]) > 0) == (p_layer > 0)
+
+
+def test_term_order_is_display_string_order():
+    # the u_outcome column of each term is its position in this order
+    for index in range(4**3):
+        assert pauli_index(*pauli_masks(index, 3)) == index
+    for spec in (SPEC, HubbardSpec(1, 3, "periodic", 1.0, 8.0, 3.75)):
+        decomp = build_hubbard_pauli(spec)
+        _, coeffs, term_x, term_z, _ = simcore._frame_terms(spec)
+        keys = list(zip(term_x.tolist(), term_z.tolist()))
+        strings = [pauli_string(key, decomp.n) for key in keys]
+        assert strings == sorted(strings)
+        assert coeffs.tolist() == [decomp.terms[key] for key in keys]
+        assert sorted(keys) == sorted(decomp.terms)
+
+
+def test_simulate_report_ground_energy_is_the_exact_one():
+    report = simulate_report(SPEC, NOISE, n_shots=5_000, seed=3, batch=100)
+    assert report["exact_ground_energy"] == pytest.approx(
+        exact_ground_energy(SPEC), abs=1e-12)
 
 
 def test_estimator_streams_are_pinned():
