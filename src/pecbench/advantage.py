@@ -19,21 +19,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hubbard
 from .errors import ValidationError
-from .noise import HamiltonianSummary, NoiseCircuitSpec, gamma_total, noisy_mean, pec_sigma, raw_sigma
+from .noise import HamiltonianSummary, NoiseCircuitSpec, gamma_total, noisy_mean, raw_sigma
 from .stats import NormalSpec, erf, interval_probability
 
 LABEL_PEC = "PEC"
 LABEL_RAW = "RAW"
 LABEL_NONE = "NONE"
-
-_SQRT2 = math.sqrt(2.0)
 
 # 8x8 periodic reference instance: (U, t, mu) = (8, 1, 3.75), D = L = 64,
 # n = 2L = 128, certified per-site bounds from cluster decomposition
@@ -124,24 +121,55 @@ def reference_problem(p_layer: float = 0.0, threshold: float = 0.95) -> Advantag
     )
 
 
-def _noise_at(prob: AdvantageProblem, p: float | None) -> NoiseCircuitSpec:
-    if p is None:
-        return prob.noise
-    return dataclasses.replace(prob.noise, p_layer=float(p))
-
-
 def _check_shots(n_shots) -> float:
     n = float(n_shots)
-    if not n >= 1:
-        raise ValidationError(f"n_shots must be >= 1, got {n_shots}")
+    if not 1 <= n < math.inf:
+        raise ValidationError(f"n_shots must be finite and >= 1, got {n_shots}")
     return n
 
 
-def pec_success_exact(prob: AdvantageProblem, e0: float, n_shots, p: float | None = None) -> float:
-    """Interval mass of N(e0, pec_sigma^2) between the classical bounds."""
-    n = _check_shots(n_shots)
-    sigma = pec_sigma(_noise_at(prob, p), prob.ham, n)
-    return interval_probability(NormalSpec(e0, sigma), prob.e_minus, prob.e_plus)
+# The builtin round (correctly rounded decimal), not np.round: they differ at
+# half-way decimals, e.g. round(0.9585, 3) == 0.959 but np.round gives 0.958.
+_round3 = np.frompyfunc(lambda v: round(float(v), 3), 1, 1)
+
+
+def _winner(pec: np.ndarray, raw: np.ndarray, threshold: float) -> np.ndarray:
+    """Winning strategy per cell: PEC, RAW or NONE.
+
+    Ties are decided on three decimals, and raw wins ties since it is the
+    cheaper strategy to run.
+    """
+    raw_wins = (_round3(raw) >= _round3(pec)).astype(bool)
+    return np.where(np.maximum(pec, raw) < threshold, LABEL_NONE,
+                    np.where(raw_wins, LABEL_RAW, LABEL_PEC))
+
+
+def _evaluate(prob: AdvantageProblem, p_values, shot_values: np.ndarray):
+    """(pec, raw, label) over a P axis x shot axis, indexed [p, shot].
+
+    The noise laws run once per P row: gamma_tot sets the PEC width and the
+    depolarized midpoint the raw mean.  erf and the interval mass then run
+    once over the whole grid.  An infinite gamma_tot sends the PEC argument,
+    and so its success, to 0.
+    """
+    ham_mid = dataclasses.replace(prob.ham, e0_proxy=prob.midpoint)
+    scale = np.empty((len(p_values), 1))
+    mean = np.empty((len(p_values), 1))
+    for i, p in enumerate(p_values):
+        noise = dataclasses.replace(prob.noise, p_layer=float(p))
+        scale[i] = gamma_total(noise) * prob.ham.norm2 * math.sqrt(noise.beta)
+        mean[i] = noisy_mean(noise, ham_mid)
+    half_width = 0.5 * (prob.e_plus - prob.e_minus)
+    pec = np.minimum(1.0, erf(half_width * np.sqrt(shot_values / 2.0) / scale))
+    sigma = np.array([raw_sigma(prob.ham, n) for n in shot_values])
+    raw = interval_probability(NormalSpec(mean, sigma), prob.e_minus, prob.e_plus)
+    return pec, raw, _winner(pec, raw, prob.threshold)
+
+
+def _cell(prob: AdvantageProblem, n_shots, p: float | None):
+    p = prob.noise.p_layer if p is None else p
+    pec, raw, label = _evaluate(prob, [p], np.array([_check_shots(n_shots)]))
+    return float(pec[0, 0]), float(raw[0, 0]), str(label[0, 0])
 
 
 def pec_success_proxy(prob: AdvantageProblem, n_shots, p: float | None = None) -> float:
@@ -149,13 +177,7 @@ def pec_success_proxy(prob: AdvantageProblem, n_shots, p: float | None = None) -
 
     erf(((e_plus - e_minus)/2) * sqrt(N/2) / (gamma_tot * norm2 * sqrt(beta))).
     """
-    n = _check_shots(n_shots)
-    noise = _noise_at(prob, p)
-    scale = gamma_total(noise) * prob.ham.norm2 * math.sqrt(noise.beta)
-    half_width = 0.5 * (prob.e_plus - prob.e_minus)
-    if math.isinf(scale):
-        return 0.0
-    return min(1.0, erf(half_width * math.sqrt(n / 2.0) / scale))
+    return _cell(prob, n_shots, p)[0]
 
 
 def raw_success(prob: AdvantageProblem, n_shots, p: float | None = None) -> float:
@@ -164,27 +186,12 @@ def raw_success(prob: AdvantageProblem, n_shots, p: float | None = None) -> floa
     The unknown true energy in the bias formula is replaced by the bound
     midpoint, the same substitution the PEC proxy makes.
     """
-    n = _check_shots(n_shots)
-    noise = _noise_at(prob, p)
-    ham = dataclasses.replace(prob.ham, e0_proxy=prob.midpoint)
-    mean = noisy_mean(noise, ham)
-    sigma = raw_sigma(prob.ham, n)
-    return interval_probability(NormalSpec(mean, sigma), prob.e_minus, prob.e_plus)
+    return _cell(prob, n_shots, p)[1]
 
 
 def classify(prob: AdvantageProblem, p: float, n_shots) -> str:
-    """Winning strategy at one grid cell: PEC, RAW or NONE.
-
-    Ties are decided on three decimals, and raw wins ties since it is the
-    cheaper strategy to run.
-    """
-    s_pec = pec_success_proxy(prob, n_shots, p=p)
-    s_raw = raw_success(prob, n_shots, p=p)
-    if max(s_pec, s_raw) < prob.threshold:
-        return LABEL_NONE
-    if round(s_raw, 3) >= round(s_pec, 3):
-        return LABEL_RAW
-    return LABEL_PEC
+    """Winning strategy at one grid cell: PEC, RAW or NONE (see _winner)."""
+    return _cell(prob, n_shots, p)[2]
 
 
 def default_p_axis(num: int = 60) -> np.ndarray:
@@ -205,66 +212,27 @@ def _validate_axis(values, name: str) -> np.ndarray:
     return arr
 
 
-def _sweep_rows(prob: AdvantageProblem, p_chunk: np.ndarray, shots: np.ndarray):
-    pec = np.empty((len(p_chunk), len(shots)))
-    raw = np.empty_like(pec)
-    lab = np.empty(pec.shape, dtype="U4")
-    for i, p in enumerate(p_chunk):
-        for j, n in enumerate(shots):
-            pec[i, j] = pec_success_proxy(prob, n, p=p)
-            raw[i, j] = raw_success(prob, n, p=p)
-            if max(pec[i, j], raw[i, j]) < prob.threshold:
-                lab[i, j] = LABEL_NONE
-            elif round(raw[i, j], 3) >= round(pec[i, j], 3):
-                lab[i, j] = LABEL_RAW
-            else:
-                lab[i, j] = LABEL_PEC
-    return pec, raw, lab
-
-
 def worker_count() -> int:
-    """Worker count from PECBENCH_WORKERS; defaults to all cores."""
-    raw = os.environ.get("PECBENCH_WORKERS", "")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"PECBENCH_WORKERS must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise ValidationError(f"PECBENCH_WORKERS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
+    """Always 1: the sweep runs in one process.
+
+    Kept only while perfbench still calls it.
+    """
+    return 1
 
 
 def sweep(prob: AdvantageProblem, p_axis, shot_axis, workers: int | None = None) -> RegimeGrid:
-    """Fill the full (P, N_shots) grid; cell order never affects the result.
+    """Fill the full (P, N_shots) grid in one vectorized pass.
 
-    Rows are split across processes when workers > 1 and merged back in
-    axis order, so the grid is bitwise identical for any worker count.
+    Each cell equals pec_success_proxy / raw_success / classify at that
+    point.  `workers` is accepted and ignored; it is kept only while
+    perfbench still passes it.
     """
     p_arr = _validate_axis(p_axis, "p_axis")
-    if np.any((p_arr < 0) | (p_arr >= 1)):
+    if not np.all((p_arr >= 0) & (p_arr < 1)):
         raise ValidationError("p_axis values must lie in [0, 1)")
     shot_arr = _validate_axis(shot_axis, "shot_axis")
-    if np.any(shot_arr < 1):
-        raise ValidationError("shot_axis values must be >= 1")
-
-    if workers is None:
-        workers = worker_count()
-    workers = min(workers, len(p_arr))
-
-    if workers <= 1:
-        pec, raw, lab = _sweep_rows(prob, p_arr, shot_arr)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = np.array_split(p_arr, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_rows, [prob] * len(chunks), chunks,
-                                  [shot_arr] * len(chunks)))
-        pec = np.vstack([part[0] for part in parts])
-        raw = np.vstack([part[1] for part in parts])
-        lab = np.vstack([part[2] for part in parts])
-
+    if not np.all((shot_arr >= 1) & (shot_arr < math.inf)):
+        raise ValidationError("shot_axis values must be finite and >= 1")
+    pec, raw, label = _evaluate(prob, p_arr, shot_arr)
     return RegimeGrid(p_values=p_arr, shot_values=shot_arr,
-                      pec_success=pec, raw_success=raw, label=lab)
+                      pec_success=pec, raw_success=raw, label=label)

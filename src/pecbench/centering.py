@@ -32,22 +32,40 @@ class CenteringPoint:
             raise ValidationError(f"rel_width must be positive, got {self.rel_width}")
 
 
+def success_maps(shift_axis, width_axis):
+    """(true, proxy, error) over the grid, each indexed [shift_index, width_index].
+
+    true is the interval mass of the off-center distribution (Delta = 1),
+    proxy the mass assuming it is centered, and error = (proxy - true)/true.
+    Errors are >= 0 (off-centering only loses mass for a symmetric
+    interval); cells where the true probability underflows are NaN.
+    """
+    shifts = np.asarray(shift_axis, dtype=float)
+    widths = np.asarray(width_axis, dtype=float)
+    if shifts.ndim != 1 or widths.ndim != 1 or shifts.size == 0 or widths.size == 0:
+        raise ValidationError("axes must be non-empty 1-D sequences")
+    bad = ~((shifts >= 0.0) & (shifts < 1.0))
+    if bad.any():
+        raise ValidationError(f"rel_shift must lie in [0, 1), got {shifts[bad][0]}")
+    bad = ~(widths > 0)
+    if bad.any():
+        raise ValidationError(f"rel_width must be positive, got {widths[bad][0]}")
+    true = interval_probability(NormalSpec(mean=0.5 * shifts[:, None], sigma=widths),
+                                -0.5, 0.5)
+    proxy = np.broadcast_to(np.minimum(1.0, erf(0.5 / (widths * _SQRT2))), true.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = np.where(true > 0.0, (proxy - true) / true, math.nan)
+    return true, proxy, error
+
+
 def true_success(point: CenteringPoint) -> float:
     """Interval mass of the off-center distribution (Delta = 1)."""
-    dist = NormalSpec(mean=0.5 * point.rel_shift, sigma=point.rel_width)
-    return interval_probability(dist, -0.5, 0.5)
+    return float(success_maps([point.rel_shift], [point.rel_width])[0][0, 0])
 
 
 def proxy_success(rel_width: float) -> float:
     """Interval mass assuming the distribution is centered."""
-    if rel_width <= 0:
-        raise ValidationError(f"rel_width must be positive, got {rel_width}")
-    return min(1.0, erf(0.5 / (rel_width * _SQRT2)))
-
-
-def conservative_proxy(rel_width: float) -> float:
-    """Safety-margin variant: 0.9 times the centered proxy."""
-    return 0.9 * proxy_success(rel_width)
+    return float(success_maps([0.0], [rel_width])[1][0, 0])
 
 
 def default_shift_axis(num: int = 100) -> np.ndarray:
@@ -59,22 +77,5 @@ def default_width_axis(num: int = 100) -> np.ndarray:
 
 
 def relative_error_map(shift_axis, width_axis) -> np.ndarray:
-    """(proxy - true)/true over the grid, indexed [shift_index, width_index].
-
-    Entries are >= 0 (off-centering only loses mass for a symmetric
-    interval); cells where the true probability underflows are NaN.
-    """
-    shifts = np.asarray(shift_axis, dtype=float)
-    widths = np.asarray(width_axis, dtype=float)
-    if shifts.ndim != 1 or widths.ndim != 1 or shifts.size == 0 or widths.size == 0:
-        raise ValidationError("axes must be non-empty 1-D sequences")
-    out = np.empty((len(shifts), len(widths)))
-    for j, w in enumerate(widths):
-        proxy = proxy_success(w)
-        for i, s in enumerate(shifts):
-            true = true_success(CenteringPoint(rel_shift=s, rel_width=w))
-            if true <= 0.0:
-                out[i, j] = math.nan
-            else:
-                out[i, j] = (proxy - true) / true
-    return out
+    """(proxy - true)/true over the grid; see success_maps."""
+    return success_maps(shift_axis, width_axis)[2]

@@ -3,11 +3,9 @@
 Subcommands: norm, success, phase-diagram, centering, simulate.  Each takes
 --config (INI or JSON), optional --output / --format / --seed.  Exit codes:
 0 success, 2 config/validation errors, 3 capacity errors, 4 numeric-domain
-errors.  Sweep parallelism is controlled by the PECBENCH_WORKERS
-environment variable (default: all cores); output bytes are independent of
-the worker count.  simulate runs serially.  Its Pauli-frame shot kernel
-is exact because the noise is global depolarizing, which commutes with the
-sampled Pauli twirls; a local noise model would break it.
+errors.  simulate's Pauli-frame shot kernel is exact because the noise is
+global depolarizing, which commutes with the sampled Pauli twirls; a local
+noise model would break it.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import sys
 import numpy as np
 
 from . import centering, hubbard
-from .advantage import classify, pec_success_proxy, raw_success, sweep, worker_count
+from .advantage import sweep
 from .config import RunConfig, config_hash, load_config
 from .errors import CapacityError, ConfigError, NumericDomainError, ValidationError
 from .report import (
@@ -78,13 +76,14 @@ def cmd_success(config: RunConfig, args) -> str:
     prob = config.advantage_problem()
     p = config.p_layer()
     n_shots = config.shots()
+    cell = sweep(prob, [p], [n_shots])
     report = {
         "p": p,
         "n_shots": n_shots,
         "threshold": prob.threshold,
-        "pec_success": pec_success_proxy(prob, n_shots, p=p),
-        "raw_success": raw_success(prob, n_shots, p=p),
-        "label": classify(prob, p, n_shots),
+        "pec_success": float(cell.pec_success[0, 0]),
+        "raw_success": float(cell.raw_success[0, 0]),
+        "label": str(cell.label[0, 0]),
         "config_hash": config_hash(config),
     }
     return report_to_json(report)
@@ -93,7 +92,7 @@ def cmd_success(config: RunConfig, args) -> str:
 def cmd_phase_diagram(config: RunConfig, args) -> str:
     fmt = _check_format(args.format or "csv", _GRID_FORMATS)
     prob = config.advantage_problem()
-    grid = sweep(prob, config.p_axis(), config.shot_axis(), workers=worker_count())
+    grid = sweep(prob, config.p_axis(), config.shot_axis())
     artifact = phase_artifact(
         grid, make_provenance(config_hash(config), _seeded(config, args.seed)))
     if fmt == "csv":
@@ -108,14 +107,7 @@ def cmd_centering(config: RunConfig, args) -> str:
     n_shift, n_width = config.centering_axes()
     shift_axis = centering.default_shift_axis(n_shift)
     width_axis = centering.default_width_axis(n_width)
-    true_grid = np.empty((len(shift_axis), len(width_axis)))
-    proxy_grid = np.empty_like(true_grid)
-    for i, shift in enumerate(shift_axis):
-        for j, width in enumerate(width_axis):
-            point = centering.CenteringPoint(rel_shift=shift, rel_width=width)
-            true_grid[i, j] = centering.true_success(point)
-            proxy_grid[i, j] = centering.proxy_success(width)
-    error_grid = centering.relative_error_map(shift_axis, width_axis)
+    true_grid, proxy_grid, error_grid = centering.success_maps(shift_axis, width_axis)
 
     region = np.ix_(shift_axis <= 0.8, width_axis < 0.1)
     region_max = float(np.nanmax(error_grid[region]))

@@ -218,13 +218,18 @@ def _validate(data: dict) -> dict:
         if via_gates != {"p_2q", "gates_per_layer"}:
             raise ConfigError("[noise] needs p_layer or both p_2q and gates_per_layer")
 
+    if "beta" in noise and not 0 < noise["beta"] < math.inf:
+        raise ConfigError(f"[noise] beta must be finite and > 0, got {noise['beta']}")
+
     run = data.get("run", {})
     if "threshold" in run and not 0.0 < run["threshold"] < 1.0:
         raise ConfigError(f"[run] threshold must lie in (0, 1), got {run['threshold']}")
+    if "shots" in run and not 1 <= run["shots"] < math.inf:
+        raise ConfigError(f"[run] shots must be finite and >= 1, got {run['shots']}")
 
     explicit = data.get("hamiltonian", {})
-    if "norm2_squared" in explicit and not 0 <= explicit["norm2_squared"] < math.inf:
-        raise ConfigError("[hamiltonian] norm2_squared must be finite and >= 0, "
+    if "norm2_squared" in explicit and not 0 < explicit["norm2_squared"] < math.inf:
+        raise ConfigError("[hamiltonian] norm2_squared must be finite and > 0, "
                           f"got {explicit['norm2_squared']}")
     if "trace_over_d" in explicit and not math.isfinite(explicit["trace_over_d"]):
         raise ConfigError(

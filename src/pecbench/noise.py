@@ -37,8 +37,8 @@ class NoiseCircuitSpec:
             raise ValidationError(
                 f"p_layer must lie in [0, 1), got {self.p_layer}"
             )
-        if self.beta <= 0:
-            raise ValidationError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValidationError(f"beta must be finite and positive, got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,14 @@ from .core import (
     QuasiProbDecomposition,
     ShotRecord,
     active_kernel,
-    apply_depolarizing,
     batch_means,
     build_qpd,
-    depolarizing_superoperator,
     lilliefors_critical,
     normality_check,
     prepare_ground_state,
-    qpd_composition_residual,
-    qpd_inverse_superoperator,
     run_pec_estimate,
     run_raw_estimate,
     simulate_report,
-    twirl_superoperator,
 )
 
 __all__ = [
@@ -31,17 +26,12 @@ __all__ = [
     "QuasiProbDecomposition",
     "ShotRecord",
     "active_kernel",
-    "apply_depolarizing",
     "batch_means",
     "build_qpd",
-    "depolarizing_superoperator",
     "lilliefors_critical",
     "normality_check",
     "prepare_ground_state",
-    "qpd_composition_residual",
-    "qpd_inverse_superoperator",
     "run_pec_estimate",
     "run_raw_estimate",
     "simulate_report",
-    "twirl_superoperator",
 ]

@@ -8,10 +8,6 @@ two Paulis anticommute exactly when parity(x1 & z2) != parity(z1 & x2).
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..hubbard import parity
-
 
 def pauli_masks(index, n: int):
     """Symplectic (x, z) masks of a Pauli index, or elementwise of an index array.
@@ -36,13 +32,3 @@ def pauli_index(x: int, z: int) -> int:
         index |= digit << (2 * bitpos)
     return index
 
-
-def pauli_perm_phase(index: int, n: int) -> tuple[int, np.ndarray]:
-    """(flip mask, length-2^n phase vector): P|b> = phase[b] |b XOR flip>.
-
-    Phase = i^{|x & z|} (-1)^{|b & z|}; small n only, for the superoperator
-    checks.
-    """
-    x, z = pauli_masks(index, n)
-    signs = np.where(parity(np.arange(1 << n) & z) == 1, -1.0, 1.0)
-    return x, 1j ** (x & z).bit_count() * signs

@@ -33,7 +33,8 @@ import numpy as np
 from .. import hubbard
 from ..errors import CapacityError, NumericDomainError, ValidationError
 from ..noise import HamiltonianSummary, NoiseCircuitSpec, gamma_layer, gamma_total, noisy_mean
-from ._pauli_ops import pauli_index, pauli_masks, pauli_perm_phase
+from ..stats import erf
+from ._pauli_ops import pauli_index, pauli_masks
 
 
 def active_kernel() -> str:
@@ -45,21 +46,6 @@ def active_kernel() -> str:
 class DensityMatrix:
     n: int
     entries: np.ndarray
-
-    def validate(self, trace_tol=1e-10, herm_tol=1e-12, psd_tol=1e-10) -> "DensityMatrix":
-        d = 2**self.n
-        if self.entries.shape != (d, d):
-            raise ValidationError(f"entries shape {self.entries.shape}, expected {(d, d)}")
-        if abs(np.trace(self.entries).real - 1.0) > trace_tol or abs(np.trace(self.entries).imag) > trace_tol:
-            raise ValidationError("trace differs from 1")
-        if np.max(np.abs(self.entries - self.entries.conj().T)) > herm_tol:
-            raise ValidationError("matrix is not Hermitian")
-        if np.linalg.eigvalsh(self.entries)[0] < -psd_tol:
-            raise ValidationError("matrix is not positive semidefinite")
-        return self
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
 
 
 @dataclass(frozen=True)
@@ -89,13 +75,6 @@ def prepare_ground_state(spec: hubbard.HubbardSpec) -> DensityMatrix:
     return DensityMatrix(n=spec.qubits, entries=np.outer(v, v))
 
 
-def apply_depolarizing(rho: DensityMatrix, p: float) -> DensityMatrix:
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"depolarizing probability must lie in [0, 1], got {p}")
-    d = 2**rho.n
-    return DensityMatrix(n=rho.n, entries=(1.0 - p) * rho.entries + (p / d) * np.eye(d))
-
-
 def build_qpd(noise: NoiseCircuitSpec) -> QuasiProbDecomposition:
     """Optimal-negativity inverse of one global depolarizing layer.
 
@@ -115,51 +94,6 @@ def build_qpd(noise: NoiseCircuitSpec) -> QuasiProbDecomposition:
         q=(q_id, q_twirl),
         gamma=q_id + abs(q_twirl),
     )
-
-
-# --- superoperator oracles (small n), used to verify the QPD ---------------
-
-def _conjugation_superoperator(index: int, n: int) -> np.ndarray:
-    # row-major vec: P rho P sends entry (i, j) to (i ^ flip, j ^ flip)
-    # with weight phase[i] conj(phase[j])
-    d = 1 << n
-    flip, phase = pauli_perm_phase(index, n)
-    moved = np.arange(d) ^ flip
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    mat[(moved[:, None] * d + moved).ravel(), np.arange(d * d)] = \
-        np.outer(phase, phase.conj()).ravel()
-    return mat
-
-
-def depolarizing_superoperator(n: int, p: float) -> np.ndarray:
-    d = 1 << n
-    vec_id = np.eye(d, dtype=complex).reshape(-1)
-    return (1.0 - p) * np.eye(d * d, dtype=complex) + (p / d) * np.outer(vec_id, vec_id)
-
-
-def twirl_superoperator(n: int) -> np.ndarray:
-    d = 1 << n
-    total = np.zeros((d * d, d * d), dtype=complex)
-    for index in range(1, d * d):
-        total += _conjugation_superoperator(index, n)
-    return total / (d * d - 1)
-
-
-def qpd_inverse_superoperator(noise: NoiseCircuitSpec) -> np.ndarray:
-    qpd = build_qpd(noise)
-    n = noise.qubits
-    d = 1 << n
-    return qpd.q[0] * np.eye(d * d, dtype=complex) + qpd.q[1] * twirl_superoperator(n)
-
-
-def qpd_composition_residual(noise: NoiseCircuitSpec) -> float:
-    """Operator-norm distance of (QPD inverse) o (noise layer) from identity."""
-    if noise.qubits > 4:
-        raise CapacityError("superoperator verification is limited to 4 qubits")
-    product = qpd_inverse_superoperator(noise) @ depolarizing_superoperator(
-        noise.qubits, noise.p_layer)
-    d2 = product.shape[0]
-    return float(np.linalg.norm(product - np.eye(d2), ord=2))
 
 
 # --- Monte Carlo estimators -------------------------------------------------
@@ -324,7 +258,7 @@ def normality_check(samples, batch: int) -> float:
     if std == 0.0:
         raise ValidationError("degenerate sample: zero variance")
     z = (x - mean) / (std * math.sqrt(2.0))
-    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in z]))
+    cdf = 0.5 * (1.0 + erf(z))
     n = len(x)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n

@@ -4,6 +4,9 @@ The error function is delegated to the platform libm (documented accuracy
 well below 1e-12 over the real line); odd symmetry is enforced exactly by
 evaluating on |x| and restoring the sign.  All probabilities are clamped to
 [0, 1] to keep round-off from leaking out of the invariant.
+
+Every function takes floats or broadcastable arrays, applies the scalar
+law elementwise, and returns a float for scalar input.
 """
 
 from __future__ import annotations
@@ -11,76 +14,61 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 _SQRT2 = math.sqrt(2.0)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+_odd_erf = np.frompyfunc(lambda v: math.copysign(math.erf(abs(v)), v), 1, 1)
 
 
 @dataclass(frozen=True)
 class NormalSpec:
-    mean: float
-    sigma: float
+    mean: float | np.ndarray
+    sigma: float | np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.sigma)):
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.sigma).all()):
             raise ValidationError("mean and sigma must be finite")
-        if self.sigma <= 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+        if not np.greater(self.sigma, 0).all():
+            raise ValidationError(f"sigma must be positive, got {np.min(self.sigma)}")
 
 
-def erf(x: float) -> float:
+def _float_if_scalar(values):
+    values = np.asarray(values, dtype=float)
+    return float(values) if values.ndim == 0 else values
+
+
+def erf(x):
     """Error function, exactly odd: erf(-x) == -erf(x)."""
-    if math.isnan(x):
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
         raise ValidationError("erf argument must not be NaN")
-    return math.copysign(math.erf(abs(x)), x)
+    return _float_if_scalar(_odd_erf(x))
 
 
-def erf_inverse(p: float, tol: float = 1e-15) -> float:
-    """Inverse error function on (-1, 1) by bisection plus Newton polish."""
-    if not -1.0 < p < 1.0:
-        raise ValidationError(f"erf_inverse argument must lie in (-1, 1), got {p}")
-    if p == 0.0:
-        return 0.0
-    target = abs(p)
-    lo, hi = 0.0, 10.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if erf(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(4):  # Newton: d/dx erf = 2/sqrt(pi) exp(-x^2)
-        deriv = _TWO_OVER_SQRT_PI * math.exp(-x * x)
-        if deriv == 0.0:
-            break
-        step = (erf(x) - target) / deriv
-        x -= step
-        if abs(step) < tol * max(1.0, abs(x)):
-            break
-    return math.copysign(x, p)
+def _clamp(p):
+    # min(1, max(0, p)) elementwise, with the builtins' choice on ties
+    p = np.where(np.greater(p, 0.0), p, 0.0)
+    return _float_if_scalar(np.where(p < 1.0, p, 1.0))
 
 
-def _clamp(p: float) -> float:
-    return min(1.0, max(0.0, p))
-
-
-def tail_above(dist: NormalSpec, x_max: float) -> float:
+def tail_above(dist: NormalSpec, x_max):
     """P(X >= x_max) for X ~ N(mean, sigma^2)."""
     z = (x_max - dist.mean) / (dist.sigma * _SQRT2)
     return _clamp(0.5 * (1.0 - erf(z)))
 
 
-def tail_below(dist: NormalSpec, x_min: float) -> float:
+def tail_below(dist: NormalSpec, x_min):
     """P(X <= x_min) for X ~ N(mean, sigma^2)."""
     z = (x_min - dist.mean) / (dist.sigma * _SQRT2)
     return _clamp(0.5 * (1.0 + erf(z)))
 
 
-def interval_probability(dist: NormalSpec, lo: float, hi: float) -> float:
+def interval_probability(dist: NormalSpec, lo, hi):
     """P(lo <= X <= hi) for X ~ N(mean, sigma^2)."""
-    if lo > hi:
+    if np.any(np.greater(lo, hi)):
         raise ValidationError(f"interval bounds out of order: {lo} > {hi}")
     z_hi = (hi - dist.mean) / (dist.sigma * _SQRT2)
     z_lo = (lo - dist.mean) / (dist.sigma * _SQRT2)

@@ -7,8 +7,10 @@ a Taylor/asymptotic series in 60-digit arithmetic, the normal-interval
 oracle integrates the density numerically, the centering oracle
 evaluates the proxy-error closed form with mpmath in 40-digit arithmetic,
 the Pauli-sum oracle adds dense Kronecker-product matrices of display
-strings, and the shot oracle evolves an explicit density matrix through
-every noise layer with the same Kronecker-product Pauli matrices.
+strings, the shot oracle evolves an explicit density matrix through
+every noise layer with the same Kronecker-product Pauli matrices, and the
+superoperator oracles build the noise layer and the quasi-probability
+inverse from those matrices too.
 """
 
 from __future__ import annotations
@@ -243,3 +245,66 @@ def density_matrix_shots_reference(rho0, p_layer, p_twirl, u_branch, twirl_idx,
             e = min(1.0, max(-1.0, float(np.sum(term * rho.T).real)))
             term_outcomes[s, j] = 1 if u_outcome[s, j] < 0.5 * (1.0 + e) else -1
     return sign, branch, term_outcomes
+
+
+# --- density-matrix and superoperator oracles (up to 4 qubits) --------------
+
+def validate_density_matrix(rho, n: int, trace_tol=1e-10, herm_tol=1e-12, psd_tol=1e-10):
+    """Raise ValueError unless rho is a 2^n x 2^n unit-trace Hermitian PSD matrix."""
+    d = 1 << n
+    if rho.shape != (d, d):
+        raise ValueError(f"entries shape {rho.shape}, expected {(d, d)}")
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > trace_tol or abs(trace.imag) > trace_tol:
+        raise ValueError("trace differs from 1")
+    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+        raise ValueError("matrix is not Hermitian")
+    if np.linalg.eigvalsh(rho)[0] < -psd_tol:
+        raise ValueError("matrix is not positive semidefinite")
+
+
+def purity(rho) -> float:
+    return float(np.real(np.trace(rho @ rho)))
+
+
+def apply_depolarizing(rho, p: float) -> np.ndarray:
+    """(1-p) rho + p I/d."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing probability must lie in [0, 1], got {p}")
+    d = rho.shape[0]
+    return (1.0 - p) * rho + (p / d) * np.eye(d)
+
+
+def _conjugation_superoperator(index: int, n: int) -> np.ndarray:
+    """rho -> P rho P^dagger on row-major vec(rho): P (x) conj(P)."""
+    pauli = _pauli_dense(_index_letters(index, n))
+    return np.kron(pauli, pauli.conj())
+
+
+def depolarizing_superoperator(n: int, p: float) -> np.ndarray:
+    d = 1 << n
+    vec_id = np.eye(d, dtype=complex).reshape(-1)
+    return (1.0 - p) * np.eye(d * d, dtype=complex) + (p / d) * np.outer(vec_id, vec_id)
+
+
+def twirl_superoperator(n: int) -> np.ndarray:
+    """Uniform average of the conjugations by all non-identity Paulis."""
+    d = 1 << n
+    total = np.zeros((d * d, d * d), dtype=complex)
+    for index in range(1, d * d):
+        total += _conjugation_superoperator(index, n)
+    return total / (d * d - 1)
+
+
+def qpd_inverse_superoperator(q, n: int) -> np.ndarray:
+    """q[0] on the identity plus q[1] on the twirl."""
+    d = 1 << n
+    return q[0] * np.eye(d * d, dtype=complex) + q[1] * twirl_superoperator(n)
+
+
+def qpd_composition_residual(q, n: int, p: float) -> float:
+    """Operator-norm distance of (QPD inverse) o (noise layer) from identity."""
+    if n > 4:
+        raise ValueError("superoperator verification is limited to 4 qubits")
+    product = qpd_inverse_superoperator(q, n) @ depolarizing_superoperator(n, p)
+    return float(np.linalg.norm(product - np.eye(product.shape[0]), ord=2))

@@ -30,7 +30,7 @@ from pecbench.noise import (
     p_layer_from_gate_error,
     threshold_p,
 )
-from pecbench.simulator import qpd_composition_residual, simulate_report
+from pecbench.simulator import build_qpd, simulate_report
 from pecbench.stats import NormalSpec, erf, interval_probability, tail_above, tail_below
 
 from oracles import (
@@ -38,6 +38,7 @@ from oracles import (
     centering_relative_error_reference,
     erf_reference_fast,
     lattice_edges_reference,
+    qpd_composition_residual,
     saturated_centering_error_reference,
 )
 
@@ -205,7 +206,7 @@ def test_criterion_7_simulator_validation():
                                         report["single_shot_variance_bound"])
     assert checks["gamma_within_2pct"], report["gamma_empirical"]
     assert checks["batch_means_normal"], report["normality_statistic"]
-    assert qpd_composition_residual(noise) <= 1e-9
+    assert qpd_composition_residual(build_qpd(noise).q, noise.qubits, noise.p_layer) <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
 

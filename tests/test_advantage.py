@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -6,10 +9,10 @@ from pecbench.advantage import (
     LABEL_PEC,
     LABEL_RAW,
     AdvantageProblem,
+    _winner,
     classify,
     default_p_axis,
     default_shot_axis,
-    pec_success_exact,
     pec_success_proxy,
     per_site_summary,
     raw_success,
@@ -17,7 +20,7 @@ from pecbench.advantage import (
     sweep,
 )
 from pecbench.errors import ValidationError
-from pecbench.noise import HamiltonianSummary, NoiseCircuitSpec
+from pecbench.noise import HamiltonianSummary, NoiseCircuitSpec, gamma_total, pec_sigma
 from pecbench.stats import NormalSpec, interval_probability
 
 
@@ -43,7 +46,10 @@ def test_proxy_matches_exact_at_midpoint():
     prob = reference_problem()
     for p, n in [(1e-4, 1e4), (4e-3, 1e3), (1e-2, 1e6)]:
         proxy = pec_success_proxy(prob, n, p=p)
-        exact = pec_success_exact(prob, prob.midpoint, n, p=p)
+        noise = dataclasses.replace(prob.noise, p_layer=p)
+        exact = interval_probability(
+            NormalSpec(prob.midpoint, pec_sigma(noise, prob.ham, n)),
+            prob.e_minus, prob.e_plus)
         assert proxy == pytest.approx(exact, abs=1e-12)
 
 
@@ -94,6 +100,49 @@ def test_classify_tie_prefers_raw():
     assert classify(prob, 0.0, 100) == LABEL_RAW
 
 
+def test_tie_rule_rounds_like_the_builtin():
+    # round(0.9585, 3) == 0.959 ties with PEC's 0.959; np.round gives 0.958
+    labels = _winner(np.array([[0.959, 0.959, 0.5]]), np.array([[0.9585, 0.9584, 0.6]]),
+                     0.95)
+    assert labels.tolist() == [[LABEL_RAW, LABEL_PEC, LABEL_NONE]]
+
+
+def _odd_erf(x: float) -> float:
+    return math.copysign(math.erf(abs(x)), x)
+
+
+def _cell_reference(prob, p, n):
+    """The cell-by-cell laws in plain floats: (pec, raw, label)."""
+    noise = dataclasses.replace(prob.noise, p_layer=p)
+    scale = gamma_total(noise) * prob.ham.norm2 * math.sqrt(noise.beta)
+    half_width = 0.5 * (prob.e_plus - prob.e_minus)
+    pec = 0.0 if math.isinf(scale) else min(
+        1.0, _odd_erf(half_width * math.sqrt(n / 2.0) / scale))
+    survival = (1.0 - p) ** noise.layers
+    mean = survival * prob.midpoint + (1.0 - survival) * prob.ham.trace_over_d
+    width = prob.ham.norm2 / math.sqrt(n) * math.sqrt(2.0)
+    mass = 0.5 * (_odd_erf((prob.e_plus - mean) / width)
+                  - _odd_erf((prob.e_minus - mean) / width))
+    raw = min(1.0, max(0.0, mass))
+    if max(pec, raw) < prob.threshold:
+        return pec, raw, LABEL_NONE
+    return pec, raw, LABEL_RAW if round(raw, 3) >= round(pec, 3) else LABEL_PEC
+
+
+def test_sweep_matches_cellwise_reference():
+    prob = reference_problem()
+    # the default axes, plus P rows up to 0.99999, where gamma_tot overflows
+    for p_axis in (default_p_axis(), np.append(np.linspace(0.0, 0.99, 23), 0.99999)):
+        shots = default_shot_axis()
+        grid = sweep(prob, p_axis, shots)
+        for i, p in enumerate(p_axis):
+            for j, n in enumerate(shots):
+                pec, raw, label = _cell_reference(prob, float(p), float(n))
+                assert grid.pec_success[i, j] == pec, (p, n)
+                assert grid.raw_success[i, j] == raw, (p, n)
+                assert grid.label[i, j] == label, (p, n)
+
+
 def test_default_axes():
     p_axis = default_p_axis()
     assert len(p_axis) == 60
@@ -134,6 +183,10 @@ def test_axis_validation():
         sweep(prob, [0.5, 1.5], [10, 100], workers=1)
     with pytest.raises(ValidationError):
         sweep(prob, [1e-3], [0.5, 10], workers=1)
+    with pytest.raises(ValidationError):
+        sweep(prob, [1e-3], [10, np.inf])
+    with pytest.raises(ValidationError):
+        pec_success_proxy(prob, np.nan)
     with pytest.raises(ValidationError):
         AdvantageProblem(e_minus=1.0, e_plus=-1.0,
                          ham=HamiltonianSummary(1.0, 0.0, 0.0),

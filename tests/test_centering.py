@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from pecbench.centering import (
     CenteringPoint,
-    conservative_proxy,
     default_shift_axis,
     default_width_axis,
     proxy_success,
     relative_error_map,
+    success_maps,
     true_success,
 )
 from pecbench.errors import ValidationError
@@ -38,8 +40,28 @@ def test_proxy_never_underestimates():
             CenteringPoint(rel_shift=shift, rel_width=width)) - 1e-15
 
 
-def test_conservative_proxy_scales():
-    assert conservative_proxy(0.05) == pytest.approx(0.9 * proxy_success(0.05), rel=1e-15)
+def _odd_erf(x: float) -> float:
+    return math.copysign(math.erf(abs(x)), x)
+
+
+def test_success_maps_match_cellwise_laws():
+    # the cell-by-cell evaluation the grid replaced, in plain floats
+    shifts = default_shift_axis(7)
+    widths = default_width_axis(9)
+    true, proxy, error = success_maps(shifts, widths)
+    for i, shift in enumerate(shifts):
+        for j, width in enumerate(widths):
+            scale = width * math.sqrt(2.0)
+            mass = 0.5 * (_odd_erf((0.5 - 0.5 * shift) / scale)
+                          - _odd_erf((-0.5 - 0.5 * shift) / scale))
+            want_true = min(1.0, max(0.0, mass))
+            want_proxy = min(1.0, _odd_erf(0.5 / scale))
+            assert true[i, j] == want_true
+            assert proxy[i, j] == want_proxy
+            assert error[i, j] == (want_proxy - want_true) / want_true
+            point = CenteringPoint(rel_shift=float(shift), rel_width=float(width))
+            assert true_success(point) == want_true
+            assert proxy_success(float(width)) == want_proxy
 
 
 def test_relative_error_map_shape_and_zero_row():
@@ -74,3 +96,7 @@ def test_point_validation():
         proxy_success(-1.0)
     with pytest.raises(ValidationError):
         relative_error_map([], [0.1])
+    with pytest.raises(ValidationError):
+        success_maps([0.0, 1.0], [0.1])
+    with pytest.raises(ValidationError):
+        success_maps([0.0], [0.1, math.nan])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -130,6 +131,25 @@ def test_phase_diagram_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of the reference instance's grid artifacts; the provenance block
+# embeds the package version, so a version bump moves these too
+PINNED_ARTIFACTS = {
+    ("phase-diagram", "csv"): "25173a2cacf1efacf895b1372b9b8c4ec2df0c6b014cb0c1a9cad051d79600c2",
+    ("phase-diagram", "json"): "d27eb5aa38051337d28cd9e46a88f690d5ea74317b07bc4c1acbca5ca3bae915",
+    ("centering", "csv"): "87922977076cd42be0ae12f074555f90161ee883d57bb0fe01059071d1800d59",
+    ("centering", "json"): "87f962e9a92c3b1a9803c3400c639486861158122fe30cf5ecb1bfff8a13c9e0",
+}
+
+
+@pytest.mark.parametrize("command, fmt", PINNED_ARTIFACTS.keys(),
+                         ids=[f"{c}-{f}" for c, f in PINNED_ARTIFACTS])
+def test_reference_artifacts_are_pinned(tmp_path, command, fmt):
+    out = tmp_path / f"artifact.{fmt}"
+    assert main([command, "--config", REFERENCE_CFG, "--format", fmt,
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_ARTIFACTS[command, fmt]
+
+
 def test_centering_reports_region_max(tmp_path):
     path = tmp_path / "cent.cfg"
     path.write_text(Path(REFERENCE_CFG).read_text()
@@ -183,11 +203,23 @@ def test_exit_codes(tmp_path, capsys):
                 "sites = {sites}\n[bounds]\ne_minus = -290.8\ne_plus = -245.5\n"
                 "[circuit]\nlayers = 64\nqubits = 128\n[noise]\np_layer = 1e-3\n")
     for norm2sq, sites, field in ((-1.0, 64, "[hamiltonian] norm2_squared"),
+                                  (0.0, 64, "[hamiltonian] norm2_squared"),
                                   (386.0, 0, "[hamiltonian] sites")):
         summary = tmp_path / "explicit.cfg"
         summary.write_text(explicit.format(norm2sq=norm2sq, sites=sites))
-        for command in ("norm", "success"):
+        for command in ("norm", "success", "phase-diagram"):
             assert main([command, "--config", str(summary)]) == 2
+            assert field in capsys.readouterr().err
+
+    # non-finite or sub-unit shot counts and non-finite beta name their key
+    for old, new, field in (("shots = 1000", "shots = inf", "[run] shots"),
+                            ("shots = 1000", "shots = nan", "[run] shots"),
+                            ("p_layer = 4e-3", "p_layer = 4e-3\nbeta = nan", "[noise] beta"),
+                            ("p_layer = 4e-3", "p_layer = 4e-3\nbeta = inf", "[noise] beta")):
+        bad = tmp_path / "run.cfg"
+        bad.write_text(Path(REFERENCE_CFG).read_text().replace(old, new))
+        for command in ("success", "phase-diagram"):
+            assert main([command, "--config", str(bad)]) == 2
             assert field in capsys.readouterr().err
 
     # sweep and centering point counts name their own key

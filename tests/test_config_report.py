@@ -119,12 +119,19 @@ def test_config_error_messages_name_the_field():
             ("sweep", {"p_points": 5}, r"\[sweep\] p_points given without p_min"),
             ("sweep", {"shots_points": 5}, r"\[sweep\] shots_points given without"),
             ("centering", {"shift_points": 0}, r"\[centering\] shift_points"),
-            ("centering", {"width_points": 0}, r"\[centering\] width_points")):
+            ("centering", {"width_points": 0}, r"\[centering\] width_points"),
+            ("run", {"shots": math.inf}, r"\[run\] shots"),
+            ("run", {"shots": math.nan}, r"\[run\] shots"),
+            ("run", {"shots": 0.5}, r"\[run\] shots"),
+            ("noise", {"p_layer": 1e-3, "beta": math.nan}, r"\[noise\] beta"),
+            ("noise", {"p_layer": 1e-3, "beta": math.inf}, r"\[noise\] beta"),
+            ("noise", {"p_layer": 1e-3, "beta": 0.0}, r"\[noise\] beta")):
         with pytest.raises(ConfigError, match=field):
             parse_config_dict({**base, section: entries})
 
     explicit = {"norm2_squared": 386.0, "trace_over_d": -112.0, "sites": 64}
     for key, value, field in (("norm2_squared", -1.0, r"\[hamiltonian\] norm2_squared"),
+                              ("norm2_squared", 0.0, r"\[hamiltonian\] norm2_squared"),
                               ("norm2_squared", math.nan, r"\[hamiltonian\] norm2_squared"),
                               ("norm2_squared", math.inf, r"\[hamiltonian\] norm2_squared"),
                               ("trace_over_d", math.nan, r"\[hamiltonian\] trace_over_d"),

@@ -109,3 +109,6 @@ def test_noise_spec_validation():
         NoiseCircuitSpec(layers=1, p_layer=0.1, qubits=0)
     with pytest.raises(ValidationError):
         NoiseCircuitSpec(layers=1, p_layer=0.1, qubits=4, beta=0.0)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="beta"):
+            NoiseCircuitSpec(layers=1, p_layer=0.1, qubits=4, beta=beta)

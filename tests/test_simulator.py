@@ -12,15 +12,12 @@ from pecbench.hubbard import (
 )
 from pecbench.noise import NoiseCircuitSpec, gamma_layer, noisy_mean
 from pecbench.simulator import (
-    DensityMatrix,
     active_kernel,
-    apply_depolarizing,
     batch_means,
     build_qpd,
     lilliefors_critical,
     normality_check,
     prepare_ground_state,
-    qpd_composition_residual,
     run_pec_estimate,
     run_raw_estimate,
     simulate_report,
@@ -28,15 +25,22 @@ from pecbench.simulator import (
 from pecbench.simulator import core as simcore
 from pecbench.simulator._pauli_ops import pauli_index, pauli_masks
 
-from oracles import density_matrix_shots_reference
+from oracles import (
+    apply_depolarizing,
+    density_matrix_shots_reference,
+    purity,
+    qpd_composition_residual,
+    validate_density_matrix,
+)
 
 SPEC = HubbardSpec(1, 2, "open", 1.0, 4.0, 1.0)
 NOISE = NoiseCircuitSpec(layers=4, p_layer=0.05, qubits=4)
 
 
 def test_prepare_ground_state_is_valid_pure_state():
-    rho = prepare_ground_state(SPEC).validate()
-    assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+    rho = prepare_ground_state(SPEC)
+    validate_density_matrix(rho.entries, rho.n)
+    assert purity(rho.entries) == pytest.approx(1.0, abs=1e-10)
     h_energy = np.real(np.trace(
         rho.entries @ simcore.hubbard.reconstruct_matrix(build_hubbard_pauli(SPEC))))
     assert h_energy == pytest.approx(exact_ground_energy(SPEC), abs=1e-10)
@@ -48,23 +52,23 @@ def test_prepare_ground_state_capacity():
 
 
 def test_apply_depolarizing_endpoints():
-    rho = prepare_ground_state(SPEC)
-    assert np.array_equal(apply_depolarizing(rho, 0.0).entries, rho.entries)
+    rho = prepare_ground_state(SPEC).entries
+    assert np.array_equal(apply_depolarizing(rho, 0.0), rho)
     mixed = apply_depolarizing(rho, 1.0)
-    assert np.allclose(mixed.entries, np.eye(16) / 16.0, atol=1e-15)
-    with pytest.raises(ValidationError):
+    assert np.allclose(mixed, np.eye(16) / 16.0, atol=1e-15)
+    with pytest.raises(ValueError):
         apply_depolarizing(rho, 1.5)
 
 
 def test_depolarizing_layers_compose():
-    rho = prepare_ground_state(SPEC)
+    rho = prepare_ground_state(SPEC).entries
     p = 0.07
     layered = rho
     for _ in range(5):
         layered = apply_depolarizing(layered, p)
-        layered.validate()
+        validate_density_matrix(layered, SPEC.qubits)
     once = apply_depolarizing(rho, 1.0 - (1.0 - p) ** 5)
-    assert np.max(np.abs(layered.entries - once.entries)) <= 1e-12
+    assert np.max(np.abs(layered - once)) <= 1e-12
 
 
 def test_build_qpd_matches_analytics():
@@ -78,11 +82,10 @@ def test_build_qpd_matches_analytics():
 
 def test_qpd_composition_residual():
     for n in (1, 2):
-        residual = qpd_composition_residual(
-            NoiseCircuitSpec(layers=1, p_layer=0.13, qubits=n))
-        assert residual <= 1e-9
-    with pytest.raises(CapacityError):
-        qpd_composition_residual(NoiseCircuitSpec(layers=1, p_layer=0.1, qubits=5))
+        qpd = build_qpd(NoiseCircuitSpec(layers=1, p_layer=0.13, qubits=n))
+        assert qpd_composition_residual(qpd.q, n, 0.13) <= 1e-9
+    with pytest.raises(ValueError):
+        qpd_composition_residual((1.0, 0.0), 5, 0.1)
 
 
 ORACLE_CASES = {

@@ -7,7 +7,6 @@ from pecbench.errors import ValidationError
 from pecbench.stats import (
     NormalSpec,
     erf,
-    erf_inverse,
     interval_probability,
     tail_above,
     tail_below,
@@ -26,6 +25,20 @@ def test_erf_fixed_points():
 def test_erf_exactly_odd():
     for x in np.linspace(0.0, 6.0, 101):
         assert erf(-x) == -erf(x)
+    xs = np.linspace(0.0, 6.0, 101)
+    assert np.array_equal(erf(-xs), -erf(xs))
+
+
+def test_erf_arrays_match_scalars_and_reject_nan():
+    xs = np.linspace(-6.0, 6.0, 121).reshape(11, 11)
+    values = erf(xs)
+    assert values.shape == xs.shape
+    assert np.array_equal(values.ravel(), [erf(float(x)) for x in xs.ravel()])
+    assert type(erf(0.5)) is float
+    with pytest.raises(ValidationError):
+        erf(np.array([0.1, math.nan, 0.3]))
+    with pytest.raises(ValidationError):
+        erf(math.nan)
 
 
 def test_erf_against_series_oracle():
@@ -37,20 +50,6 @@ def test_erf_against_series_oracle():
 def test_erf_oracles_agree():
     for x in np.linspace(-6.0, 6.0, 25):
         assert abs(erf_reference(float(x)) - erf_reference_fast(float(x))) <= 1e-15
-
-
-def test_erf_inverse_round_trip():
-    for p in [-0.999999, -0.7, -0.1, 0.0, 1e-8, 0.5, 0.95, 0.9999]:
-        assert erf(erf_inverse(p)) == pytest.approx(p, abs=1e-13)
-    for x in [-3.0, -0.2, 0.0, 1.7]:
-        assert erf_inverse(erf(x)) == pytest.approx(x, abs=1e-12)
-
-
-def test_erf_inverse_domain():
-    with pytest.raises(ValidationError):
-        erf_inverse(1.0)
-    with pytest.raises(ValidationError):
-        erf_inverse(-1.5)
 
 
 def test_interval_probability_against_quadrature():
@@ -89,8 +88,24 @@ def test_clamping_and_order_check():
         interval_probability(NormalSpec(0.0, 1.0), 2.0, 1.0)
 
 
+def test_interval_probability_broadcasts_over_arrays():
+    means = np.array([[-1.0], [0.0], [0.7]])
+    sigmas = np.array([0.05, 0.5, 2.0])
+    grid = interval_probability(NormalSpec(means, sigmas), -0.5, 0.5)
+    assert grid.shape == (3, 3)
+    for i in range(3):
+        for j in range(3):
+            assert grid[i, j] == interval_probability(
+                NormalSpec(float(means[i, 0]), float(sigmas[j])), -0.5, 0.5)
+    assert type(interval_probability(NormalSpec(0.0, 1.0), -1.0, 1.0)) is float
+
+
 def test_normal_spec_validation():
     with pytest.raises(ValidationError):
         NormalSpec(0.0, 0.0)
     with pytest.raises(ValidationError):
         NormalSpec(math.nan, 1.0)
+    with pytest.raises(ValidationError):
+        NormalSpec(np.zeros(3), np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValidationError):
+        NormalSpec(np.array([0.0, math.inf]), 1.0)
