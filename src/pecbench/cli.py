@@ -129,10 +129,16 @@ def cmd_simulate(config: RunConfig, args) -> str:
     if spec is None:
         raise ConfigError("simulate requires a [model] section (an explicit "
                           "[hamiltonian] summary cannot be simulated)")
+    shots, batch = config.simulate_shots(), config.simulate_batch()
+    # the batch-means normality check needs >= 50 batches of >= 100 shots
+    if batch < 100:
+        raise ConfigError(f"[simulate] batch must be >= 100, got {batch}")
+    if shots < 50 * batch:
+        raise ConfigError(f"[simulate] shots must be >= 50 x [simulate] batch = "
+                          f"{50 * batch}, got {shots}")
     seed = _seeded(config, args.seed)
-    report = simulate_report(spec, config.noise_spec(),
-                             n_shots=config.simulate_shots(), seed=seed,
-                             batch=config.simulate_batch())
+    report = simulate_report(spec, config.noise_spec(), n_shots=shots, seed=seed,
+                             batch=batch)
     report["provenance"] = make_provenance(config_hash(config), seed)
     return report_to_json(report)
 

@@ -205,6 +205,9 @@ def _validate(data: dict) -> dict:
     pair = sorted(per_site or absolute)
     if len(pair) != 2:
         raise ConfigError(f"[bounds] incomplete pair: only {pair[0]!r} given")
+    for key in pair:
+        if not math.isfinite(bounds[key]):
+            raise ConfigError(f"[bounds] {key} must be finite, got {bounds[key]}")
     lo, hi = (bounds[pair[0]], bounds[pair[1]])
     if not lo < hi:
         raise ConfigError(f"[bounds] out of order: {pair[0]}={lo} >= {pair[1]}={hi}")
@@ -235,7 +238,7 @@ def _validate(data: dict) -> dict:
         raise ConfigError(
             f"[hamiltonian] trace_over_d must be finite, got {explicit['trace_over_d']}")
     for section, key in (("hamiltonian", "sites"), ("circuit", "layers"),
-                         ("circuit", "qubits"), ("simulate", "batch"),
+                         ("circuit", "qubits"), ("simulate", "shots"), ("simulate", "batch"),
                          ("sweep", "p_points"), ("sweep", "shots_points"),
                          ("centering", "shift_points"), ("centering", "width_points")):
         value = data.get(section, {}).get(key)
@@ -243,16 +246,17 @@ def _validate(data: dict) -> dict:
             raise ConfigError(f"[{section}] {key} must be >= 1, got {value}")
 
     sweep = data.get("sweep", {})
-    for lo, hi, points in (("p_min", "p_max", "p_points"),
-                           ("shots_min", "shots_max", "shots_points")):
+    for lo, hi, points, top, rule in (
+            ("p_min", "p_max", "p_points", 1.0, "in (0, 1)"),
+            ("shots_min", "shots_max", "shots_points", math.inf, "finite and > 0")):
         if (lo in sweep) != (hi in sweep):
             given, missing = (lo, hi) if lo in sweep else (hi, lo)
             raise ConfigError(f"[sweep] {given} given without {missing}")
         if points in sweep and lo not in sweep:
             raise ConfigError(f"[sweep] {points} given without {lo} and {hi}")
         for key in (lo, hi):
-            if key in sweep and not sweep[key] > 0:
-                raise ConfigError(f"[sweep] {key} must be > 0, got {sweep[key]}")
+            if key in sweep and not 0 < sweep[key] < top:
+                raise ConfigError(f"[sweep] {key} must be {rule}, got {sweep[key]}")
     return data
 
 

@@ -6,7 +6,7 @@ class ValidationError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Instance exceeds the dense-matrix capacity (qubit cap)."""
+    """Instance exceeds a capacity cap (dense-matrix qubits, shot-draw memory)."""
 
 
 class NumericDomainError(ValueError):

@@ -19,8 +19,12 @@ twirls' (x, z) masks and takes one parity per term, with no d x d matrix.
 A local (per-qubit or per-gate) noise model does not commute with the
 twirls and would break this identity.
 
-Randomness is counter-based: each shot draws from its own Philox stream
-keyed by (seed, shot index), so results are reproducible bit for bit.
+Randomness is counter-based (Salmon et al., SC'11): shots are grouped in
+fixed blocks of SHOT_BLOCK = 4,096, and each block draws from one Philox
+stream keyed by (seed, block index).  Every block is drawn in full, so a
+shot's draws depend only on the seed and its index, never on the shot
+count: a shorter run is a prefix of a longer one, and results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ from ..errors import CapacityError, NumericDomainError, ValidationError
 from ..noise import HamiltonianSummary, NoiseCircuitSpec, gamma_layer, gamma_total, noisy_mean
 from ..stats import erf
 from ._pauli_ops import pauli_index, pauli_masks
+
+
+SHOT_BLOCK = 4096  # shots per Philox stream; fixed, so streams never depend on n_shots
+MAX_DRAW_BYTES = 2 * 2**30  # cap on the three per-shot draw arrays together
 
 
 def active_kernel() -> str:
@@ -122,15 +130,28 @@ def _term_data(decomp: hubbard.PauliDecomposition, v: np.ndarray):
 
 
 def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
+    """(u_branch, twirl_idx, u_outcome) of shots 0 .. n_shots-1.
+
+    Block b covers shots [b*SHOT_BLOCK, (b+1)*SHOT_BLOCK) and draws, from
+    Philox(key=(seed, b)), a full block of branch uniforms, then of twirl
+    indices in [1, d2), then of term uniforms; a partial last block keeps
+    its leading rows.
+    """
+    size = n_shots * (2 * layers + n_terms) * 8
+    if size > MAX_DRAW_BYTES:
+        raise CapacityError(
+            f"{n_shots} shots need {size / 2**30:.1f} GiB of random draws, over the "
+            f"{MAX_DRAW_BYTES / 2**30:.0f} GiB cap")
     u_branch = np.empty((n_shots, layers))
     twirl_idx = np.empty((n_shots, layers), dtype=np.int64)
     u_outcome = np.empty((n_shots, n_terms))
-    for shot in range(n_shots):
+    for block, start in enumerate(range(0, n_shots, SHOT_BLOCK)):
+        rows = min(SHOT_BLOCK, n_shots - start)
         gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, shot], dtype=np.uint64)))
-        u_branch[shot] = gen.random(layers)
-        twirl_idx[shot] = gen.integers(1, d2, size=layers)
-        u_outcome[shot] = gen.random(n_terms)
+            np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+        u_branch[start:start + rows] = gen.random((SHOT_BLOCK, layers))[:rows]
+        twirl_idx[start:start + rows] = gen.integers(1, d2, size=(SHOT_BLOCK, layers))[:rows]
+        u_outcome[start:start + rows] = gen.random((SHOT_BLOCK, n_terms))[:rows]
     return u_branch, twirl_idx, u_outcome
 
 

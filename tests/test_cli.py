@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,38 @@ def test_exit_codes(tmp_path, capsys):
 
     # simulating the 128-qubit instance exceeds simulator capacity
     assert main(["simulate", "--config", REFERENCE_CFG]) == 3
+
+    # [simulate] shots and batch: bad counts name their keys, and a shot
+    # count whose draws exceed the memory cap is refused before allocation
+    for old, new, code, field in (
+            ("shots = 20000", "shots = 0", 2, "[simulate] shots"),
+            ("shots = 20000", "shots = -5", 2, "[simulate] shots"),
+            ("shots = 20000", "shots = 10", 2, "[simulate] shots must be >= 50 x [simulate] batch"),
+            ("batch = 200", "batch = 50", 2, "[simulate] batch"),
+            ("shots = 20000", "shots = 100000000000", 3, "GiB")):
+        bad = tmp_path / "simulate.cfg"
+        bad.write_text(Path(cfg).read_text().replace(old, new))
+        assert main(["simulate", "--config", str(bad)]) == code
+        assert field in capsys.readouterr().err
+
+    # non-finite bounds and out-of-range sweep ends name their key
+    for old, new, field in (
+            ("e_plus_per_site = -3.8365", "e_plus_per_site = inf", "[bounds] e_plus_per_site"),
+            ("e_minus_per_site = -4.544", "e_minus_per_site = -inf",
+             "[bounds] e_minus_per_site")):
+        bad = tmp_path / "bounds.cfg"
+        bad.write_text(Path(REFERENCE_CFG).read_text().replace(old, new))
+        for command in ("success", "phase-diagram", "centering"):
+            assert main([command, "--config", str(bad)]) == 2
+            assert field in capsys.readouterr().err
+    for old, new, field in (("p_max = 1e-2", "p_max = 1.5", "[sweep] p_max"),
+                            ("shots_max = 1e5", "shots_max = inf", "[sweep] shots_max")):
+        bad = tmp_path / "sweep_ends.cfg"
+        bad.write_text(Path(_small_sweep_cfg(tmp_path)).read_text().replace(old, new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["phase-diagram", "--config", str(bad)]) == 2
+        assert field in capsys.readouterr().err
 
     # the inverse channel does not exist at P = 1 (numeric-domain error)
     diverging = tmp_path / "p1.cfg"

@@ -108,6 +108,18 @@ def test_config_error_messages_name_the_field():
     sweep = {"p_min": 1e-4, "p_max": 1e-2, "shots_min": 10, "shots_max": 1e5}
     for section, entries, field in (
             ("simulate", {"batch": 0}, r"\[simulate\] batch"),
+            ("simulate", {"shots": 0}, r"\[simulate\] shots"),
+            ("simulate", {"shots": -5}, r"\[simulate\] shots"),
+            ("bounds", {"e_minus_per_site": -4.5, "e_plus_per_site": math.inf},
+             r"\[bounds\] e_plus_per_site"),
+            ("bounds", {"e_minus_per_site": -math.inf, "e_plus_per_site": -3.8},
+             r"\[bounds\] e_minus_per_site"),
+            ("bounds", {"e_minus": math.nan, "e_plus": -3.8}, r"\[bounds\] e_minus"),
+            ("sweep", {**sweep, "p_max": 1.5}, r"\[sweep\] p_max"),
+            ("sweep", {**sweep, "p_max": 1.0}, r"\[sweep\] p_max"),
+            ("sweep", {**sweep, "p_min": 1.5, "p_max": 2.0}, r"\[sweep\] p_min"),
+            ("sweep", {**sweep, "shots_max": math.inf}, r"\[sweep\] shots_max"),
+            ("sweep", {**sweep, "shots_min": math.nan}, r"\[sweep\] shots_min"),
             ("sweep", {**sweep, "shots_min": 0}, r"\[sweep\] shots_min"),
             ("sweep", {**sweep, "p_max": -1e-2}, r"\[sweep\] p_max"),
             ("sweep", {"p_min": 1e-4}, r"\[sweep\] p_min given without p_max"),

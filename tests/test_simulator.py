@@ -89,22 +89,24 @@ def test_qpd_composition_residual():
 
 
 ORACLE_CASES = {
-    "1x2-P0.05-D4": (SPEC, 0.05, 4),
-    "1x2-P0.2-D7": (SPEC, 0.2, 7),
-    "1x2-P0-D4": (SPEC, 0.0, 4),
-    "1x3-U8-P0.3-D6": (HubbardSpec(1, 3, "open", 1.0, 8.0, 3.75), 0.3, 6),
+    "1x2-P0.05-D4": (SPEC, 0.05, 4, 800),
+    "1x2-P0.2-D7": (SPEC, 0.2, 7, 800),
+    "1x2-P0-D4": (SPEC, 0.0, 4, 800),
+    "1x3-U8-P0.3-D6": (HubbardSpec(1, 3, "open", 1.0, 8.0, 3.75), 0.3, 6, 800),
+    # crosses the first 4,096-shot block boundary into a partial block
+    "1x2-P0.05-D4-4200shots": (SPEC, 0.05, 4, 4_200),
 }
 
 
-@pytest.mark.parametrize("spec, p_layer, layers", ORACLE_CASES.values(),
+@pytest.mark.parametrize("spec, p_layer, layers, n_shots", ORACLE_CASES.values(),
                          ids=ORACLE_CASES.keys())
-def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers):
+def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers, n_shots):
     noise = NoiseCircuitSpec(layers=layers, p_layer=p_layer, qubits=spec.qubits)
     strings = sorted(build_hubbard_pauli(spec).terms)
     _, _, term_x, term_z, expect0 = simcore._frame_terms(spec)
     qpd = build_qpd(noise)
     p_twirl = abs(qpd.q[1]) / qpd.gamma
-    draws = simcore._shot_draws(21, 800, layers, 4**spec.qubits, len(strings))
+    draws = simcore._shot_draws(21, n_shots, layers, 4**spec.qubits, len(strings))
     frame = simcore.run_shots(expect0, term_x, term_z, (1.0 - p_layer) ** layers,
                               p_twirl, *draws, spec.qubits)
     oracle = density_matrix_shots_reference(
@@ -137,14 +139,44 @@ def test_simulate_report_ground_energy_is_the_exact_one():
 
 
 def test_estimator_streams_are_pinned():
-    # recorded from the explicit density-matrix kernel; a change of stream
-    # keying or draw order moves these bits
+    # recorded by feeding _shot_draws(2024, 2000, ...) of the (seed, block)
+    # keyed streams to density_matrix_shots_reference and forming the mean
+    # and variance of its outcomes; a change of stream keying, block size or
+    # draw order moves these bits
     mean, variance, _ = run_pec_estimate(SPEC, NOISE, 2_000, seed=2024)
-    assert mean == float.fromhex("-0x1.65d0c6a115f32p+1")
-    assert variance == float.fromhex("0x1.1e1ad9250f075p+3")
+    assert mean == float.fromhex("-0x1.7142703055f83p+1")
+    assert variance == float.fromhex("0x1.1629b10b97fa8p+3")
     raw_mean, raw_variance = run_raw_estimate(SPEC, NOISE, 2_000, seed=2024)
-    assert raw_mean == float.fromhex("-0x1.26b851eb851ecp+1")
-    assert raw_variance == float.fromhex("0x1.7c9b023a72cbfp+1")
+    assert raw_mean == float.fromhex("-0x1.29cac083126e9p+1")
+    assert raw_variance == float.fromhex("0x1.8134197a42144p+1")
+
+
+def test_shot_streams_are_blocked_prefixes():
+    layers, d2, n_terms = 4, 4**4, 14
+    for seed in (0, 2024, 2**64 - 2):
+        short = simcore._shot_draws(seed, 5_000, layers, d2, n_terms)
+        long = simcore._shot_draws(seed, 9_000, layers, d2, n_terms)
+        # 5,000 shots end inside block 1, 9,000 inside block 2
+        for a, b in zip(short, long):
+            assert np.array_equal(a, b[:5_000])
+        # distinct seeds give distinct streams, and so do distinct blocks
+        for a, b in zip(long, simcore._shot_draws(seed + 1, 9_000, layers, d2, n_terms)):
+            assert not np.array_equal(a, b)
+        block = simcore.SHOT_BLOCK
+        for a in long:
+            assert not np.array_equal(a[:block], a[block:2 * block])
+    u_branch, twirl_idx, u_outcome = simcore._shot_draws(2**64 - 1, 5_000, layers, d2,
+                                                         n_terms)
+    assert u_branch.shape == (5_000, layers) and u_outcome.shape == (5_000, n_terms)
+    assert twirl_idx.min() >= 1 and twirl_idx.max() < d2
+
+
+def test_shot_draw_capacity():
+    n_shots = simcore.MAX_DRAW_BYTES // (8 * (2 * 4 + 14)) + 1
+    with pytest.raises(CapacityError, match="GiB"):
+        simcore._shot_draws(0, n_shots, 4, 4**4, 14)
+    with pytest.raises(CapacityError):
+        run_raw_estimate(SPEC, NOISE, 10**11, seed=0)
 
 
 def test_noiseless_pec_is_unbiased():
