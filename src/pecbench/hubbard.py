@@ -14,8 +14,9 @@ P = i^ny X^x Z^z with ny = popcount(x & z), so P|b> = i^ny (-1)^{|b & z|}
 Letter strings over {I, X, Y, Z} exist only for display (pauli_string).
 
 Dense-matrix operations (reconstruction, exact diagonalization) are capped
-at MAX_DENSE_QUBITS qubits; the decomposition itself has O(L) terms and is
-built at any size.
+at MAX_DENSE_QUBITS qubits.  The decomposition has O(L) terms, each with two
+masks of up to n = 2L bits, so its masks take O(L^2) bytes; a lattice whose
+masks could exceed MAX_MASK_BYTES is refused before any mask is built.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 
 MAX_DENSE_QUBITS = 12
+MAX_MASK_BYTES = 2**30  # cap on the Pauli masks of one decomposition
 
 _LETTERS = "IXZY"  # display letter of a qubit's x_bit | z_bit << 1
 
@@ -173,6 +175,14 @@ def build_hubbard_pauli(spec: HubbardSpec) -> PauliDecomposition:
     """
     L = spec.sites
     n = spec.qubits
+    # at most 2L edges of 4 hopping terms each, plus 3L Z-type terms, each
+    # term holding two masks of up to n bits
+    size = (4 * 2 * L + 3 * L) * 2 * n // 8
+    if size > MAX_MASK_BYTES:
+        raise CapacityError(
+            f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols) needs up to "
+            f"{size / 2**30:.1f} GiB of Pauli masks, over the "
+            f"{MAX_MASK_BYTES / 2**30:.0f} GiB cap")
     terms: dict[tuple[int, int], float] = {}
 
     def add(key: tuple[int, int], coeff: float) -> None:

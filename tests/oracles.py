@@ -10,10 +10,15 @@ the Pauli-sum oracle adds dense Kronecker-product matrices of display
 strings, the shot oracle evolves an explicit density matrix through
 every noise layer with the same Kronecker-product Pauli matrices, and the
 superoperator oracles build the noise layer and the quasi-probability
-inverse from those matrices too.
+inverse from those matrices too.  The artifact oracles pin, format and
+color one cell at a time with scalar Python and build JSON with json.dumps.
 """
 
 from __future__ import annotations
+
+import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp, mpf
@@ -308,3 +313,138 @@ def qpd_composition_residual(q, n: int, p: float) -> float:
         raise ValueError("superoperator verification is limited to 4 qubits")
     product = qpd_inverse_superoperator(q, n) @ depolarizing_superoperator(n, p)
     return float(np.linalg.norm(product - np.eye(product.shape[0]), ord=2))
+
+
+# --- cellwise artifact oracles --------------------------------------------
+
+def _pin(value: float) -> float:
+    """Round to 12 significant digits (the serialized precision)."""
+    if not math.isfinite(value):
+        return value
+    return float(f"{value:.11e}")
+
+
+def _format(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return f"{value:.11e}"
+
+
+# the documented heatmap ramp and regime colors
+COLOR_RAMP = (
+    (0.00, (13, 8, 135)),
+    (0.25, (126, 3, 168)),
+    (0.50, (204, 71, 120)),
+    (0.75, (248, 149, 64)),
+    (1.00, (240, 249, 33)),
+)
+REGIME_COLORS = {"PEC": "#2a788e", "RAW": "#7ad151", "NONE": "#440154"}
+
+
+def _ramp_color(value: float) -> str:
+    if not math.isfinite(value):
+        return "#bbbbbb"
+    v = min(1.0, max(0.0, value))
+    for (lo, c0), (hi, c1) in zip(COLOR_RAMP, COLOR_RAMP[1:]):
+        if v <= hi:
+            f = 0.0 if hi == lo else (v - lo) / (hi - lo)
+            rgb = [round(a + f * (b - a)) for a, b in zip(c0, c1)]
+            return "#{:02x}{:02x}{:02x}".format(*rgb)
+    return "#{:02x}{:02x}{:02x}".format(*COLOR_RAMP[-1][1])
+
+
+def _cell_color(name: str, value) -> str:
+    if name == "label":
+        return REGIME_COLORS.get(str(value), "#bbbbbb")
+    return _ramp_color(float(value))
+
+
+def centering_artifact_reference(shift_axis, width_axis, true_grid, proxy_grid,
+                                 error_grid, provenance: dict):
+    """The fields of a centering GridArtifact, pinned one cell at a time."""
+    def grid(cells):
+        return tuple(tuple(_pin(float(v)) for v in row) for row in cells)
+
+    return SimpleNamespace(
+        kind="centering",
+        row_name="rel_shift", row_values=tuple(_pin(float(v)) for v in shift_axis),
+        col_name="rel_width", col_values=tuple(_pin(float(v)) for v in width_axis),
+        columns={"true_success": grid(true_grid), "proxy_success": grid(proxy_grid),
+                 "relative_error": grid(error_grid)},
+        provenance=provenance,
+    )
+
+
+def grid_csv_reference(artifact) -> str:
+    lines = [f"# kind={artifact.kind}"]
+    for key in sorted(artifact.provenance):
+        lines.append(f"# {key}={artifact.provenance[key]}")
+    names = list(artifact.columns)
+    lines.append(",".join([artifact.row_name, artifact.col_name] + names))
+    for i, rv in enumerate(artifact.row_values):
+        for j, cv in enumerate(artifact.col_values):
+            cells = [_format(rv), _format(cv)]
+            cells += [_format(artifact.columns[name][i][j]) for name in names]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def grid_json_reference(artifact) -> str:
+    doc = {
+        "kind": artifact.kind,
+        "axes": {
+            "row": {"name": artifact.row_name, "values": list(artifact.row_values)},
+            "col": {"name": artifact.col_name, "values": list(artifact.col_values)},
+        },
+        "columns": {name: [list(row) for row in grid]
+                    for name, grid in artifact.columns.items()},
+        "provenance": artifact.provenance,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def grid_svg_reference(artifact, cell: int = 8) -> str:
+    names = list(artifact.columns)
+    n_rows = len(artifact.row_values)
+    n_cols = len(artifact.col_values)
+    margin, gap, title_h = 40, 30, 18
+    panel_w = n_cols * cell
+    panel_h = n_rows * cell
+    width = margin * 2 + len(names) * panel_w + (len(names) - 1) * gap
+    height = margin * 2 + panel_h + title_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        "<metadata>"
+        + " ".join(f"{k}={artifact.provenance[k]}" for k in sorted(artifact.provenance))
+        + f" kind={artifact.kind}</metadata>",
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for k, name in enumerate(names):
+        x0 = margin + k * (panel_w + gap)
+        y0 = margin + title_h
+        parts.append(
+            f'<text x="{x0}" y="{margin + 12}" font-family="monospace" '
+            f'font-size="12">{name}</text>')
+        grid = artifact.columns[name]
+        for i in range(n_rows):
+            y = y0 + (n_rows - 1 - i) * cell
+            for j in range(n_cols):
+                color = _cell_color(name, grid[i][j])
+                parts.append(
+                    f'<rect x="{x0 + j * cell}" y="{y}" width="{cell}" '
+                    f'height="{cell}" fill="{color}"/>')
+        parts.append(
+            f'<text x="{x0}" y="{y0 + panel_h + 14}" font-family="monospace" '
+            f'font-size="10">{artifact.col_name}: {_format(artifact.col_values[0])}'
+            f' .. {_format(artifact.col_values[-1])}</text>')
+    parts.append(
+        f'<text x="{margin}" y="{height - 8}" font-family="monospace" '
+        f'font-size="10">{artifact.row_name}: {_format(artifact.row_values[0])} .. '
+        f'{_format(artifact.row_values[-1])} (bottom to top)</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -139,6 +140,22 @@ PINNED_ARTIFACTS = {
     ("phase-diagram", "json"): "d27eb5aa38051337d28cd9e46a88f690d5ea74317b07bc4c1acbca5ca3bae915",
     ("centering", "csv"): "87922977076cd42be0ae12f074555f90161ee883d57bb0fe01059071d1800d59",
     ("centering", "json"): "87f962e9a92c3b1a9803c3400c639486861158122fe30cf5ecb1bfff8a13c9e0",
+    ("phase-diagram", "svg"): "42c1ac620a8c98fb1325c81226bd14bbccf96a8b47f968f0950afa8a029260a9",
+    ("centering", "svg"): "cb28c8069eff4503556983e564992e5eb47fbc8682cf9dc7022e2b85707d588f",
+}
+
+# 60x60 axes out to P = 0.999, where success probabilities reach 1e-212
+# and 0.0, on the reference instance
+WIDE_AXES = ("\n[sweep]\np_min = 1e-4\np_max = 0.999\np_points = 60\n"
+             "shots_min = 10\nshots_max = 1e6\nshots_points = 60\n"
+             "[centering]\nshift_points = 60\nwidth_points = 60\n")
+WIDE_PINNED_ARTIFACTS = {
+    ("phase-diagram", "csv"): "e0ed1b12b85ed32d8affca4fd2328b951350ad76446efb4b5bf72b92087e78eb",
+    ("phase-diagram", "json"): "b991c69ad1d96791a1ed8ffcb71d077b93cfbfb5be3d801451ac5acb9b9c6871",
+    ("phase-diagram", "svg"): "ae122cc6cd851e86b47fbc34279656976309f76f86fdfda59dd46cff69b18d72",
+    ("centering", "csv"): "d792b61d79f2834c22e472825e5a270d8f8a2db8868babbd98e9e4bbfa4f575e",
+    ("centering", "json"): "b9865f2ee5aa3f9bbe62d2ceaa84d1796adabe8840a3c41508193e35a8aa4b9a",
+    ("centering", "svg"): "6fe8cbb7c5f715f87d4e3c7ccf916aeecf6388346bcf456f0dd167ee3f22325d",
 }
 
 
@@ -149,6 +166,17 @@ def test_reference_artifacts_are_pinned(tmp_path, command, fmt):
     assert main([command, "--config", REFERENCE_CFG, "--format", fmt,
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_ARTIFACTS[command, fmt]
+
+
+@pytest.mark.parametrize("command, fmt", WIDE_PINNED_ARTIFACTS.keys(),
+                         ids=[f"{c}-{f}" for c, f in WIDE_PINNED_ARTIFACTS])
+def test_wide_axis_artifacts_are_pinned(tmp_path, command, fmt):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(Path(REFERENCE_CFG).read_text() + WIDE_AXES)
+    out = tmp_path / f"artifact.{fmt}"
+    assert main([command, "--config", str(cfg), "--format", fmt,
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_PINNED_ARTIFACTS[command, fmt]
 
 
 def test_centering_reports_region_max(tmp_path):
@@ -239,6 +267,17 @@ def test_exit_codes(tmp_path, capsys):
 
     # simulating the 128-qubit instance exceeds simulator capacity
     assert main(["simulate", "--config", REFERENCE_CFG]) == 3
+
+    # a 1x200000 chain's Pauli masks would take tens of GB: refused up front
+    huge = tmp_path / "huge.cfg"
+    huge.write_text(Path(REFERENCE_CFG).read_text()
+                    .replace("rows = 8", "rows = 1").replace("cols = 8", "cols = 200000")
+                    .replace("layers = 64\nqubits = 128", "layers = 64\nqubits = 400000"))
+    for command in ("norm", "success", "phase-diagram"):
+        start = time.perf_counter()
+        assert main([command, "--config", str(huge)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "[model] rows x [model] cols" in capsys.readouterr().err
 
     # [simulate] shots and batch: bad counts name their keys, and a shot
     # count whose draws exceed the memory cap is refused before allocation

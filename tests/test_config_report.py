@@ -20,6 +20,14 @@ from pecbench.report import (
     phase_artifact,
 )
 
+from oracles import (
+    _ramp_color,
+    centering_artifact_reference,
+    grid_csv_reference,
+    grid_json_reference,
+    grid_svg_reference,
+)
+
 REFERENCE_CFG = str(Path(__file__).resolve().parent.parent
                     / "configs" / "reference_instance.cfg")
 
@@ -225,3 +233,34 @@ def test_svg_is_pure_function_of_artifact():
     assert grid_to_svg(artifact) == grid_to_svg(artifact)
     other = _small_artifact()
     assert grid_to_svg(artifact) == grid_to_svg(other)
+
+
+def test_emitters_match_cellwise_oracle():
+    # signed zeros, ramp ends and stops, channels landing on x.5, values
+    # outside [0, 1], subnormals and non-finite cells; 1.000000000003e-312
+    # formats as 1.00000000000e-312 but pins to a subnormal that prints as
+    # 9.99999999998e-313
+    edge = [0.0, -0.0, 1.0, 0.25, 0.5,
+            0.75, 0.4375, 0.5625, -0.3, 1.7,
+            5e-324, 1.00000000000123e-320, 1.000000000003e-312, 2.2250738585e-308, 1.7e-83,
+            math.nan, math.inf, -math.inf, 1.0 / 3.0, 0.1]
+    grid = np.array(edge).reshape(4, 5)
+    args = ([-0.0, 0.5, 1.000000000003e-312, 3.0], [1e-3, 0.0101, 0.25, 0.5, 7.0],
+            grid, grid[::-1], grid[:, ::-1].tolist(), make_provenance("0ddba11000000000", 3))
+    # red at 0.4375 (184.5 -> b8) and green at 0.5625 (90.5 -> 5a) round half to even
+    assert (_ramp_color(0.4375), _ramp_color(0.5625)) == ("#b83684", "#d75a6a")
+
+    artifact = centering_artifact(*args)
+    reference = centering_artifact_reference(*args)
+    for name, cells in reference.columns.items():
+        got = np.array(artifact.columns[name])
+        assert np.array_equal(got, np.array(cells), equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(cells))
+    elsewhere = GridArtifact(**vars(reference))  # not made by a builder
+    for emit, render in ((grid_to_csv, grid_csv_reference),
+                         (grid_to_json, grid_json_reference),
+                         (grid_to_svg, grid_svg_reference)):
+        want = render(reference)
+        assert emit(artifact) == want
+        assert emit(elsewhere) == want
+    assert "9.99999999998e-313" in grid_to_csv(artifact)
