@@ -194,15 +194,6 @@ def classify(prob: AdvantageProblem, p: float, n_shots) -> str:
     return _cell(prob, n_shots, p)[2]
 
 
-def default_p_axis(num: int = 60) -> np.ndarray:
-    return np.logspace(-5, -1, num)
-
-
-def default_shot_axis(num: int = 60) -> np.ndarray:
-    """Log-spaced shot counts in [1, 1e6], deduplicated after int rounding."""
-    return np.unique(np.round(np.logspace(0, 6, num)).astype(np.int64))
-
-
 def _validate_axis(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import centering, hubbard
 from .advantage import sweep
-from .config import RunConfig, config_hash, load_config
+from .config import RunConfig, check_value, config_hash, load_config
 from .errors import CapacityError, ConfigError, NumericDomainError, ValidationError
 from .report import (
     centering_artifact,
@@ -30,7 +30,7 @@ from .report import (
 )
 from .simulator import simulate_report
 
-_GRID_FORMATS = ("csv", "json", "svg")
+_EMITTERS = {"csv": grid_to_csv, "json": grid_to_json, "svg": grid_to_svg}
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -45,14 +45,7 @@ def _seeded(config: RunConfig, override: int | None) -> int:
     return config.seed() if override is None else override
 
 
-def _check_format(fmt: str, allowed) -> str:
-    if fmt not in allowed:
-        raise ConfigError(f"--format must be one of {'/'.join(allowed)}, got {fmt!r}")
-    return fmt
-
-
 def cmd_norm(config: RunConfig, args) -> str:
-    _check_format(args.format or "json", ("json",))
     spec = config.hubbard_spec()
     if spec is None:
         norm2sq, trace_over_d = config._norm_quantities()
@@ -72,7 +65,6 @@ def cmd_norm(config: RunConfig, args) -> str:
 
 
 def cmd_success(config: RunConfig, args) -> str:
-    _check_format(args.format or "json", ("json",))
     prob = config.advantage_problem()
     p = config.p_layer()
     n_shots = config.shots()
@@ -90,20 +82,14 @@ def cmd_success(config: RunConfig, args) -> str:
 
 
 def cmd_phase_diagram(config: RunConfig, args) -> str:
-    fmt = _check_format(args.format or "csv", _GRID_FORMATS)
     prob = config.advantage_problem()
     grid = sweep(prob, config.p_axis(), config.shot_axis())
     artifact = phase_artifact(
         grid, make_provenance(config_hash(config), _seeded(config, args.seed)))
-    if fmt == "csv":
-        return grid_to_csv(artifact)
-    if fmt == "json":
-        return grid_to_json(artifact)
-    return grid_to_svg(artifact)
+    return _EMITTERS[args.format](artifact)
 
 
 def cmd_centering(config: RunConfig, args) -> str:
-    fmt = _check_format(args.format or "csv", _GRID_FORMATS)
     n_shift, n_width = config.centering_axes()
     shift_axis = centering.default_shift_axis(n_shift)
     width_axis = centering.default_width_axis(n_width)
@@ -116,23 +102,19 @@ def cmd_centering(config: RunConfig, args) -> str:
 
     artifact = centering_artifact(shift_axis, width_axis, true_grid, proxy_grid,
                                   error_grid, provenance)
-    if fmt == "csv":
-        return grid_to_csv(artifact)
-    if fmt == "json":
-        return grid_to_json(artifact)
-    return grid_to_svg(artifact)
+    return _EMITTERS[args.format](artifact)
 
 
 def cmd_simulate(config: RunConfig, args) -> str:
-    _check_format(args.format or "json", ("json",))
     spec = config.hubbard_spec()
     if spec is None:
         raise ConfigError("simulate requires a [model] section (an explicit "
                           "[hamiltonian] summary cannot be simulated)")
+    if config.qubits() != spec.qubits:
+        raise ConfigError(f"[circuit] qubits must be 2 x [model] rows x [model] cols = "
+                          f"{spec.qubits}, got {config.qubits()}")
     shots, batch = config.simulate_shots(), config.simulate_batch()
-    # the batch-means normality check needs >= 50 batches of >= 100 shots
-    if batch < 100:
-        raise ConfigError(f"[simulate] batch must be >= 100, got {batch}")
+    # the batch-means normality check needs >= 50 batches
     if shots < 50 * batch:
         raise ConfigError(f"[simulate] shots must be >= 50 x [simulate] batch = "
                           f"{50 * batch}, got {shots}")
@@ -143,12 +125,13 @@ def cmd_simulate(config: RunConfig, args) -> str:
     return report_to_json(report)
 
 
+# subcommand -> (handler, its artifact formats, the first being the default)
 _COMMANDS = {
-    "norm": cmd_norm,
-    "success": cmd_success,
-    "phase-diagram": cmd_phase_diagram,
-    "centering": cmd_centering,
-    "simulate": cmd_simulate,
+    "norm": (cmd_norm, ("json",)),
+    "success": (cmd_success, ("json",)),
+    "phase-diagram": (cmd_phase_diagram, tuple(_EMITTERS)),
+    "centering": (cmd_centering, tuple(_EMITTERS)),
+    "simulate": (cmd_simulate, ("json",)),
 }
 
 
@@ -158,12 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shot-budget-aware quantum-advantage benchmarking with "
                     "probabilistic error cancellation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in _COMMANDS.items():
+    for name, (func, formats) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=func.__doc__)
         cmd.add_argument("--config", required=True, help="INI or JSON config file")
         cmd.add_argument("--output", default=None, help="write here instead of stdout")
-        cmd.add_argument("--format", default=None, choices=_GRID_FORMATS,
-                         help="artifact format (default: csv for grids, json for reports)")
+        cmd.add_argument("--format", default=formats[0], choices=formats,
+                         help=f"artifact format (default: {formats[0]})")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
     return parser
@@ -172,10 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            check_value("run", "seed", args.seed, "--seed")
         config = load_config(args.config)
-        text = _COMMANDS[args.command](config, args)
+        text = _COMMANDS[args.command][0](config, args)
         _emit(text, args.output)
-    except ConfigError as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:
@@ -184,9 +169,6 @@ def main(argv=None) -> int:
     except NumericDomainError as exc:
         print(f"numeric-domain error: {exc}", file=sys.stderr)
         return 4
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -7,6 +7,11 @@ two-qubit gate error), shot/threshold/seed settings and optional sweep
 axes.  Parsing is strict: unknown sections or keys, missing required
 fields and mutually exclusive choices all raise ConfigError naming the
 offending section and key.
+
+_SCHEMA is the single source of each key's type, valid range and default
+(the README's key table mirrors it); _validate holds only the rules that span
+several keys.  Defaults never enter RunConfig.data, so config_hash covers
+only what the file says.
 """
 
 from __future__ import annotations
@@ -15,28 +20,68 @@ import configparser
 import hashlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import hubbard
-from .advantage import AdvantageProblem, default_p_axis, default_shot_axis, per_site_summary
-from .errors import ConfigError
+from .advantage import AdvantageProblem, per_site_summary
+from .errors import CapacityError, ConfigError
 from .noise import HamiltonianSummary, NoiseCircuitSpec, p_layer_from_gate_error
 
+# Cells per [sweep] or [centering] grid: the artifacts peak at up to ~1.3 kB
+# per cell (centering as svg), so about 1.3 GB at the cap.
+MAX_GRID_CELLS = 1_000_000
+
+# rule: the valid range as it reads after "must be"; test: its predicate;
+# default None: required, one of a pair, or derived from other keys
+_Key = namedtuple("_Key", "kind rule test default", defaults=(None,))
+
+_FINITE = ("finite", math.isfinite)
+# keeps the Hamiltonian's sums of squared weights inside float range
+_COUPLING = ("in [-1e100, 1e100]", lambda v: -1e100 <= v <= 1e100)
+_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+# counts and shot numbers enter float arithmetic, which is exact up to 2^53
+_COUNT = (">= 1 and <= 2^53", lambda v: 1 <= v <= 2**53)
+_PROBABILITY = ("in [0, 1)", lambda v: 0 <= v < 1)
+_OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
+
 _SCHEMA = {
-    "model": {"rows": int, "cols": int, "boundary": str, "t": float, "U": float, "mu": float},
-    "hamiltonian": {"norm2_squared": float, "trace_over_d": float, "sites": int},
-    "bounds": {"e_minus_per_site": float, "e_plus_per_site": float,
-               "e_minus": float, "e_plus": float},
-    "circuit": {"layers": int, "qubits": int},
-    "noise": {"p_layer": float, "p_2q": float, "gates_per_layer": int, "beta": float},
-    "run": {"shots": float, "threshold": float, "seed": int},
-    "sweep": {"p_min": float, "p_max": float, "p_points": int,
-              "shots_min": float, "shots_max": float, "shots_points": int},
-    "centering": {"shift_points": int, "width_points": int},
-    "simulate": {"shots": int, "batch": int},
+    "model": {"rows": _Key(int, *_COUNT), "cols": _Key(int, *_COUNT),
+              "boundary": _Key(str, "open or periodic", lambda v: v in ("open", "periodic")),
+              "t": _Key(float, *_COUPLING), "U": _Key(float, *_COUPLING),
+              "mu": _Key(float, *_COUPLING)},
+    "hamiltonian": {"norm2_squared": _Key(float, *_POSITIVE),
+                    "trace_over_d": _Key(float, *_FINITE), "sites": _Key(int, *_COUNT)},
+    "bounds": {key: _Key(float, *_FINITE)
+               for key in ("e_minus_per_site", "e_plus_per_site", "e_minus", "e_plus")},
+    # defaults derived from the lattice: layers = L, qubits = 2L
+    "circuit": {"layers": _Key(int, *_COUNT), "qubits": _Key(int, *_COUNT)},
+    "noise": {"p_layer": _Key(float, *_PROBABILITY), "p_2q": _Key(float, *_PROBABILITY),
+              "gates_per_layer": _Key(int, *_COUNT), "beta": _Key(float, *_POSITIVE, 1.0)},
+    "run": {"shots": _Key(float, "finite and >= 1", lambda v: 1 <= v < math.inf, 1000.0),
+            "threshold": _Key(float, *_OPEN_UNIT, 0.95),
+            # seeds key 64-bit Philox streams; others would alias in-range ones
+            "seed": _Key(int, "in [0, 2^64)", lambda v: 0 <= v < 2**64, 0)},
+    "sweep": {"p_min": _Key(float, *_OPEN_UNIT, 1e-5), "p_max": _Key(float, *_OPEN_UNIT, 1e-1),
+              "p_points": _Key(int, *_COUNT, 60),
+              "shots_min": _Key(float, *_COUNT, 1.0), "shots_max": _Key(float, *_COUNT, 1e6),
+              "shots_points": _Key(int, *_COUNT, 60)},
+    "centering": {"shift_points": _Key(int, *_COUNT, 100),
+                  "width_points": _Key(int, *_COUNT, 100)},
+    # the batch-means normality check needs batches of >= 100 shots
+    "simulate": {"shots": _Key(int, *_COUNT, 200_000),
+                 "batch": _Key(int, ">= 100", lambda v: v >= 100, 500)},
 }
+
+
+def check_value(section: str, key: str, value, name: str | None = None):
+    """value, if in [section] key's range; else a ConfigError naming `name` or the key."""
+    spec = _SCHEMA[section][key]
+    if not spec.test(value):
+        raise ConfigError(f"{name or f'[{section}] {key}'} must be {spec.rule}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -44,6 +89,19 @@ class RunConfig:
     """Normalized configuration plus the canonical dict it was parsed from."""
 
     data: dict = field(repr=False)
+
+    def _get(self, section: str, key: str):
+        """The parsed value, else the schema default."""
+        return self.data.get(section, {}).get(key, _SCHEMA[section][key].default)
+
+    def _grid_points(self, section: str, rows: str, cols: str) -> tuple[int, int]:
+        """A grid's two point counts, refused above MAX_GRID_CELLS cells."""
+        n_rows, n_cols = self._get(section, rows), self._get(section, cols)
+        if n_rows * n_cols > MAX_GRID_CELLS:
+            raise CapacityError(
+                f"[{section}] {rows} x [{section}] {cols} = {n_rows * n_cols} cells, "
+                f"over the cap of {MAX_GRID_CELLS}")
+        return n_rows, n_cols
 
     # --- derived objects -----------------------------------------------
 
@@ -62,21 +120,21 @@ class RunConfig:
         return self.data["hamiltonian"]["sites"]
 
     def layers(self) -> int:
-        circuit = self.data.get("circuit", {})
-        return circuit["layers"] if "layers" in circuit else self.sites()
+        layers = self._get("circuit", "layers")
+        return self.sites() if layers is None else layers
 
     def qubits(self) -> int:
-        circuit = self.data.get("circuit", {})
-        return circuit["qubits"] if "qubits" in circuit else 2 * self.sites()
+        qubits = self._get("circuit", "qubits")
+        return 2 * self.sites() if qubits is None else qubits
 
     def seed(self) -> int:
-        return self.data.get("run", {}).get("seed", 0)
+        return self._get("run", "seed")
 
     def shots(self) -> float:
-        return self.data.get("run", {}).get("shots", 1000.0)
+        return self._get("run", "shots")
 
     def threshold(self) -> float:
-        return self.data.get("run", {}).get("threshold", 0.95)
+        return self._get("run", "threshold")
 
     def p_layer(self) -> float:
         noise = self.data.get("noise", {})
@@ -85,9 +143,8 @@ class RunConfig:
         return p_layer_from_gate_error(noise["p_2q"], noise["gates_per_layer"])
 
     def noise_spec(self) -> NoiseCircuitSpec:
-        beta = self.data.get("noise", {}).get("beta", 1.0)
         return NoiseCircuitSpec(layers=self.layers(), p_layer=self.p_layer(),
-                                qubits=self.qubits(), beta=beta)
+                                qubits=self.qubits(), beta=self._get("noise", "beta"))
 
     def _norm_quantities(self) -> tuple[float, float]:
         """(norm2_squared, trace_over_d), absolute units."""
@@ -120,32 +177,27 @@ class RunConfig:
             e_minus=e_minus, e_plus=e_plus, ham=self.hamiltonian_summary(),
             noise=self.noise_spec(), threshold=self.threshold())
 
+    def _sweep_axis(self, lo: str, hi: str, axis: int) -> np.ndarray:
+        points = self._grid_points("sweep", "p_points", "shots_points")[axis]
+        return np.logspace(math.log10(self._get("sweep", lo)),
+                           math.log10(self._get("sweep", hi)), points)
+
     def p_axis(self) -> np.ndarray:
-        sweep = self.data.get("sweep", {})
-        if "p_min" in sweep:
-            return np.logspace(math.log10(sweep["p_min"]),
-                               math.log10(sweep["p_max"]),
-                               sweep.get("p_points", 60))
-        return default_p_axis()
+        return self._sweep_axis("p_min", "p_max", 0)
 
     def shot_axis(self) -> np.ndarray:
-        sweep = self.data.get("sweep", {})
-        if "shots_min" in sweep:
-            grid = np.logspace(math.log10(sweep["shots_min"]),
-                               math.log10(sweep["shots_max"]),
-                               sweep.get("shots_points", 60))
-            return np.unique(np.round(grid).astype(np.int64))
-        return default_shot_axis()
+        """Log-spaced shot counts, deduplicated after int rounding."""
+        grid = self._sweep_axis("shots_min", "shots_max", 1)
+        return np.unique(np.round(grid).astype(np.int64))
 
     def centering_axes(self) -> tuple[int, int]:
-        cent = self.data.get("centering", {})
-        return cent.get("shift_points", 100), cent.get("width_points", 100)
+        return self._grid_points("centering", "shift_points", "width_points")
 
     def simulate_shots(self) -> int:
-        return self.data.get("simulate", {}).get("shots", 200_000)
+        return self._get("simulate", "shots")
 
     def simulate_batch(self) -> int:
-        return self.data.get("simulate", {}).get("batch", 500)
+        return self._get("simulate", "batch")
 
 
 def config_hash(config: RunConfig) -> str:
@@ -154,18 +206,14 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _coerce(section: str, key: str, raw, kind):
+def _coerce(section: str, key: str, raw):
+    kind = _SCHEMA[section][key].kind
     try:
-        if kind is int:
-            value = int(str(raw))
-        elif kind is float:
-            value = float(str(raw))
-        else:
-            value = str(raw)
-    except (TypeError, ValueError) as exc:
+        value = kind(str(raw))
+    except ValueError as exc:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}") from exc
-    return value
+    return check_value(section, key, value)
 
 
 def _normalize(sections: dict) -> dict:
@@ -173,24 +221,22 @@ def _normalize(sections: dict) -> dict:
     for section, entries in sections.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        keys = _SCHEMA[section]
         out = {}
         for key, raw in entries.items():
-            if key not in keys:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
-            out[key] = _coerce(section, key, raw, keys[key])
+            out[key] = _coerce(section, key, raw)
         data[section] = out
     return data
 
 
 def _validate(data: dict) -> dict:
-    has_model = "model" in data and data["model"]
-    has_explicit = "hamiltonian" in data and data["hamiltonian"]
+    """The rules that span more than one key; single values are checked in _coerce."""
+    has_model, has_explicit = "model" in data, "hamiltonian" in data
     if has_model == has_explicit:
         raise ConfigError("exactly one of [model] and [hamiltonian] is required")
-    required = _SCHEMA["model"] if has_model else _SCHEMA["hamiltonian"]
     section = "model" if has_model else "hamiltonian"
-    for key in required:
+    for key in _SCHEMA[section]:
         if key not in data[section]:
             raise ConfigError(f"[{section}] missing key {key!r}")
 
@@ -205,9 +251,6 @@ def _validate(data: dict) -> dict:
     pair = sorted(per_site or absolute)
     if len(pair) != 2:
         raise ConfigError(f"[bounds] incomplete pair: only {pair[0]!r} given")
-    for key in pair:
-        if not math.isfinite(bounds[key]):
-            raise ConfigError(f"[bounds] {key} must be finite, got {bounds[key]}")
     lo, hi = (bounds[pair[0]], bounds[pair[1]])
     if not lo < hi:
         raise ConfigError(f"[bounds] out of order: {pair[0]}={lo} >= {pair[1]}={hi}")
@@ -220,43 +263,22 @@ def _validate(data: dict) -> dict:
     if not direct:
         if via_gates != {"p_2q", "gates_per_layer"}:
             raise ConfigError("[noise] needs p_layer or both p_2q and gates_per_layer")
-
-    if "beta" in noise and not 0 < noise["beta"] < math.inf:
-        raise ConfigError(f"[noise] beta must be finite and > 0, got {noise['beta']}")
-
-    run = data.get("run", {})
-    if "threshold" in run and not 0.0 < run["threshold"] < 1.0:
-        raise ConfigError(f"[run] threshold must lie in (0, 1), got {run['threshold']}")
-    if "shots" in run and not 1 <= run["shots"] < math.inf:
-        raise ConfigError(f"[run] shots must be finite and >= 1, got {run['shots']}")
-
-    explicit = data.get("hamiltonian", {})
-    if "norm2_squared" in explicit and not 0 < explicit["norm2_squared"] < math.inf:
-        raise ConfigError("[hamiltonian] norm2_squared must be finite and > 0, "
-                          f"got {explicit['norm2_squared']}")
-    if "trace_over_d" in explicit and not math.isfinite(explicit["trace_over_d"]):
-        raise ConfigError(
-            f"[hamiltonian] trace_over_d must be finite, got {explicit['trace_over_d']}")
-    for section, key in (("hamiltonian", "sites"), ("circuit", "layers"),
-                         ("circuit", "qubits"), ("simulate", "shots"), ("simulate", "batch"),
-                         ("sweep", "p_points"), ("sweep", "shots_points"),
-                         ("centering", "shift_points"), ("centering", "width_points")):
-        value = data.get(section, {}).get(key)
-        if value is not None and value < 1:
-            raise ConfigError(f"[{section}] {key} must be >= 1, got {value}")
+        p_layer = p_layer_from_gate_error(noise["p_2q"], noise["gates_per_layer"])
+        if p_layer >= 1.0:
+            raise ConfigError("[noise] p_2q and gates_per_layer give a layer error of "
+                              f"{p_layer}, which must be in [0, 1)")
 
     sweep = data.get("sweep", {})
-    for lo, hi, points, top, rule in (
-            ("p_min", "p_max", "p_points", 1.0, "in (0, 1)"),
-            ("shots_min", "shots_max", "shots_points", math.inf, "finite and > 0")):
+    for lo, hi, points in (("p_min", "p_max", "p_points"),
+                           ("shots_min", "shots_max", "shots_points")):
         if (lo in sweep) != (hi in sweep):
             given, missing = (lo, hi) if lo in sweep else (hi, lo)
             raise ConfigError(f"[sweep] {given} given without {missing}")
         if points in sweep and lo not in sweep:
             raise ConfigError(f"[sweep] {points} given without {lo} and {hi}")
-        for key in (lo, hi):
-            if key in sweep and not 0 < sweep[key] < top:
-                raise ConfigError(f"[sweep] {key} must be {rule}, got {sweep[key]}")
+        if lo in sweep and sweep[lo] > sweep[hi]:
+            raise ConfigError(f"[sweep] {lo} must be <= [sweep] {hi}, "
+                              f"got {sweep[lo]} > {sweep[hi]}")
     return data
 
 

@@ -312,8 +312,8 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     compatibility and ignored.
     Flags: pec_unbiased / raw_bias_matches (3 standard errors), the
     single-shot variance against norm2^2 gamma_tot^2 with 10% slack,
-    empirical gamma within 2% of the analytic overhead, batch normality
-    below the 1% critical value.
+    empirical gamma within 3 standard errors of the analytic overhead, batch
+    normality below the 1% critical value.
     """
     _validate_run(spec, noise, n_shots, seed)
     decomp = hubbard.build_hubbard_pauli(spec)
@@ -341,6 +341,8 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
 
     mean_sign = float(np.mean(sign.astype(float)))
     gamma_empirical = math.inf if mean_sign == 0 else 1.0 / mean_sign
+    # delta method: gamma = 1/mean_sign, so SE(gamma) = gamma^2 SE(mean_sign)
+    gamma_se = gamma_empirical**2 * math.sqrt((1.0 - mean_sign**2) / n_shots)
 
     means = batch_means(pec_outcomes, batch)
     stat = normality_check(means, batch)
@@ -378,7 +380,8 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
             "pec_unbiased": abs(pec_mean - e0) <= 3.0 * pec_se,
             "raw_bias_matches": abs(raw_mean - e_noisy) <= 3.0 * raw_se,
             "variance_bounded": pec_var <= 1.1 * variance_bound,
-            "gamma_within_2pct": abs(gamma_empirical - gt) <= 0.02 * gt,
+            # an infinite band (mean sign 0) fails
+            "gamma_within_3se": abs(gamma_empirical - gt) <= 3.0 * gamma_se < math.inf,
             "batch_means_normal": stat < crit_1pct,
         },
     }

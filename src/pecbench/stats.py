@@ -54,22 +54,24 @@ def _clamp(p):
     return _float_if_scalar(np.where(p < 1.0, p, 1.0))
 
 
+def _z(dist: NormalSpec, x):
+    # a z beyond float range saturates to +-inf, where erf is exactly +-1
+    with np.errstate(over="ignore"):
+        return (x - dist.mean) / (dist.sigma * _SQRT2)
+
+
 def tail_above(dist: NormalSpec, x_max):
     """P(X >= x_max) for X ~ N(mean, sigma^2)."""
-    z = (x_max - dist.mean) / (dist.sigma * _SQRT2)
-    return _clamp(0.5 * (1.0 - erf(z)))
+    return _clamp(0.5 * (1.0 - erf(_z(dist, x_max))))
 
 
 def tail_below(dist: NormalSpec, x_min):
     """P(X <= x_min) for X ~ N(mean, sigma^2)."""
-    z = (x_min - dist.mean) / (dist.sigma * _SQRT2)
-    return _clamp(0.5 * (1.0 + erf(z)))
+    return _clamp(0.5 * (1.0 + erf(_z(dist, x_min))))
 
 
 def interval_probability(dist: NormalSpec, lo, hi):
     """P(lo <= X <= hi) for X ~ N(mean, sigma^2)."""
     if np.any(np.greater(lo, hi)):
         raise ValidationError(f"interval bounds out of order: {lo} > {hi}")
-    z_hi = (hi - dist.mean) / (dist.sigma * _SQRT2)
-    z_lo = (lo - dist.mean) / (dist.sigma * _SQRT2)
-    return _clamp(0.5 * (erf(z_hi) - erf(z_lo)))
+    return _clamp(0.5 * (erf(_z(dist, hi)) - erf(_z(dist, lo))))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,17 +12,25 @@ from pecbench.advantage import (
     AdvantageProblem,
     _winner,
     classify,
-    default_p_axis,
-    default_shot_axis,
     pec_success_proxy,
     per_site_summary,
     raw_success,
     reference_problem,
     sweep,
 )
+from pecbench.config import load_config
 from pecbench.errors import ValidationError
 from pecbench.noise import HamiltonianSummary, NoiseCircuitSpec, gamma_total, pec_sigma
 from pecbench.stats import NormalSpec, interval_probability
+
+REFERENCE_CFG = str(Path(__file__).resolve().parent.parent
+                    / "configs" / "reference_instance.cfg")
+
+
+def _default_axes():
+    """The reference config's sweep axes: it sets no [sweep], so the defaults."""
+    config = load_config(REFERENCE_CFG)
+    return config.p_axis(), config.shot_axis()
 
 
 def test_per_site_summary_scales_down():
@@ -132,8 +141,8 @@ def _cell_reference(prob, p, n):
 def test_sweep_matches_cellwise_reference():
     prob = reference_problem()
     # the default axes, plus P rows up to 0.99999, where gamma_tot overflows
-    for p_axis in (default_p_axis(), np.append(np.linspace(0.0, 0.99, 23), 0.99999)):
-        shots = default_shot_axis()
+    default_p, shots = _default_axes()
+    for p_axis in (default_p, np.append(np.linspace(0.0, 0.99, 23), 0.99999)):
         grid = sweep(prob, p_axis, shots)
         for i, p in enumerate(p_axis):
             for j, n in enumerate(shots):
@@ -144,10 +153,9 @@ def test_sweep_matches_cellwise_reference():
 
 
 def test_default_axes():
-    p_axis = default_p_axis()
-    assert len(p_axis) == 60
-    assert p_axis[0] == pytest.approx(1e-5) and p_axis[-1] == pytest.approx(1e-1)
-    shots = default_shot_axis()
+    p_axis, shots = _default_axes()
+    assert np.array_equal(p_axis, np.logspace(-5, -1, 60))
+    assert np.array_equal(shots, np.unique(np.round(np.logspace(0, 6, 60)).astype(np.int64)))
     assert shots[0] == 1 and shots[-1] == 10**6
     assert np.all(np.diff(shots) > 0)
 
@@ -166,8 +174,7 @@ def test_sweep_grid_consistent_with_pointwise():
 
 def test_sweep_worker_invariance():
     prob = reference_problem()
-    p_axis = default_p_axis(12)
-    shots = default_shot_axis(12)
+    p_axis, shots = _default_axes()
     one = sweep(prob, p_axis, shots, workers=1)
     four = sweep(prob, p_axis, shots, workers=4)
     assert np.array_equal(one.pec_success, four.pec_success)

@@ -1,12 +1,20 @@
+import configparser
+import contextlib
 import hashlib
+import io
 import json
+import math
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pecbench.cli import main
+from pecbench.config import _SCHEMA
 from pecbench.report import parse_grid_csv, parse_grid_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -226,6 +234,16 @@ def test_exit_codes(tmp_path, capsys):
     too_big.write_text(Path(cfg).read_text().replace("seed = 7", f"seed = {2**64}"))
     assert main(["simulate", "--config", str(too_big)]) == 2
     assert "seed" in capsys.readouterr().err
+    # --seed meets the [run] seed rule on every subcommand, and is named
+    for command in ("norm", "success", "phase-diagram", "centering", "simulate"):
+        for seed in ("-1", str(2**64)):
+            assert main([command, "--config", cfg, "--seed", seed]) == 2
+            assert "--seed must be in [0, 2^64)" in capsys.readouterr().err
+
+    # a format the subcommand does not write is refused by the argument parser
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--config", cfg, "--format", "csv"])
+    assert exc.value.code == 2 and "--format" in capsys.readouterr().err
 
     # explicit-Hamiltonian summaries: a negative squared norm or no sites
     explicit = ("[hamiltonian]\nnorm2_squared = {norm2sq}\ntrace_over_d = -112.0\n"
@@ -265,6 +283,29 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["centering", "--config", str(centering_cfg)]) == 2
     assert "[centering] shift_points" in capsys.readouterr().err
 
+    # grids over MAX_GRID_CELLS are refused before any axis is built
+    sweep_cfg.write_text(Path(_small_sweep_cfg(tmp_path)).read_text()
+                         .replace("p_points = 6", "p_points = 100000000"))
+    centering_cfg.write_text(Path(REFERENCE_CFG).read_text()
+                             + "\n[centering]\nshift_points = 20000\n")
+    for command, path, field in (
+            ("phase-diagram", sweep_cfg, "[sweep] p_points x [sweep] shots_points"),
+            ("centering", centering_cfg, "[centering] shift_points x [centering] width_points")):
+        start = time.perf_counter()
+        assert main([command, "--config", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert field in capsys.readouterr().err
+
+    # reversed sweep ends name both keys
+    for old, new, field in (
+            ("shots_min = 10\nshots_max = 1e5", "shots_min = 1e5\nshots_max = 10",
+             "[sweep] shots_min must be <= [sweep] shots_max"),
+            ("p_min = 1e-4\np_max = 1e-2", "p_min = 1e-2\np_max = 1e-4",
+             "[sweep] p_min must be <= [sweep] p_max")):
+        sweep_cfg.write_text(Path(_small_sweep_cfg(tmp_path)).read_text().replace(old, new))
+        assert main(["phase-diagram", "--config", str(sweep_cfg)]) == 2
+        assert field in capsys.readouterr().err
+
     # simulating the 128-qubit instance exceeds simulator capacity
     assert main(["simulate", "--config", REFERENCE_CFG]) == 3
 
@@ -286,6 +327,8 @@ def test_exit_codes(tmp_path, capsys):
             ("shots = 20000", "shots = -5", 2, "[simulate] shots"),
             ("shots = 20000", "shots = 10", 2, "[simulate] shots must be >= 50 x [simulate] batch"),
             ("batch = 200", "batch = 50", 2, "[simulate] batch"),
+            ("qubits = 4", "qubits = 6", 2,
+             "[circuit] qubits must be 2 x [model] rows x [model] cols = 4, got 6"),
             ("shots = 20000", "shots = 100000000000", 3, "GiB")):
         bad = tmp_path / "simulate.cfg"
         bad.write_text(Path(cfg).read_text().replace(old, new))
@@ -316,3 +359,46 @@ def test_exit_codes(tmp_path, capsys):
     diverging.write_text(Path(REFERENCE_CFG).read_text().replace(
         "p_layer = 4e-3", "p_layer = 1.0"))
     assert main(["success", "--config", str(diverging)]) in (2, 4)
+
+
+def _sections(path):
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read(path)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+# Edits on small_sim.cfg: each sets (or, with None, deletes) one schema key,
+# an unknown key or an unknown section.  Values include the ends of every
+# range in the schema.  Counts are at most 100 (the smallest batch) or past
+# every cap, so a lattice stays small: only 100x100 would be slow (~10 s).
+_FIELDS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
+_VALUES = [None, -1, 0, 1, 2, 3, 7, 100, 2**53 + 1, 2**64, 10**400,
+           -1e308, -0.5, -0.0, 1e-320, 1e-5, 0.05, 0.5, 0.999, 1.0, 1.5, 1e6, 1e20, 1e308,
+           math.nan, math.inf, -math.inf, "", "x", "open", "periodic", "1e400", "0x10"]
+_EDITS = st.lists(st.tuples(st.sampled_from(_FIELDS + [("run", "bogus"), ("extra", "x")]),
+                            st.sampled_from(_VALUES)), max_size=4)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(command=st.sampled_from(["norm", "success", "phase-diagram", "centering",
+                                "simulate"]),
+       edits=_EDITS)
+def test_fuzzed_configs_exit_cleanly(command, edits):
+    sections = _sections(SIM_CFG)
+    for (section, key), value in edits:
+        if value is None:
+            sections.get(section, {}).pop(key, None)
+        else:
+            sections.setdefault(section, {})[key] = str(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+            for name, entries in sections.items()))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(path), "--output", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -145,7 +145,30 @@ def test_config_error_messages_name_the_field():
             ("run", {"shots": 0.5}, r"\[run\] shots"),
             ("noise", {"p_layer": 1e-3, "beta": math.nan}, r"\[noise\] beta"),
             ("noise", {"p_layer": 1e-3, "beta": math.inf}, r"\[noise\] beta"),
-            ("noise", {"p_layer": 1e-3, "beta": 0.0}, r"\[noise\] beta")):
+            ("noise", {"p_layer": 1e-3, "beta": 0.0}, r"\[noise\] beta"),
+            ("model", {**base["model"], "rows": 0}, r"\[model\] rows must be >= 1 and <= 2\^53, got 0"),
+            ("model", {**base["model"], "cols": -3}, r"\[model\] cols"),
+            ("model", {**base["model"], "boundary": "twisted"}, r"\[model\] boundary"),
+            ("model", {**base["model"], "t": math.nan}, r"\[model\] t must be in"),
+            ("model", {**base["model"], "t": 1e308}, r"\[model\] t"),
+            ("model", {**base["model"], "U": math.inf}, r"\[model\] U"),
+            ("model", {**base["model"], "mu": -math.inf}, r"\[model\] mu"),
+            ("noise", {"p_layer": 1.5}, r"^\[noise\] p_layer must be in \[0, 1\), got 1\.5$"),
+            ("noise", {"p_layer": -1e-3}, r"\[noise\] p_layer"),
+            ("noise", {"p_2q": 1.0, "gates_per_layer": 10}, r"\[noise\] p_2q"),
+            ("noise", {"p_2q": 1e-3, "gates_per_layer": 0}, r"\[noise\] gates_per_layer"),
+            ("noise", {"p_2q": 0.5, "gates_per_layer": 5000},
+             r"\[noise\] p_2q and gates_per_layer"),
+            ("run", {"seed": -5}, r"\[run\] seed must be in \[0, 2\^64\), got -5"),
+            ("run", {"seed": 2**64}, r"\[run\] seed"),
+            ("run", {"threshold": 1.0}, r"\[run\] threshold"),
+            ("circuit", {"layers": 2**53 + 1, "qubits": 128}, r"\[circuit\] layers"),
+            ("simulate", {"batch": 50}, r"\[simulate\] batch must be >= 100"),
+            ("sweep", {**sweep, "shots_max": 1e20}, r"\[sweep\] shots_max"),
+            ("sweep", {**sweep, "p_min": 1e-2, "p_max": 1e-4},
+             r"\[sweep\] p_min must be <= \[sweep\] p_max"),
+            ("sweep", {**sweep, "shots_min": 1e5, "shots_max": 10},
+             r"\[sweep\] shots_min must be <= \[sweep\] shots_max")):
         with pytest.raises(ConfigError, match=field):
             parse_config_dict({**base, section: entries})
 
@@ -165,6 +188,10 @@ def test_config_error_messages_name_the_field():
         parse_config_dict({**base, "extras": {"x": 1}})
     with pytest.raises(ConfigError, match="exactly one"):
         parse_config_dict({"bounds": base["bounds"]})
+    # both sections, even an empty one, are refused
+    for summary in (explicit, {}):
+        with pytest.raises(ConfigError, match="exactly one"):
+            parse_config_dict({**base, "hamiltonian": summary})
 
 
 def test_config_hash_is_content_addressed(tmp_path):

@@ -260,9 +260,27 @@ def test_simulate_report_quick_run():
     assert report["kernel"] == active_kernel()
     assert set(report["checks"]) == {
         "pec_unbiased", "raw_bias_matches", "variance_bounded",
-        "gamma_within_2pct", "batch_means_normal"}
+        "gamma_within_3se", "batch_means_normal"}
     assert all(report["checks"].values())
     assert report["single_shot_variance"] <= 1.1 * report["single_shot_variance_bound"]
+
+
+def test_gamma_check_is_three_standard_errors():
+    # small_sim at 10k shots: a fixed 2% band on gamma failed 16 of these 200 seeds
+    n_shots = 10_000
+    gammas, flags = [], []
+    for seed in range(200):
+        report = simulate_report(SPEC, NOISE, n_shots=n_shots, seed=seed, batch=200)
+        gammas.append(report["gamma_empirical"])
+        flags.append(report["checks"]["gamma_within_3se"])
+    gammas = np.array(gammas)
+    gt = report["gamma_total"]
+    # delta method on gamma = 1/mean_sign
+    se = gammas**2 * np.sqrt((1.0 - gammas**-2) / n_shots)
+    assert flags == list(np.abs(gammas - gt) <= 3.0 * se)
+    assert flags.count(False) <= 2  # 0.27% of seeds expected outside 3 SE
+    # the delta-method standard error matches the spread of gamma over seeds
+    assert np.std(gammas, ddof=1) == pytest.approx(np.mean(se), rel=0.15)
 
 
 def test_simulator_capacity_and_validation():
