@@ -118,6 +118,7 @@ def cmd_simulate(config: RunConfig, args) -> str:
     if shots < 50 * batch:
         raise ConfigError(f"[simulate] shots must be >= 50 x [simulate] batch = "
                           f"{50 * batch}, got {shots}")
+    config.estimated_norm_quantities()  # refuses zero couplings by key
     seed = _seeded(config, args.seed)
     report = simulate_report(spec, config.noise_spec(), n_shots=shots, seed=seed,
                              batch=batch)

@@ -154,6 +154,21 @@ class RunConfig:
         decomp = hubbard.build_hubbard_pauli(self.hubbard_spec())
         return hubbard.norm2_squared(decomp), decomp.identity_coefficient
 
+    def estimated_norm_quantities(self) -> tuple[float, float]:
+        """_norm_quantities of a Hamiltonian that has something to estimate.
+
+        Zero couplings leave no non-identity Pauli weight: `norm` reports
+        them, but the analytic laws and the simulator need norm2 > 0.  Only a
+        [model] can get here with norm2_squared = 0 (the schema wants an
+        explicit norm2_squared > 0).
+        """
+        norm2sq, trace_over_d = self._norm_quantities()
+        if norm2sq == 0.0:
+            raise ConfigError("[model] t, U and mu give a Hamiltonian whose non-identity "
+                              "Pauli weights square to 0 (norm2_squared = 0); there is "
+                              "nothing to estimate")
+        return norm2sq, trace_over_d
+
     def bounds(self) -> tuple[float, float, bool]:
         """(e_minus, e_plus, per_site) in the units the engine will use."""
         bounds = self.data["bounds"]
@@ -162,7 +177,7 @@ class RunConfig:
         return bounds["e_minus"], bounds["e_plus"], False
 
     def hamiltonian_summary(self) -> HamiltonianSummary:
-        norm2sq, trace_over_d = self._norm_quantities()
+        norm2sq, trace_over_d = self.estimated_norm_quantities()
         e_minus, e_plus, per_site = self.bounds()
         midpoint = 0.5 * (e_minus + e_plus)
         if per_site:
@@ -279,6 +294,12 @@ def _validate(data: dict) -> dict:
         if lo in sweep and sweep[lo] > sweep[hi]:
             raise ConfigError(f"[sweep] {lo} must be <= [sweep] {hi}, "
                               f"got {sweep[lo]} > {sweep[hi]}")
+    # equal p ends give no strictly increasing axis; equal shot ends are fine,
+    # because shot_axis deduplicates its rounded counts
+    p_points = sweep.get("p_points", _SCHEMA["sweep"]["p_points"].default)
+    if "p_min" in sweep and sweep["p_min"] == sweep["p_max"] and p_points != 1:
+        raise ConfigError("[sweep] p_points must be 1 when [sweep] p_min = "
+                          f"[sweep] p_max, got {p_points}")
     return data
 
 

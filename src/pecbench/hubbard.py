@@ -14,21 +14,36 @@ P = i^ny X^x Z^z with ny = popcount(x & z), so P|b> = i^ny (-1)^{|b & z|}
 Letter strings over {I, X, Y, Z} exist only for display (pauli_string).
 
 Dense-matrix operations (reconstruction, exact diagonalization) are capped
-at MAX_DENSE_QUBITS qubits.  The decomposition has O(L) terms, each with two
-masks of up to n = 2L bits, so its masks take O(L^2) bytes; a lattice whose
-masks could exceed MAX_MASK_BYTES is refused before any mask is built.
+at MAX_DENSE_QUBITS qubits.  ground_state never forms the 2^n x 2^n matrix:
+H conserves N_up and N_dn, so it diagonalizes the (N_up, N_dn) sector blocks
+one by one, up to MAX_SECTOR_SITES sites.  The decomposition has O(L) terms,
+each with two masks of up to n = 2L bits, so its masks take O(L^2) bytes; a
+lattice whose masks could exceed MAX_MASK_BYTES is refused before any mask is
+built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, ValidationError
 
 MAX_DENSE_QUBITS = 12
+# The sector solver's cap: 7 sites (14 qubits), whose largest (N_up, N_dn)
+# block has C(7, 3)^2 = 1,225 states.  That solve takes 1.3 s and 190 MB; at
+# 8 sites the largest block has 4,900 states and all 81 blocks need about
+# 1.3 GB of storage and minutes of eigvalsh.  The block size grows with L,
+# so capping L caps the block.
+MAX_SECTOR_SITES = 7
+MAX_SECTOR_DIM = math.comb(MAX_SECTOR_SITES, MAX_SECTOR_SITES // 2) ** 2
+# An energy difference below ZERO_RTOL * (|c| + sum_j |a_j|), a bound on
+# ||H||, counts as zero: it sets the tie tolerance of the ground level and the
+# cancellation test of out-of-sector entries.
+ZERO_RTOL = 1e-10
 MAX_MASK_BYTES = 2**30  # cap on the Pauli masks of one decomposition
 
 _LETTERS = "IXZY"  # display letter of a qubit's x_bit | z_bit << 1
@@ -228,7 +243,7 @@ def identity_coefficient_closed_form(spec: HubbardSpec) -> float:
     return spec.U * L / 4.0 - spec.mu * L
 
 
-def _check_dense_capacity(n: int) -> None:
+def check_dense_capacity(n: int) -> None:
     if n > MAX_DENSE_QUBITS:
         raise CapacityError(
             f"dense matrix operations are capped at {MAX_DENSE_QUBITS} qubits, got n={n}"
@@ -241,7 +256,7 @@ def reconstruct_matrix(decomp: PauliDecomposition) -> np.ndarray:
     Each term is scattered into its d nonzero entries,
     H[b XOR x, b] += a_j s_j(b); no Kronecker product is formed.
     """
-    _check_dense_capacity(decomp.n)
+    check_dense_capacity(decomp.n)
     d = 1 << decomp.n
     basis = np.arange(d)
     out = np.eye(d) * decomp.identity_coefficient
@@ -252,15 +267,112 @@ def reconstruct_matrix(decomp: PauliDecomposition) -> np.ndarray:
 
 def exact_ground_energy(spec: HubbardSpec) -> float:
     """Minimal eigenvalue of the reconstructed Hamiltonian (n <= 12)."""
-    _check_dense_capacity(spec.qubits)
+    check_dense_capacity(spec.qubits)
     h = reconstruct_matrix(build_hubbard_pauli(spec))
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def ground_state(decomp: PauliDecomposition) -> tuple[float, np.ndarray]:
-    """(lowest eigenvalue, its eigenvector) from one dense real eigh (n <= 12).
+class GroundState(NamedTuple):
+    """The sector solver's ground level and what it says about the spectrum.
 
-    The vector is the eigensolver's first column (deterministic tie-break).
+    energy and vector are the chosen sector's lowest eigenpair, the vector
+    embedded in the full 2^n basis; sector is that sector's (N_up, N_dn);
+    gap is the distance from energy to the lowest eigenvalue above the
+    ground level; degeneracy counts the eigenvalues, over all sectors, that
+    tie with the minimum.
     """
-    energies, vecs = np.linalg.eigh(reconstruct_matrix(decomp))
-    return float(energies[0]), vecs[:, 0]
+
+    energy: float
+    vector: np.ndarray
+    sector: tuple[int, int]
+    gap: float
+    degeneracy: int
+
+
+def _popcounts(bits: int) -> np.ndarray:
+    """Set-bit count of every integer in [0, 2^bits); works on any numpy."""
+    values = np.arange(1 << bits)
+    counts = np.zeros(1 << bits, dtype=np.int64)
+    for bit in range(bits):
+        counts += (values >> bit) & 1
+    return counts
+
+
+def check_sector_capacity(sites: int, what: str) -> None:
+    """Refuse `what`, a lattice of `sites` sites, above MAX_SECTOR_SITES."""
+    if sites > MAX_SECTOR_SITES:
+        raise CapacityError(
+            f"{what} has {sites} sites; the sector solver is capped at "
+            f"{MAX_SECTOR_SITES} sites, whose largest (N_up, N_dn) block has "
+            f"{MAX_SECTOR_DIM} states")
+
+
+def ground_state(decomp: PauliDecomposition) -> GroundState:
+    """Ground level from the (N_up, N_dn) sector blocks of H.
+
+    A Hubbard Hamiltonian conserves both spin counts, so H is block diagonal
+    over the (L+1)^2 sectors.  The up modes are the high L bits of a basis
+    index and the down modes the low L bits, so N_up and N_dn are the
+    popcounts of the two halves.  Each term's in-sector entries
+    H[b XOR x, b] += a s(b) are scattered into the flat storage of all blocks
+    with one bincount; its out-of-sector entries must cancel across the
+    terms that share x, to ZERO_RTOL of the scale |c| + sum_j |a_j|, or the
+    decomposition does not conserve N_up and N_dn and is refused.
+
+    Every block is diagonalized (eigvalsh), then the ground block once more
+    with eigh.  Tie rule: the ground sector is the first in (N_up, N_dn)
+    order whose lowest eigenvalue lies within the tie tolerance
+    ZERO_RTOL * scale of the global minimum, and its vector is the
+    eigensolver's first column.
+    """
+    n = decomp.n
+    if n % 2:
+        raise ValidationError(f"sector labels need n = 2L qubits, got n={n}")
+    L = n // 2
+    check_sector_capacity(L, f"an n={n} decomposition")
+    basis = np.arange(1 << n)
+    popcount = _popcounts(L)
+    sector = popcount[basis >> L] * (L + 1) + popcount[basis & ((1 << L) - 1)]
+    dims = np.bincount(sector, minlength=(L + 1) ** 2)
+    # a stable sort keeps each sector's states in ascending order: local index
+    # = position within the sector
+    order = np.argsort(sector, kind="stable")
+    starts = np.cumsum(dims) - dims
+    local = np.empty_like(basis)
+    local[order] = basis - starts[sector[order]]
+    offsets = np.cumsum(dims**2) - dims**2
+
+    terms = [((0, 0), decomp.identity_coefficient), *decomp.terms.items()]
+    scale = sum(abs(coeff) for _, coeff in terms)
+    flat, weights = [], []
+    leaks: dict[int, np.ndarray] = {}  # x mask -> summed out-of-sector entries
+    for key, coeff in terms:
+        rows = basis ^ key[0]
+        values = coeff * real_pauli_signs(key, basis)
+        inside = sector[rows] == sector
+        col_sector = sector[inside]
+        flat.append(offsets[col_sector] + local[rows[inside]] * dims[col_sector]
+                    + local[inside])
+        weights.append(values[inside])
+        leaks[key[0]] = leaks.get(key[0], 0.0) + np.where(inside, 0.0, values)
+    if max(np.abs(leak).max() for leak in leaks.values()) > ZERO_RTOL * scale:
+        raise ValidationError("the Pauli terms do not conserve N_up and N_dn: their "
+                              "out-of-sector entries do not cancel")
+    storage = np.bincount(np.concatenate(flat), np.concatenate(weights),
+                          minlength=int(offsets[-1] + dims[-1] ** 2))
+    blocks = [storage[off:off + dim * dim].reshape(dim, dim)
+              for off, dim in zip(offsets, dims)]
+    spectra = [np.linalg.eigvalsh(block) for block in blocks]
+
+    lowest = min(spectrum[0] for spectrum in spectra)
+    tie = lowest + ZERO_RTOL * scale
+    k = next(k for k, spectrum in enumerate(spectra) if spectrum[0] <= tie)
+    energies, vecs = np.linalg.eigh(blocks[k])
+    vector = np.zeros(1 << n)
+    vector[order[starts[k]:starts[k] + dims[k]]] = vecs[:, 0]
+    everything = np.concatenate(spectra)
+    above = everything[everything > tie]
+    return GroundState(
+        energy=float(energies[0]), vector=vector, sector=divmod(k, L + 1),
+        gap=float(above.min() - energies[0]) if above.size else math.inf,
+        degeneracy=int(np.count_nonzero(everything <= tie)))

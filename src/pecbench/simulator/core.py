@@ -1,8 +1,11 @@
 """Desk-scale Pauli-frame Monte Carlo for validating the analytic stack.
 
-The state preparation is taken to be exact (the dense ground eigenvector),
-so the experiment isolates the interplay of layered depolarizing noise,
-quasi-probability inversion and shot noise.  Monte Carlo randomness enters
+The state preparation is taken to be exact: the ground vector comes from
+hubbard.ground_state, which diagonalizes each (N_up, N_dn) sector block
+instead of the full 2^n x 2^n matrix, so the simulator takes lattices of up
+to hubbard.MAX_SECTOR_SITES sites (14 qubits).  The experiment isolates the
+interplay of layered depolarizing noise, quasi-probability inversion and
+shot noise.  Monte Carlo randomness enters
 only through the quasi-probability branch choices and the measurement
 sampling.
 
@@ -78,8 +81,13 @@ class ShotRecord:
 
 
 def prepare_ground_state(spec: hubbard.HubbardSpec) -> DensityMatrix:
-    """Pure-state density matrix of the dense eigensolver's ground vector."""
-    _, v = hubbard.ground_state(hubbard.build_hubbard_pauli(spec))
+    """Pure-state density matrix of the sector solver's ground vector.
+
+    The d x d outer product keeps this under the dense cap of
+    hubbard.MAX_DENSE_QUBITS qubits.
+    """
+    hubbard.check_dense_capacity(spec.qubits)
+    v = hubbard.ground_state(hubbard.build_hubbard_pauli(spec)).vector
     return DensityMatrix(n=spec.qubits, entries=np.outer(v, v))
 
 
@@ -107,9 +115,9 @@ def build_qpd(noise: NoiseCircuitSpec) -> QuasiProbDecomposition:
 # --- Monte Carlo estimators -------------------------------------------------
 
 def _frame_terms(spec: hubbard.HubbardSpec):
-    """_term_data of the instance and its dense ground vector."""
+    """_term_data of the instance and its ground vector."""
     decomp = hubbard.build_hubbard_pauli(spec)
-    return _term_data(decomp, hubbard.ground_state(decomp)[1])
+    return _term_data(decomp, hubbard.ground_state(decomp).vector)
 
 
 def _term_data(decomp: hubbard.PauliDecomposition, v: np.ndarray):
@@ -140,7 +148,8 @@ def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
     size = n_shots * (2 * layers + n_terms) * 8
     if size > MAX_DRAW_BYTES:
         raise CapacityError(
-            f"{n_shots} shots need {size / 2**30:.1f} GiB of random draws, over the "
+            f"[simulate] shots = {n_shots} at [circuit] layers = {layers} need "
+            f"{size / 2**30:.1f} GiB of random draws, over the "
             f"{MAX_DRAW_BYTES / 2**30:.0f} GiB cap")
     u_branch = np.empty((n_shots, layers))
     twirl_idx = np.empty((n_shots, layers), dtype=np.int64)
@@ -182,10 +191,8 @@ def run_shots(expect0, term_x, term_z, keep, p_twirl, u_branch, twirl_idx,
 
 def _validate_run(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int,
                   seed: int):
-    if spec.qubits > hubbard.MAX_DENSE_QUBITS:
-        raise CapacityError(
-            f"simulator instances are capped at {hubbard.MAX_DENSE_QUBITS} qubits, "
-            f"got n={spec.qubits}")
+    hubbard.check_sector_capacity(
+        spec.sites, f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols)")
     if noise.qubits != spec.qubits:
         raise ValidationError(
             f"noise spec is for {noise.qubits} qubits, instance has {spec.qubits}")
@@ -306,10 +313,11 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
                     workers: int | None = None) -> dict:
     """Run both estimators and package every validation statistic.
 
-    One build and one dense diagonalization give the exact ground energy
-    and the vector behind the term expectations; both estimators share
-    those and one set of per-shot draws.  `workers` is accepted for
-    compatibility and ignored.
+    One build and one sector solve give the exact ground energy and the
+    vector behind the term expectations; both estimators share those and one
+    set of per-shot draws.  `workers` is accepted for compatibility and
+    ignored.  The report carries the ground level's diagnostics: its
+    (N_up, N_dn) sector, the gap above it and its degeneracy.
     Flags: pec_unbiased / raw_bias_matches (3 standard errors), the
     single-shot variance against norm2^2 gamma_tot^2 with 10% slack,
     empirical gamma within 3 standard errors of the analytic overhead, batch
@@ -317,11 +325,12 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     """
     _validate_run(spec, noise, n_shots, seed)
     decomp = hubbard.build_hubbard_pauli(spec)
-    e0, v = hubbard.ground_state(decomp)
-    inputs = _shot_inputs(_term_data(decomp, v), noise, n_shots, seed)
     norm2sq = hubbard.norm2_squared(decomp)
+    ground = hubbard.ground_state(decomp)
+    e0 = ground.energy
+    inputs = _shot_inputs(_term_data(decomp, ground.vector), noise, n_shots, seed)
     ham_exact = HamiltonianSummary(
-        norm2=math.sqrt(norm2sq) if norm2sq > 0 else 1.0,
+        norm2=math.sqrt(norm2sq),
         trace_over_d=decomp.identity_coefficient,
         e0_proxy=e0,
     )
@@ -361,6 +370,9 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
         "seed": seed,
         "kernel": active_kernel(),
         "exact_ground_energy": e0,
+        "ground_sector": list(ground.sector),
+        "ground_gap": ground.gap,
+        "ground_degeneracy": ground.degeneracy,
         "analytic_noisy_mean": e_noisy,
         "norm2_squared": norm2sq,
         "gamma_layer": gamma_layer(noise),

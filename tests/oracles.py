@@ -12,6 +12,9 @@ every noise layer with the same Kronecker-product Pauli matrices, and the
 superoperator oracles build the noise layer and the quasi-probability
 inverse from those matrices too.  The artifact oracles pin, format and
 color one cell at a time with scalar Python and build JSON with json.dumps.
+The sector solver has three: the dense ground state (one eigh of the package's
+reconstructed matrix, the solver it replaced), sector labels counted mode by
+mode, and H v applied term by term from an explicit bit table.
 """
 
 from __future__ import annotations
@@ -448,3 +451,45 @@ def grid_svg_reference(artifact, cell: int = 8) -> str:
         f'{_format(artifact.row_values[-1])} (bottom to top)</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# --- dense ground state -------------------------------------------------
+
+def dense_ground_state(decomp):
+    """(lowest eigenvalue, its eigenvector) from one dense real eigh (n <= 12).
+
+    The vector is the eigensolver's first column.
+    """
+    from pecbench.hubbard import reconstruct_matrix
+
+    energies, vecs = np.linalg.eigh(reconstruct_matrix(decomp))
+    return float(energies[0]), vecs[:, 0]
+
+
+def sector_of_reference(b: int, n_modes: int) -> tuple[int, int]:
+    """(N_up, N_dn) of basis index b, counting occupied modes one by one.
+
+    Modes 0 .. L-1 are spin up and L .. 2L-1 spin down; mode k sits at bit
+    n_modes - 1 - k, as in the fermionic oracle above.
+    """
+    L = n_modes // 2
+    occupied = [(b >> (n_modes - 1 - k)) & 1 for k in range(n_modes)]
+    return sum(occupied[:L]), sum(occupied[L:])
+
+
+def pauli_sum_apply_reference(decomp, v) -> np.ndarray:
+    """H v without forming H: each term maps v[b] to i^ny (-1)^{|b & z|} v[b] at b ^ x.
+
+    The z parity comes from an explicit bit table, not the package's
+    parity helper, and the phase i^ny is taken as a complex power.
+    """
+    n = decomp.n
+    basis = np.arange(1 << n)
+    bits = (basis[:, None] >> np.arange(n)) & 1
+    out = decomp.identity_coefficient * np.asarray(v, dtype=complex)
+    for (x, z), coeff in decomp.terms.items():
+        z_bits = [k for k in range(n) if (z >> k) & 1]
+        signs = 1.0 - 2.0 * (bits[:, z_bits].sum(axis=1) % 2)
+        phase = 1j ** bin(x & z).count("1")
+        out[basis ^ x] += coeff * phase * signs * v
+    return out

@@ -305,6 +305,16 @@ def test_exit_codes(tmp_path, capsys):
         sweep_cfg.write_text(Path(_small_sweep_cfg(tmp_path)).read_text().replace(old, new))
         assert main(["phase-diagram", "--config", str(sweep_cfg)]) == 2
         assert field in capsys.readouterr().err
+    # equal p ends need a one-point axis; equal shot ends deduplicate to one column
+    sweep_cfg.write_text(Path(_small_sweep_cfg(tmp_path)).read_text()
+                         .replace("p_max = 1e-2", "p_max = 1e-4"))
+    assert main(["phase-diagram", "--config", str(sweep_cfg)]) == 2
+    assert ("[sweep] p_points must be 1 when [sweep] p_min = [sweep] p_max"
+            in capsys.readouterr().err)
+    sweep_cfg.write_text(Path(_small_sweep_cfg(tmp_path)).read_text()
+                         .replace("shots_max = 1e5", "shots_max = 10"))
+    assert main(["phase-diagram", "--config", str(sweep_cfg), "--format", "json"]) == 0
+    assert parse_grid_json(capsys.readouterr().out).col_values == (10,)
 
     # simulating the 128-qubit instance exceeds simulator capacity
     assert main(["simulate", "--config", REFERENCE_CFG]) == 3
@@ -334,6 +344,30 @@ def test_exit_codes(tmp_path, capsys):
         bad.write_text(Path(cfg).read_text().replace(old, new))
         assert main(["simulate", "--config", str(bad)]) == code
         assert field in capsys.readouterr().err
+
+    # the draw cap names the keys that size it
+    layers = tmp_path / "layers.cfg"
+    layers.write_text(Path(cfg).read_text().replace("layers = 4", "layers = 1000000"))
+    assert main(["simulate", "--config", str(layers)]) == 3
+    err = capsys.readouterr().err
+    assert "[simulate] shots" in err and "[circuit] layers" in err
+    # zero couplings leave nothing to estimate, but norm still reports them
+    zero = tmp_path / "zero.cfg"
+    zero.write_text(Path(cfg).read_text().replace("t = 1.0\nU = 4.0\nmu = 1.0",
+                                                  "t = 0\nU = 0\nmu = 0"))
+    for command in ("success", "phase-diagram", "simulate"):
+        assert main([command, "--config", str(zero)]) == 2
+        assert "[model] t, U and mu" in capsys.readouterr().err
+    assert main(["norm", "--config", str(zero)]) == 0
+    capsys.readouterr()
+    # 8 sites: a largest particle-number block of 4,900 states, over the cap
+    sectors = tmp_path / "sectors.cfg"
+    sectors.write_text(Path(cfg).read_text().replace("rows = 1\ncols = 2", "rows = 2\ncols = 4")
+                       .replace("qubits = 4", "qubits = 16"))
+    start = time.perf_counter()
+    assert main(["simulate", "--config", str(sectors)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "[model] rows x [model] cols" in capsys.readouterr().err
 
     # non-finite bounds and out-of-range sweep ends name their key
     for old, new, field in (

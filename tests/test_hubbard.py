@@ -1,15 +1,20 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from pecbench import hubbard as hb
 from pecbench.errors import CapacityError, ValidationError
+from pecbench.simulator.core import _term_data
 
 from oracles import (
+    dense_ground_state,
     fermionic_hubbard_matrix,
     lattice_edges_reference,
+    pauli_sum_apply_reference,
     pauli_sum_matrix_reference,
+    sector_of_reference,
 )
 
 
@@ -116,7 +121,7 @@ def test_ground_state_vector_is_eigenvector():
     spec = hb.HubbardSpec(1, 2, "open", 1.0, 4.0, 1.0)
     decomp = hb.build_hubbard_pauli(spec)
     h = hb.reconstruct_matrix(decomp)
-    e0, v = hb.ground_state(decomp)
+    e0, v = hb.ground_state(decomp)[:2]
     assert e0 == pytest.approx(hb.exact_ground_energy(spec), abs=1e-12)
     assert np.linalg.norm(h @ v - e0 * v) <= 1e-9
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -189,3 +194,87 @@ def test_large_periodic_build():
     assert len(decomp.terms) == 17_600
     assert hb.norm2_squared(decomp) == pytest.approx(
         hb.norm2_squared_closed_form(spec), rel=1e-12)
+
+
+# the criterion-6 lattices of test_acceptance, plus a 5-site chain
+SECTOR_LATTICES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1), (2, 2), (1, 5)]
+
+
+def test_sector_solver_matches_dense_oracle():
+    rng = np.random.default_rng(909)
+    seen = {"degenerate": 0, "non-degenerate": 0}
+    for rows, cols in SECTOR_LATTICES:
+        for boundary in ("open", "periodic"):
+            # the simulator's U = 8, mu = 3.75 point is degenerate on odd chains
+            couplings = [(1.0, 8.0, 3.75)] + [
+                tuple(float(v) for v in rng.normal(size=3))
+                for _ in range(2 if rows * cols == 5 else 4)]
+            for t, U, mu in couplings:
+                decomp = hb.build_hubbard_pauli(hb.HubbardSpec(rows, cols, boundary, t, U, mu))
+                h = hb.reconstruct_matrix(decomp)
+                spectrum = np.linalg.eigvalsh(h)
+                ground = hb.ground_state(decomp)
+                e0, v = ground.energy, ground.vector
+                assert e0 == pytest.approx(spectrum[0], abs=1e-10)
+                assert np.linalg.norm(h @ v - e0 * v) <= 1e-9
+                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+                ties = spectrum <= spectrum[0] + 1e-8
+                assert ground.degeneracy == np.count_nonzero(ties)
+                assert ground.gap == pytest.approx(spectrum[~ties][0] - spectrum[0], abs=1e-9)
+                sectors = [sector_of_reference(b, decomp.n) for b in range(len(v))]
+                if ground.degeneracy == 1:
+                    seen["non-degenerate"] += 1
+                    ours = _term_data(decomp, v)[4]
+                    dense = _term_data(decomp, dense_ground_state(decomp)[1])[4]
+                    assert np.max(np.abs(ours - dense)) <= 1e-12
+                else:
+                    seen["degenerate"] += 1
+                    # the first sector, in (N_up, N_dn) order, that reaches e0
+                    lowest = {}
+                    for sector in sorted(set(sectors)):
+                        members = [b for b, s in enumerate(sectors) if s == sector]
+                        lowest[sector] = np.linalg.eigvalsh(h[np.ix_(members, members)])[0]
+                    first = min(s for s, e in lowest.items() if e <= spectrum[0] + 1e-8)
+                    assert ground.sector == first
+                outside = [b for b, s in enumerate(sectors) if s != ground.sector]
+                assert not np.any(v[outside])
+    assert min(seen.values()) >= 8, seen
+
+
+def test_sector_solver_12_qubits():
+    spec = hb.HubbardSpec(2, 3, "periodic", 1.0, 8.0, 3.75)
+    decomp = hb.build_hubbard_pauli(spec)
+    start = time.perf_counter()
+    ground = hb.ground_state(decomp)
+    assert time.perf_counter() - start < 1.0
+    # exact_ground_energy(spec), from one dense 4096 x 4096 eigvalsh
+    assert ground.energy == pytest.approx(float.fromhex("-0x1.8cf9275a22636p+4"), abs=1e-10)
+    residual = pauli_sum_apply_reference(decomp, ground.vector) - ground.energy * ground.vector
+    assert np.linalg.norm(residual) <= 1e-9
+    assert ground.sector == (3, 3) and ground.degeneracy == 1
+
+
+def test_sector_solver_14_qubits_matrix_free():
+    # no dense 16384 x 16384 matrix is formed: the residual is applied term by term
+    decomp = hb.build_hubbard_pauli(hb.HubbardSpec(1, 7, "periodic", 1.0, 8.0, 3.75))
+    ground = hb.ground_state(decomp)
+    residual = pauli_sum_apply_reference(decomp, ground.vector) - ground.energy * ground.vector
+    assert np.linalg.norm(residual) <= 1e-9
+    assert np.linalg.norm(ground.vector) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sector_solver_refusals():
+    # a hop within the up modes conserves N_up only as XX + YY; either half
+    # alone, or their difference (pair creation), leaks out of the sectors
+    assert hb.ground_state(hb.PauliDecomposition.from_strings(
+        4, {"XXII": 1.0, "YYII": 1.0})).energy == pytest.approx(-2.0, abs=1e-12)
+    for strings in ({"XXII": 1.0}, {"YYII": 1.0}, {"XXII": 1.0, "YYII": -1.0},
+                    {"XIXI": 1.0, "YIYI": 1.0}):  # moves an electron from up to down
+        with pytest.raises(ValidationError, match="do not conserve"):
+            hb.ground_state(hb.PauliDecomposition.from_strings(4, strings))
+    with pytest.raises(ValidationError, match="n = 2L"):
+        hb.ground_state(hb.PauliDecomposition.from_strings(3, {"ZII": 1.0}))
+    # 8 sites: refused before any 2^16 array is built
+    with pytest.raises(CapacityError, match="capped at 7 sites"):
+        hb.ground_state(hb.build_hubbard_pauli(hb.HubbardSpec(2, 4, "open", 1.0, 8.0, 3.75)))

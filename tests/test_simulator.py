@@ -138,6 +138,27 @@ def test_simulate_report_ground_energy_is_the_exact_one():
         exact_ground_energy(SPEC), abs=1e-12)
 
 
+@pytest.mark.parametrize("spec, gap, degeneracy", [
+    (SPEC, 2.0 * math.sqrt(2.0) - 2.0, 1),
+    (HubbardSpec(1, 3, "open", 1.0, 8.0, 3.75), None, 2),
+    (HubbardSpec(1, 3, "periodic", 1.0, 8.0, 3.75), None, 4),
+    (HubbardSpec(1, 5, "periodic", 1.0, 4.0, 3.0), 0.686, 1),
+], ids=["1x2-open", "1x3-open", "1x3-periodic", "1x5-periodic"])
+def test_simulate_report_ground_diagnostics(spec, gap, degeneracy):
+    noise = NoiseCircuitSpec(layers=2, p_layer=0.01, qubits=spec.qubits)
+    report = simulate_report(spec, noise, n_shots=5_000, seed=1, batch=100)
+    spectrum = np.linalg.eigvalsh(
+        simcore.hubbard.reconstruct_matrix(build_hubbard_pauli(spec)))
+    ties = spectrum <= spectrum[0] + 1e-8
+    assert report["ground_degeneracy"] == np.count_nonzero(ties) == degeneracy
+    assert report["ground_gap"] == pytest.approx(spectrum[~ties][0] - spectrum[0], abs=1e-9)
+    if gap is not None:
+        assert report["ground_gap"] == pytest.approx(gap, abs=1e-3)
+    n_up, n_dn = report["ground_sector"]
+    assert (n_up, n_dn) == simcore.hubbard.ground_state(build_hubbard_pauli(spec)).sector
+    assert report["exact_ground_energy"] == pytest.approx(spectrum[0], abs=1e-10)
+
+
 def test_estimator_streams_are_pinned():
     # recorded by feeding _shot_draws(2024, 2000, ...) of the (seed, block)
     # keyed streams to density_matrix_shots_reference and forming the mean
