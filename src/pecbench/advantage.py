@@ -6,13 +6,15 @@ interval (e_minus, e_plus).  Two strategies are compared cellwise over a
 unbiased, variance inflated by the total negativity) and raw estimation
 (biased mean, per-shot variance of the noiseless estimator).
 
-Units convention for the bundled 8x8 reference instance: the engine is fed
-energy densities (energies per lattice site) together with the matching
-per-site weight norm sqrt(sum_j a_j^2 / L).  This intensive parameterization
-is what reproduces the documented phase-diagram landmarks (no-advantage
-region below ~1e2 shots, PEC at P = 4e-3 around 1e3 shots, PEC boundary
-near P = 4e-2 at 1e6 shots); feeding extensive (absolute) energies shifts
-the shot axis by a factor of L and contradicts those landmarks.
+Units convention for the bundled 8x8 reference instance
+(configs/reference_instance.cfg; RunConfig.advantage_problem builds it): the
+engine is fed energy densities (energies per lattice site) together with the
+matching per-site weight norm sqrt(sum_j a_j^2 / L).  This intensive
+parameterization is what reproduces the documented phase-diagram landmarks
+(no-advantage region below ~1e2 shots, PEC at P = 4e-3 around 1e3 shots,
+PEC boundary near P = 4e-2 at 1e6 shots); feeding extensive (absolute)
+energies shifts the shot axis by a factor of L and contradicts those
+landmarks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hubbard
 from .errors import ValidationError
 from .noise import HamiltonianSummary, NoiseCircuitSpec, gamma_total, noisy_mean, raw_sigma
 from .stats import NormalSpec, erf, interval_probability
@@ -31,13 +32,6 @@ from .stats import NormalSpec, erf, interval_probability
 LABEL_PEC = "PEC"
 LABEL_RAW = "RAW"
 LABEL_NONE = "NONE"
-
-# 8x8 periodic reference instance: (U, t, mu) = (8, 1, 3.75), D = L = 64,
-# n = 2L = 128, certified per-site bounds from cluster decomposition
-# (lower) and the Gutzwiller approximation (upper), in units of t.
-REFERENCE_SPEC = hubbard.HubbardSpec(rows=8, cols=8, boundary="periodic", t=1.0, U=8.0, mu=3.75)
-E_MINUS_PER_SITE = -4.544
-E_PLUS_PER_SITE = -3.8365
 
 
 @dataclass(frozen=True)
@@ -97,27 +91,6 @@ def per_site_summary(norm2_squared: float, trace_over_d: float, e0_proxy: float,
         norm2=math.sqrt(norm2_squared / sites),
         trace_over_d=trace_over_d / sites,
         e0_proxy=e0_proxy / sites,
-    )
-
-
-def reference_problem(p_layer: float = 0.0, threshold: float = 0.95) -> AdvantageProblem:
-    """The bundled 8x8 benchmark instance, parameterized in per-site units."""
-    spec = REFERENCE_SPEC
-    decomp = hubbard.build_hubbard_pauli(spec)
-    L = spec.sites
-    ham = per_site_summary(
-        norm2_squared=hubbard.norm2_squared(decomp),
-        trace_over_d=decomp.identity_coefficient,
-        e0_proxy=0.5 * (E_MINUS_PER_SITE + E_PLUS_PER_SITE) * L,
-        sites=L,
-    )
-    noise = NoiseCircuitSpec(layers=L, p_layer=p_layer, qubits=2 * L)
-    return AdvantageProblem(
-        e_minus=E_MINUS_PER_SITE,
-        e_plus=E_PLUS_PER_SITE,
-        ham=ham,
-        noise=noise,
-        threshold=threshold,
     )
 
 

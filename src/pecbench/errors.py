@@ -6,7 +6,7 @@ class ValidationError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Instance exceeds a capacity cap (dense-matrix qubits, shot-draw memory)."""
+    """Instance exceeds a capacity cap (sector-solver sites, mask or shot-draw memory)."""
 
 
 class NumericDomainError(ValueError):

@@ -11,12 +11,13 @@ a basis-state index.  Qubit m carries X when only its x bit is set, Z when
 only its z bit is set and Y when both are.  The term is
 P = i^ny X^x Z^z with ny = popcount(x & z), so P|b> = i^ny (-1)^{|b & z|}
 |b XOR x>; a Hubbard term has an even Y count, so its matrix is real.
-Letter strings over {I, X, Y, Z} exist only for display (pauli_string).
+Letter strings over {I, X, Y, Z} exist only for display and for the
+simulator's term order (pauli_string).
 
-Dense-matrix operations (reconstruction, exact diagonalization) are capped
-at MAX_DENSE_QUBITS qubits.  ground_state never forms the 2^n x 2^n matrix:
-H conserves N_up and N_dn, so it diagonalizes the (N_up, N_dn) sector blocks
-one by one, up to MAX_SECTOR_SITES sites.  The decomposition has O(L) terms,
+ground_state is the package's only eigensolver, and it never forms the
+2^n x 2^n matrix: H conserves N_up and N_dn, so it diagonalizes the
+(N_up, N_dn) sector blocks one by one, up to MAX_SECTOR_SITES sites.
+exact_ground_energy is its energy.  The decomposition has O(L) terms,
 each with two masks of up to n = 2L bits, so its masks take O(L^2) bytes; a
 lattice whose masks could exceed MAX_MASK_BYTES is refused before any mask is
 built.
@@ -32,7 +33,6 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-MAX_DENSE_QUBITS = 12
 # The sector solver's cap: 7 sites (14 qubits), whose largest (N_up, N_dn)
 # block has C(7, 3)^2 = 1,225 states.  That solve takes 1.3 s and 190 MB; at
 # 8 sites the largest block has 4,900 states and all 81 blocks need about
@@ -107,21 +107,6 @@ class PauliDecomposition:
             raise ValidationError("identity term must go in identity_coefficient")
         if not math.isfinite(self.identity_coefficient):
             raise ValidationError("identity_coefficient must be finite")
-
-    @classmethod
-    def from_strings(cls, n: int, strings: dict,
-                     identity_coefficient: float = 0.0) -> "PauliDecomposition":
-        """Decomposition from {length-n letter string: coefficient} (for tests)."""
-        terms = {}
-        for string, coeff in strings.items():
-            if len(string) != n or set(string) - set(_LETTERS):
-                raise ValidationError(f"{string!r} is not a Pauli string on {n} qubits")
-            x = z = 0
-            for letter in string:
-                code = _LETTERS.index(letter)
-                x, z = x << 1 | code & 1, z << 1 | code >> 1
-            terms[(x, z)] = coeff
-        return cls(n=n, terms=terms, identity_coefficient=identity_coefficient)
 
 
 def pauli_string(key: tuple[int, int], n: int) -> str:
@@ -243,35 +228,6 @@ def identity_coefficient_closed_form(spec: HubbardSpec) -> float:
     return spec.U * L / 4.0 - spec.mu * L
 
 
-def check_dense_capacity(n: int) -> None:
-    if n > MAX_DENSE_QUBITS:
-        raise CapacityError(
-            f"dense matrix operations are capped at {MAX_DENSE_QUBITS} qubits, got n={n}"
-        )
-
-
-def reconstruct_matrix(decomp: PauliDecomposition) -> np.ndarray:
-    """Dense real symmetric matrix sum_j a_j P_j + identity_coefficient * I.
-
-    Each term is scattered into its d nonzero entries,
-    H[b XOR x, b] += a_j s_j(b); no Kronecker product is formed.
-    """
-    check_dense_capacity(decomp.n)
-    d = 1 << decomp.n
-    basis = np.arange(d)
-    out = np.eye(d) * decomp.identity_coefficient
-    for key, coeff in decomp.terms.items():
-        out[basis ^ key[0], basis] += coeff * real_pauli_signs(key, basis)
-    return out
-
-
-def exact_ground_energy(spec: HubbardSpec) -> float:
-    """Minimal eigenvalue of the reconstructed Hamiltonian (n <= 12)."""
-    check_dense_capacity(spec.qubits)
-    h = reconstruct_matrix(build_hubbard_pauli(spec))
-    return float(np.linalg.eigvalsh(h)[0])
-
-
 class GroundState(NamedTuple):
     """The sector solver's ground level and what it says about the spectrum.
 
@@ -376,3 +332,8 @@ def ground_state(decomp: PauliDecomposition) -> GroundState:
         energy=float(energies[0]), vector=vector, sector=divmod(k, L + 1),
         gap=float(above.min() - energies[0]) if above.size else math.inf,
         degeneracy=int(np.count_nonzero(everything <= tie)))
+
+
+def exact_ground_energy(spec: HubbardSpec) -> float:
+    """ground_state's energy for the lattice (up to MAX_SECTOR_SITES sites)."""
+    return ground_state(build_hubbard_pauli(spec)).energy

@@ -48,7 +48,7 @@ class HamiltonianSummary:
     norm2 is the 2-norm of the non-identity Pauli weights, trace_over_d is
     Tr[H]/d, and e0_proxy stands in for the unknown ground energy (by
     default the midpoint of the classical bounds; the exact value can be
-    injected on instances where a dense oracle provides it).
+    injected on instances where the sector solver provides it).
     """
 
     norm2: float

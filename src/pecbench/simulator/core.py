@@ -5,9 +5,11 @@ hubbard.ground_state, which diagonalizes each (N_up, N_dn) sector block
 instead of the full 2^n x 2^n matrix, so the simulator takes lattices of up
 to hubbard.MAX_SECTOR_SITES sites (14 qubits).  The experiment isolates the
 interplay of layered depolarizing noise, quasi-probability inversion and
-shot noise.  Monte Carlo randomness enters
-only through the quasi-probability branch choices and the measurement
-sampling.
+shot noise.  Monte Carlo randomness enters only through the
+quasi-probability branch choices and the measurement sampling.  No 2^n x 2^n
+matrix is formed on the way to a report; prepare_ground_state, the one
+dense d x d object here, is capped at MAX_DENSE_QUBITS and serves only
+perfbench.
 
 The shot kernel uses the Pauli-frame identity.  Each noise layer is
 *global* depolarizing, rho -> (1-P) rho + P I/d, which commutes with every
@@ -41,11 +43,11 @@ from .. import hubbard
 from ..errors import CapacityError, NumericDomainError, ValidationError
 from ..noise import HamiltonianSummary, NoiseCircuitSpec, gamma_layer, gamma_total, noisy_mean
 from ..stats import erf
-from ._pauli_ops import pauli_index, pauli_masks
 
 
 SHOT_BLOCK = 4096  # shots per Philox stream; fixed, so streams never depend on n_shots
 MAX_DRAW_BYTES = 2 * 2**30  # cap on the three per-shot draw arrays together
+MAX_DENSE_QUBITS = 12  # cap on prepare_ground_state's d x d outer product
 
 
 def active_kernel() -> str:
@@ -83,10 +85,13 @@ class ShotRecord:
 def prepare_ground_state(spec: hubbard.HubbardSpec) -> DensityMatrix:
     """Pure-state density matrix of the sector solver's ground vector.
 
-    The d x d outer product keeps this under the dense cap of
-    hubbard.MAX_DENSE_QUBITS qubits.
+    The d x d outer product keeps this under MAX_DENSE_QUBITS qubits.  The
+    shot kernel never uses it: it and DensityMatrix are kept only while
+    perfbench still calls them.
     """
-    hubbard.check_dense_capacity(spec.qubits)
+    if spec.qubits > MAX_DENSE_QUBITS:
+        raise CapacityError(f"the dense ground-state density matrix is capped at "
+                            f"{MAX_DENSE_QUBITS} qubits, got n={spec.qubits}")
     v = hubbard.ground_state(hubbard.build_hubbard_pauli(spec)).vector
     return DensityMatrix(n=spec.qubits, entries=np.outer(v, v))
 
@@ -123,11 +128,11 @@ def _frame_terms(spec: hubbard.HubbardSpec):
 def _term_data(decomp: hubbard.PauliDecomposition, v: np.ndarray):
     """(identity coefficient, coeffs, x masks, z masks, <P_j>_0) of the terms.
 
-    The non-identity terms are in base-4 index order, the sorted order of
-    their display strings; each term's position picks its u_outcome column.
+    The non-identity terms are in the sorted order of their display strings;
+    each term's position picks its u_outcome column.
     <P_j>_0 = sum_b s_j(b) v[b] v[b ^ x_j] on the real ground vector v.
     """
-    keys = sorted(decomp.terms, key=lambda key: pauli_index(*key))
+    keys = sorted(decomp.terms, key=lambda key: hubbard.pauli_string(key, decomp.n))
     coeffs = np.array([decomp.terms[key] for key in keys])
     term_x = np.array([x for x, _ in keys], dtype=np.int64)
     term_z = np.array([z for _, z in keys], dtype=np.int64)
@@ -162,6 +167,22 @@ def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
         twirl_idx[start:start + rows] = gen.integers(1, d2, size=(SHOT_BLOCK, layers))[:rows]
         u_outcome[start:start + rows] = gen.random((SHOT_BLOCK, n_terms))[:rows]
     return u_branch, twirl_idx, u_outcome
+
+
+def pauli_masks(index, n: int):
+    """Symplectic (x, z) masks of a base-4 Pauli index, elementwise on arrays.
+
+    The twirl draws name a Pauli by its base-4 index (0=I, 1=X, 2=Y, 3=Z;
+    qubit 0 in the most significant digit), which is also the sorted order
+    of display strings.  Bit k of each mask belongs to qubit n - 1 - k, the
+    bit that the Pauli flips (x) or phases (z).
+    """
+    x = z = 0
+    for bitpos in range(n):
+        g = (index >> (2 * bitpos)) & 3
+        x |= (((g + 1) >> 1) & 1) << bitpos  # X or Y
+        z |= (g >> 1) << bitpos  # Y or Z
+    return x, z
 
 
 def run_shots(expect0, term_x, term_z, keep, p_twirl, u_branch, twirl_idx,
@@ -309,15 +330,13 @@ def lilliefors_critical(n: int, alpha: float) -> float:
 # --- full validation report --------------------------------------------------
 
 def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
-                    n_shots: int, seed: int, batch: int = 500,
-                    workers: int | None = None) -> dict:
+                    n_shots: int, seed: int, batch: int = 500) -> dict:
     """Run both estimators and package every validation statistic.
 
     One build and one sector solve give the exact ground energy and the
     vector behind the term expectations; both estimators share those and one
-    set of per-shot draws.  `workers` is accepted for compatibility and
-    ignored.  The report carries the ground level's diagnostics: its
-    (N_up, N_dn) sector, the gap above it and its degeneracy.
+    set of per-shot draws.  The report carries the ground level's
+    diagnostics: its (N_up, N_dn) sector, the gap above it and its degeneracy.
     Flags: pec_unbiased / raw_bias_matches (3 standard errors), the
     single-shot variance against norm2^2 gamma_tot^2 with 10% slack,
     empirical gamma within 3 standard errors of the analytic overhead, batch

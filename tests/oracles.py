@@ -12,9 +12,11 @@ every noise layer with the same Kronecker-product Pauli matrices, and the
 superoperator oracles build the noise layer and the quasi-probability
 inverse from those matrices too.  The artifact oracles pin, format and
 color one cell at a time with scalar Python and build JSON with json.dumps.
-The sector solver has three: the dense ground state (one eigh of the package's
-reconstructed matrix, the solver it replaced), sector labels counted mode by
-mode, and H v applied term by term from an explicit bit table.
+The sector solver has three: the dense ground state (one eigh of the dense
+matrix scattered from the package's masks and signs, the solver it
+replaced), sector labels counted mode by mode, and H v applied term by term
+from an explicit bit table.  decomposition_from_strings builds test
+Hamiltonians from display strings.
 """
 
 from __future__ import annotations
@@ -453,15 +455,47 @@ def grid_svg_reference(artifact, cell: int = 8) -> str:
     return "\n".join(parts) + "\n"
 
 
-# --- dense ground state -------------------------------------------------
+# --- dense Hamiltonian and ground state ----------------------------------
+
+def decomposition_from_strings(n: int, strings: dict, identity_coefficient: float = 0.0):
+    """PauliDecomposition from {length-n letter string: coefficient}."""
+    from pecbench.errors import ValidationError
+    from pecbench.hubbard import PauliDecomposition
+
+    terms = {}
+    for string, coeff in strings.items():
+        if len(string) != n or set(string) - set("IXYZ"):
+            raise ValidationError(f"{string!r} is not a Pauli string on {n} qubits")
+        x = z = 0
+        for letter in string:
+            x = x << 1 | (letter in "XY")
+            z = z << 1 | (letter in "YZ")
+        terms[(x, z)] = coeff
+    return PauliDecomposition(n=n, terms=terms, identity_coefficient=identity_coefficient)
+
+
+def reconstruct_matrix(decomp) -> np.ndarray:
+    """Dense real symmetric matrix sum_j a_j P_j + identity_coefficient * I.
+
+    Each term is scattered into its d nonzero entries,
+    H[b XOR x, b] += a_j s_j(b), with the package's real_pauli_signs; no
+    Kronecker product is formed, so pauli_sum_matrix_reference checks it.
+    """
+    from pecbench.hubbard import real_pauli_signs
+
+    d = 1 << decomp.n
+    basis = np.arange(d)
+    out = np.eye(d) * decomp.identity_coefficient
+    for key, coeff in decomp.terms.items():
+        out[basis ^ key[0], basis] += coeff * real_pauli_signs(key, basis)
+    return out
+
 
 def dense_ground_state(decomp):
     """(lowest eigenvalue, its eigenvector) from one dense real eigh (n <= 12).
 
     The vector is the eigensolver's first column.
     """
-    from pecbench.hubbard import reconstruct_matrix
-
     energies, vecs = np.linalg.eigh(reconstruct_matrix(decomp))
     return float(energies[0]), vecs[:, 0]
 

@@ -15,7 +15,6 @@ from pecbench.advantage import (
     pec_success_proxy,
     per_site_summary,
     raw_success,
-    reference_problem,
     sweep,
 )
 from pecbench.config import load_config
@@ -43,7 +42,7 @@ def test_per_site_summary_scales_down():
 
 
 def test_reference_problem_shape():
-    prob = reference_problem(p_layer=4e-3)
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     assert prob.noise.layers == 64
     assert prob.noise.qubits == 128
     assert prob.e_minus == -4.544
@@ -52,7 +51,7 @@ def test_reference_problem_shape():
 
 
 def test_proxy_matches_exact_at_midpoint():
-    prob = reference_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     for p, n in [(1e-4, 1e4), (4e-3, 1e3), (1e-2, 1e6)]:
         proxy = pec_success_proxy(prob, n, p=p)
         noise = dataclasses.replace(prob.noise, p_layer=p)
@@ -63,7 +62,7 @@ def test_proxy_matches_exact_at_midpoint():
 
 
 def test_pec_success_monotone_in_shots_and_noise():
-    prob = reference_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     shots = [10, 100, 1000, 10_000]
     values = [pec_success_proxy(prob, n, p=1e-3) for n in shots]
     assert values == sorted(values)
@@ -73,7 +72,7 @@ def test_pec_success_monotone_in_shots_and_noise():
 
 
 def test_raw_success_uses_biased_mean():
-    prob = reference_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     n = 1e6
     # at tiny noise the raw estimator is nearly unbiased and wins easily
     assert raw_success(prob, n, p=1e-6) > 0.999
@@ -82,7 +81,7 @@ def test_raw_success_uses_biased_mean():
 
 
 def test_raw_success_agrees_with_direct_interval():
-    prob = reference_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     p, n = 1e-3, 1e5
     survival = (1.0 - p) ** prob.noise.layers
     mean = survival * prob.midpoint + (1.0 - survival) * prob.ham.trace_over_d
@@ -92,7 +91,7 @@ def test_raw_success_agrees_with_direct_interval():
 
 
 def test_classify_landmarks():
-    prob = reference_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     assert classify(prob, 4e-3, 1e3) == LABEL_PEC
     assert classify(prob, 1e-4, 1e6) == LABEL_RAW
     assert classify(prob, 1e-3, 10) == LABEL_NONE
@@ -139,7 +138,7 @@ def _cell_reference(prob, p, n):
 
 
 def test_sweep_matches_cellwise_reference():
-    prob = reference_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     # the default axes, plus P rows up to 0.99999, where gamma_tot overflows
     default_p, shots = _default_axes()
     for p_axis in (default_p, np.append(np.linspace(0.0, 0.99, 23), 0.99999)):
@@ -161,7 +160,7 @@ def test_default_axes():
 
 
 def test_sweep_grid_consistent_with_pointwise():
-    prob = reference_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     p_axis = np.array([1e-4, 4e-3, 2e-2])
     shots = np.array([10.0, 1e3, 1e6])
     grid = sweep(prob, p_axis, shots, workers=1)
@@ -173,7 +172,7 @@ def test_sweep_grid_consistent_with_pointwise():
 
 
 def test_sweep_worker_invariance():
-    prob = reference_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     p_axis, shots = _default_axes()
     one = sweep(prob, p_axis, shots, workers=1)
     four = sweep(prob, p_axis, shots, workers=4)
@@ -183,7 +182,7 @@ def test_sweep_worker_invariance():
 
 
 def test_axis_validation():
-    prob = reference_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     with pytest.raises(ValidationError):
         sweep(prob, [0.1, 0.1], [10, 100], workers=1)
     with pytest.raises(ValidationError):

@@ -82,8 +82,7 @@ def test_success_none_at_low_shots(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["label"] == "NONE"
 
 
-def test_phase_diagram_csv_shape(tmp_path, monkeypatch):
-    monkeypatch.setenv("PECBENCH_WORKERS", "2")
+def test_phase_diagram_csv_shape(tmp_path):
     cfg = _small_sweep_cfg(tmp_path)
     out = tmp_path / "grid.csv"
     assert main(["phase-diagram", "--config", cfg, "--output", str(out)]) == 0

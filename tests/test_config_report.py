@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pecbench.advantage import RegimeGrid, reference_problem, sweep
+from pecbench.advantage import RegimeGrid, sweep
 from pecbench.config import config_hash, load_config, parse_config_dict
 from pecbench.errors import ConfigError, ValidationError
 from pecbench.report import (
@@ -53,13 +53,16 @@ def test_ini_and_json_configs_are_equivalent(tmp_path):
 
 
 def test_reference_config_builds_reference_problem():
-    config = load_config(REFERENCE_CFG)
-    built = config.advantage_problem()
-    want = reference_problem(p_layer=4e-3)
-    assert built.e_minus == want.e_minus and built.e_plus == want.e_plus
-    assert built.ham == want.ham
-    assert built.noise == want.noise
-    assert built.threshold == want.threshold
+    # the bundled config is the reference instance's single declaration
+    prob = load_config(REFERENCE_CFG).advantage_problem()
+    assert (prob.e_minus, prob.e_plus) == (-4.544, -3.8365)
+    # per-site units: norm2_squared = 386 and Tr[H]/d = -112 over L = 64 sites
+    assert prob.ham.norm2 == math.sqrt(386 / 64)
+    assert prob.ham.trace_over_d == -112 / 64
+    assert prob.ham.e0_proxy == prob.midpoint
+    assert (prob.noise.layers, prob.noise.qubits) == (64, 128)
+    assert prob.noise.p_layer == 4e-3
+    assert prob.threshold == 0.95
 
 
 def test_defaults_derived_from_lattice():
@@ -203,7 +206,7 @@ def test_config_hash_is_content_addressed(tmp_path):
 
 
 def _small_artifact():
-    prob = reference_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
     grid = sweep(prob, np.array([1e-4, 4e-3]), np.array([10.0, 1000.0, 1e6]),
                  workers=1)
     return phase_artifact(grid, make_provenance("deadbeef00000000", 7))

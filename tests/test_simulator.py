@@ -23,13 +23,14 @@ from pecbench.simulator import (
     simulate_report,
 )
 from pecbench.simulator import core as simcore
-from pecbench.simulator._pauli_ops import pauli_index, pauli_masks
 
 from oracles import (
     apply_depolarizing,
+    dense_ground_state,
     density_matrix_shots_reference,
     purity,
     qpd_composition_residual,
+    reconstruct_matrix,
     validate_density_matrix,
 )
 
@@ -41,9 +42,9 @@ def test_prepare_ground_state_is_valid_pure_state():
     rho = prepare_ground_state(SPEC)
     validate_density_matrix(rho.entries, rho.n)
     assert purity(rho.entries) == pytest.approx(1.0, abs=1e-10)
-    h_energy = np.real(np.trace(
-        rho.entries @ simcore.hubbard.reconstruct_matrix(build_hubbard_pauli(SPEC))))
-    assert h_energy == pytest.approx(exact_ground_energy(SPEC), abs=1e-10)
+    decomp = build_hubbard_pauli(SPEC)
+    h_energy = np.real(np.trace(rho.entries @ reconstruct_matrix(decomp)))
+    assert h_energy == pytest.approx(dense_ground_state(decomp)[0], abs=1e-10)
 
 
 def test_prepare_ground_state_capacity():
@@ -119,9 +120,11 @@ def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers, n_sho
 
 
 def test_term_order_is_display_string_order():
-    # the u_outcome column of each term is its position in this order
-    for index in range(4**3):
-        assert pauli_index(*pauli_masks(index, 3)) == index
+    # the u_outcome column of each term is its position in this order; the
+    # base-4 twirl indices map one to one onto display strings, in order
+    for q in (1, 2, 3):
+        strings = [pauli_string(simcore.pauli_masks(i, q), q) for i in range(4**q)]
+        assert all(a < b for a, b in zip(strings, strings[1:]))
     for spec in (SPEC, HubbardSpec(1, 3, "periodic", 1.0, 8.0, 3.75)):
         decomp = build_hubbard_pauli(spec)
         _, coeffs, term_x, term_z, _ = simcore._frame_terms(spec)
@@ -135,7 +138,7 @@ def test_term_order_is_display_string_order():
 def test_simulate_report_ground_energy_is_the_exact_one():
     report = simulate_report(SPEC, NOISE, n_shots=5_000, seed=3, batch=100)
     assert report["exact_ground_energy"] == pytest.approx(
-        exact_ground_energy(SPEC), abs=1e-12)
+        dense_ground_state(build_hubbard_pauli(SPEC))[0], abs=1e-12)
 
 
 @pytest.mark.parametrize("spec, gap, degeneracy", [
@@ -147,8 +150,7 @@ def test_simulate_report_ground_energy_is_the_exact_one():
 def test_simulate_report_ground_diagnostics(spec, gap, degeneracy):
     noise = NoiseCircuitSpec(layers=2, p_layer=0.01, qubits=spec.qubits)
     report = simulate_report(spec, noise, n_shots=5_000, seed=1, batch=100)
-    spectrum = np.linalg.eigvalsh(
-        simcore.hubbard.reconstruct_matrix(build_hubbard_pauli(spec)))
+    spectrum = np.linalg.eigvalsh(reconstruct_matrix(build_hubbard_pauli(spec)))
     ties = spectrum <= spectrum[0] + 1e-8
     assert report["ground_degeneracy"] == np.count_nonzero(ties) == degeneracy
     assert report["ground_gap"] == pytest.approx(spectrum[~ties][0] - spectrum[0], abs=1e-9)
