@@ -101,20 +101,37 @@ def _check_shots(n_shots) -> float:
     return n
 
 
-# The builtin round (correctly rounded decimal), not np.round: they differ at
-# half-way decimals, e.g. round(0.9585, 3) == 0.959 but np.round gives 0.958.
-_round3 = np.frompyfunc(lambda v: round(float(v), 3), 1, 1)
+# Half-way decimal cells within this of a half-milli take the builtin round
+_HALF_MILLI_BAND = 1e-6
+
+
+def _milli(values: np.ndarray) -> np.ndarray:
+    """round(v, 3) * 1000 per cell, as integer-valued floats.
+
+    rint(v * 1000) is the builtin round (correctly rounded decimal) except
+    near a half-way decimal, where the product's rounding (<= 6e-14 for
+    |v| <= 1) can decide it: round(0.9585, 3) == 0.959, but 0.9585 * 1000
+    is exactly 958.5 and rints to 958, as np.round does.  Cells within
+    _HALF_MILLI_BAND of a half-milli take the builtin.
+    """
+    values = np.asarray(values, dtype=float)
+    scaled = values * 1000.0
+    milli = np.rint(scaled)
+    with np.errstate(invalid="ignore"):  # inf - inf for infinite cells
+        near = np.abs(scaled - np.floor(scaled) - 0.5) < _HALF_MILLI_BAND
+    for k in zip(*np.nonzero(near)):
+        milli[k] = round(round(float(values[k]), 3) * 1000.0)
+    return milli
 
 
 def _winner(pec: np.ndarray, raw: np.ndarray, threshold: float) -> np.ndarray:
     """Winning strategy per cell: PEC, RAW or NONE.
 
-    Ties are decided on three decimals, and raw wins ties since it is the
-    cheaper strategy to run.
+    Ties are decided on three decimals, as the builtin round gives them, and
+    raw wins ties since it is the cheaper strategy to run.
     """
-    raw_wins = (_round3(raw) >= _round3(pec)).astype(bool)
     return np.where(np.maximum(pec, raw) < threshold, LABEL_NONE,
-                    np.where(raw_wins, LABEL_RAW, LABEL_PEC))
+                    np.where(_milli(raw) >= _milli(pec), LABEL_RAW, LABEL_PEC))
 
 
 def _evaluate(prob: AdvantageProblem, p_values, shot_values: np.ndarray):

@@ -5,31 +5,42 @@ version, seed) and round-trips through its serialized form: numeric cells
 are pinned to 12 significant digits at artifact-construction time, so
 parse(emit(x)) == x and re-emission is byte-identical.
 
-Emission is array-first: each cell is pinned, formatted and colored once.
-An artifact builder formats every numeric cell to ``.11e`` in one pass and
-parses those strings in one more to get the pinned floats.  The strings are
-kept as the CSV tokens: for a normal float or zero the 12-digit string of
-the pinned value is the string it was parsed from.  A subnormal carries
+Emission is array-first: numpy computes each float cell's 12 digits once,
+and Python touches single cells only where those fast paths flag them.
+For e = floor(log10|v|) the integer k = rint(|v| 10^(11 - e)) holds the
+digits ``.11e`` prints, unless the cell sits within the scaling error
+(<= 2.3e-4) of a half-integer.  The pinned value is float() of that
+string, which one IEEE multiply or divide of k by an exact 10^|e - 11|
+gives when |e - 11| <= 22 (Clinger's fast path).  Flagged cells (non-finite,
+|v| outside [1e-297, 1e308), near a tie, or out of that exponent range for
+the value) are formatted with ``.11e`` and parsed one by one.
+CSV tokens are the ``.11e`` strings of the pinned values.  For a normal
+float or zero that is the string it was pinned from, so the digits above
+are written into one byte array and split once.  A subnormal carries
 fewer significant bits, so its pinned value can print differently
 (1.000000000003e-312 formats as 1.00000000000e-312 and pins to a value
-that prints as 9.99999999998e-313); subnormal cells are formatted again.
-Non-finite cells format as nan / inf / -inf.
-JSON grid bodies are written from the pinned floats' repr in json.dumps's
-indent-2 layout; json.dumps itself writes only the names and provenance.
+that prints as 9.99999999998e-313); subnormal cells are flagged and
+formatted from the pinned value.  Non-finite cells format as nan / inf /
+-inf.
+JSON cells are the pinned floats' repr, built from the same digits: no
+other decimal of at most 12 digits rounds to a normal pinned double, so
+its repr is those digits without trailing zeros, in fixed notation for
+exponents -4 .. 15 and scientific otherwise.  Grid bodies are laid out in
+json.dumps's indent-2 layout; json.dumps itself writes only the names and
+provenance.
 SVG cells are colored by one numpy pass over a fixed ramp: each value is
 clipped to [0, 1], takes the first ramp segment whose upper stop it does
 not exceed, and each channel is rounded with np.rint, half to even like
-the builtin round.  Non-finite cells are grey.  SVG output is a pure
-function of the artifact — no timestamps — with the provenance embedded
-as metadata text.
+the builtin round; the "#rrggbb" strings are written into one byte array.
+Non-finite cells are grey.  SVG output is a pure function of the
+artifact — no timestamps — with the provenance embedded as metadata text.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -52,22 +63,192 @@ _NO_COLOR = "#bbbbbb"
 
 _token = "{:.11e}".format
 _RAMP_STOPS = np.array([stop for stop, _ in COLOR_RAMP])
-_RAMP_RGB = np.array([rgb for _, rgb in COLOR_RAMP], dtype=float)
-_HEX = np.array([f"{k:02x}" for k in range(256)], dtype=object)
+_RAMP_RGB = np.array([rgb for _, rgb in COLOR_RAMP], dtype=float).T  # channel x stop
+_NO_RGB = np.frombuffer(bytes.fromhex(_NO_COLOR[1:]), dtype=np.uint8)
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# 10^m as the nearest double (int -> float rounds correctly), m = 0 .. 308;
+# exact up to m = 22
+_POW10 = np.array([float(10 ** m) for m in range(309)])
+_EXACT_POW10 = 22
+_ZERO, _DOT, _MINUS, _PLUS, _E, _COMMA = b"0.-+e,"
+# exact digits need the scaled cell's distance to a half-integer to beat
+# its scaling error, <= 2 roundings x 2^-53 x 1e12 = 2.3e-4
+_TIE_MARGIN = 1e-3
+# cells per numpy pass: a block's temporaries stay under 100 kB, where a
+# whole 40,000-cell column would hold megabytes of them at once
+_BLOCK = 2048
+
+
+class _Decimal:
+    """Flat float cells rounded to 12 significant digits, as .11e rounds them.
+
+    A fast cell is (-1)^negative * k * 10^(exponent - 11), with k an integer
+    in [1e11, 1e12), or k = 0 for a zero.  The other cells (non-finite,
+    |v| outside [1e-297, 1e308), or within the scaling error of a half-way
+    decimal) are printed one by one.  A plain class: a dataclass would add
+    about 2 ms to every import.
+    """
+
+    __slots__ = ("negative", "k", "exponent", "fast")
+
+    def __init__(self, negative: np.ndarray, k: np.ndarray, exponent: np.ndarray,
+                 fast: np.ndarray):
+        self.negative, self.k, self.exponent, self.fast = negative, k, exponent, fast
+
+
+def _scale(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x 10^m by one correctly rounded multiply or divide, for |m| <= 308."""
+    return np.where(m >= 0, x * _POW10[np.maximum(m, 0)], x / _POW10[np.maximum(-m, 0)])
+
+
+def _decimal(v: np.ndarray) -> _Decimal:
+    """k = rint(|v| 10^(11 - e)) with e = floor(log10 |v|), by float arithmetic.
+
+    The scaled cell lies in [1e11, 1e12) and two correctly rounded
+    operations put it within 2.3e-4 of the exact product, so away from
+    half-integers its rint is the integer .11e rounds to.  A rint of 1e12
+    carries into the exponent; a log10 off by one near a power of ten
+    leaves the range and the cell is slow.
+    """
+    a = np.abs(v)
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(a))
+    fast = (e >= -297) & (e <= 307)  # false for 0, nan and inf
+    a = np.where(fast, a, 0.0)
+    e = np.where(fast, e, 0.0).astype(np.int64)
+    scaled = _scale(a, 11 - e)
+    k = np.rint(scaled)
+    carry = k == 1e12  # 9.999999999996e-01 prints as 1.00000000000e+00
+    k = np.where(carry, 1e11, k)
+    e += carry
+    fast &= (k >= 1e11) & (k < 1e12) & (np.abs(scaled - np.floor(scaled) - 0.5) > _TIE_MARGIN)
+    fast |= v == 0.0
+    return _Decimal(np.signbit(v), np.where(fast, k, 0.0), np.where(fast, e, 0), fast)
+
+
+def _digits(k: np.ndarray) -> np.ndarray:
+    """The 12 ASCII digits of each integer-valued k < 1e12, one row per place."""
+    q = k.astype(np.int64)
+    digits = np.empty((12, q.size), dtype=np.uint8)
+    for place in range(11, -1, -1):
+        q, digits[place] = np.divmod(q, 10)
+    digits += _ZERO
+    return digits
+
+
+def _join(chars: np.ndarray, keep: np.ndarray | None = None) -> list:
+    """One str per cell from (width, cells) arrays of bytes and keep flags.
+
+    Column j holds cell j's bytes, so every write that builds them is a
+    contiguous row; the last row is the separator.
+    """
+    chars[-1] = _COMMA
+    if keep is None:
+        kept = chars.T.tobytes()
+    else:
+        keep[-1] = True
+        kept = chars.T.ravel()[keep.T.ravel()].tobytes()
+    return kept.decode().split(",")[:-1]
+
+
+def _exponent_rows(chars: np.ndarray, keep: np.ndarray, e: np.ndarray) -> None:
+    """Write e+XX / e-XXX into the 5 rows before the separator."""
+    ae = np.abs(e)
+    chars[-6] = _E
+    chars[-5] = np.where(e < 0, _MINUS, _PLUS)
+    chars[-4] = ae // 100 + _ZERO
+    chars[-3] = ae // 10 % 10 + _ZERO
+    chars[-2] = ae % 10 + _ZERO
+    keep[-4] &= ae >= 100
+
+
+def _blocks(v: np.ndarray):
+    """Consecutive runs of _BLOCK cells of a flat array."""
+    return (v[lo:lo + _BLOCK] for lo in range(0, v.size, _BLOCK))
+
+
+def _printed(values: list, decimals: list, layout, one) -> list:
+    """layout's tokens for the fast cells of each block, one(value) for the others."""
+    tokens = []
+    for dec in decimals:
+        base = len(tokens)
+        tokens += layout(dec)
+        for k in np.flatnonzero(~dec.fast).tolist():
+            tokens[base + k] = one(values[base + k])
+    return tokens
+
+
+def _sci_block(dec: _Decimal) -> list:
+    """'{:.11e}' of each fast cell from its digits; "" for the others."""
+    digits = _digits(dec.k)
+    # rows: sign, d, ".", 11 digits, exponent (5), separator
+    chars = np.empty((20, dec.fast.size), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[0], keep[0] = _MINUS, dec.negative
+    chars[1] = digits[0]
+    chars[2] = _DOT
+    chars[3:14] = digits[1:]
+    _exponent_rows(chars, keep, dec.exponent)
+    keep[:, ~dec.fast] = False
+    return _join(chars, keep)
+
+
+def _json_float(value: float) -> str:
+    """What json.dumps writes for one float."""
+    token = repr(value)
+    return _JSON_NONFINITE.get(token, token)
+
+
+def _repr_block(dec: _Decimal) -> list:
+    """float.__repr__ of the double nearest each fast cell's 12 digits; "" for the others.
+
+    For a normal double no other decimal of at most 12 digits rounds to the
+    same value, so its shortest repr is those digits without trailing zeros:
+    fixed notation for exponents -4 .. 15 (0.000123, 1230.0), scientific
+    otherwise (1.23e-05, 1e+16).
+    """
+    digits = _digits(dec.k)
+    e = dec.exponent
+    significant = digits != _ZERO
+    count = np.where(significant.any(axis=0), 12 - np.argmax(significant[::-1], axis=0), 1)
+    fixed = (e >= -4) & (e <= 15)
+    small, large, sci = fixed & (e < 0), fixed & (e >= 0), ~fixed
+    last = np.where(large, np.maximum(count, e + 2), count)  # integer digits + "0"
+    # rows: sign, "0." and 3 zeros (small e), 17 x (digit, dot), exponent (5), separator
+    chars = np.empty((46, dec.fast.size), dtype=np.uint8)
+    keep = np.empty(chars.shape, dtype=bool)
+    chars[0], keep[0] = _MINUS, dec.negative
+    chars[1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+    keep[1:3] = small
+    for z in range(3):
+        keep[3 + z] = small & (z < -e - 1)
+    for place in range(17):
+        chars[6 + 2 * place] = digits[place] if place < 12 else _ZERO
+        keep[6 + 2 * place] = place < last
+        chars[7 + 2 * place] = _DOT
+        keep[7 + 2 * place] = large & (e == place)
+    keep[7] |= sci & (count > 1)
+    keep[40:45] = sci
+    _exponent_rows(chars, keep, e)
+    keep[:, ~dec.fast] = False
+    return _join(chars, keep)
 
 
 @dataclass(frozen=True)
 class _Cells:
-    """One column or axis, flat and row-major, with one CSV token per cell.
+    """One column or axis, flat and row-major.
 
-    kind is "float" (pinned), "int" or "str"; shape is the input's shape.
+    kind is "float", "int" or "str"; shape is the input's shape.  decimals
+    hold the digits of float cells pinned by a builder, one _Decimal per
+    _BLOCK cells; CSV and JSON print from them.
     """
 
     kind: str
     values: list
-    tokens: list
     shape: tuple = ()
+    decimals: list | None = None
 
     def nested(self) -> tuple:
         rows, width = self.shape
@@ -75,14 +256,38 @@ class _Cells:
 
 
 def _pinned(array) -> _Cells:
-    """Pin cells to 12 significant digits: one format and one parse per cell."""
+    """Pin cells to 12 significant digits: each becomes float() of its .11e string.
+
+    For a fast cell with |exponent - 11| <= 22 both k and 10^|exponent - 11|
+    are exact doubles, so one IEEE multiply or divide gives the correctly
+    rounded value float() would (Clinger's fast path); other cells are
+    formatted and parsed one by one.
+    """
     array = np.asarray(array, dtype=float)
-    tokens = list(map(_token, array.ravel().tolist()))
-    values = list(map(float, tokens))
-    size = np.abs(np.array(values))
-    for k in np.flatnonzero((size > 0.0) & (size < sys.float_info.min)).tolist():
-        tokens[k] = _token(values[k])  # a pinned subnormal can print differently
-    return _Cells("float", values, tokens, array.shape)
+    values, decimals = [], []
+    for block in _blocks(array.ravel()):
+        dec = _decimal(block)
+        m = dec.exponent - 11
+        exact = dec.fast & (np.abs(m) <= _EXACT_POW10)
+        q = _scale(dec.k, np.where(exact, m, 0))
+        pinned = np.where(dec.negative, -q, q).tolist()
+        for k in np.flatnonzero(~exact).tolist():
+            pinned[k] = float(_token(float(block[k])))
+        values += pinned
+        decimals.append(dec)
+    return _Cells("float", values, array.shape, decimals)
+
+
+def _tokens(cells: _Cells) -> list:
+    """The CSV token of each cell."""
+    if cells.kind == "str":
+        return cells.values
+    if cells.kind == "int":
+        return list(map(str, map(int, cells.values)))
+    decimals = cells.decimals
+    if decimals is None:
+        decimals = list(map(_decimal, _blocks(np.array(cells.values, dtype=float))))
+    return _printed(cells.values, decimals, _sci_block, _token)
 
 
 def _cells_of(values) -> _Cells:
@@ -90,21 +295,10 @@ def _cells_of(values) -> _Cells:
     values = list(values)
     kinds = set(map(type, values))
     if kinds <= {str}:
-        return _Cells("str", values, values)
+        return _Cells("str", values)
     if all(issubclass(k, (int, np.integer)) for k in kinds):
-        return _Cells("int", values, list(map(str, map(int, values))))
-    return _Cells("float", values, list(map(_token, values)))
-
-
-def _parse_token(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token
+        return _Cells("int", values)
+    return _Cells("float", values)
 
 
 @dataclass(frozen=True)
@@ -164,10 +358,10 @@ def phase_artifact(grid: RegimeGrid, provenance: dict) -> GridArtifact:
     labels = list(map(str, np.ravel(grid.label).tolist()))
     return _artifact(
         "phase-diagram", "p", _pinned(grid.p_values),
-        "n_shots", _Cells("int", shots, list(map(str, shots))),
+        "n_shots", _Cells("int", shots),
         {"pec_success": _pinned(grid.pec_success),
          "raw_success": _pinned(grid.raw_success),
-         "label": _Cells("str", labels, labels, np.shape(grid.label))},
+         "label": _Cells("str", labels, np.shape(grid.label))},
         provenance,
     )
 
@@ -192,48 +386,61 @@ def grid_to_csv(artifact: GridArtifact) -> str:
         lines.append(f"# {key}={artifact.provenance[key]}")
     names = list(artifact.columns)
     lines.append(",".join([artifact.row_name, artifact.col_name] + names))
-    row_tokens = chain.from_iterable(repeat(t, len(cols.tokens)) for t in rows.tokens)
-    cells = zip(row_tokens, cols.tokens * len(rows.tokens),
-                *(columns[name].tokens for name in names))
+    row_tokens, col_tokens = _tokens(rows), _tokens(cols)
+    cells = zip(chain.from_iterable(repeat(t, len(col_tokens)) for t in row_tokens),
+                col_tokens * len(row_tokens), *(_tokens(columns[name]) for name in names))
     return "\n".join(chain(lines, map(",".join, cells))) + "\n"
 
 
+_KINDS = (int, float, str)
+_PARSE_ROWS = 2048  # rows split at a time: bounds the token strings alive at once
+
+
+def _parse_columns(rows: list, width: int) -> list:
+    """Each column's values: all ints if every token is one, else all floats, else strs.
+
+    A column whose token fails its kind moves on to the next kind, and the
+    rows are parsed again; a float column fails int at its first token.
+    """
+    kinds = [0] * width
+    while True:
+        columns = [[] for _ in range(width)]
+        try:
+            for start in range(0, len(rows), _PARSE_ROWS):
+                tokens = ",".join(rows[start:start + _PARSE_ROWS]).split(",")
+                for column, values in enumerate(columns):
+                    values += map(_KINDS[kinds[column]], tokens[column::width])
+            return columns
+        except ValueError:
+            kinds[column] += 1
+
+
 def parse_grid_csv(text: str) -> GridArtifact:
+    lines = list(filter(str.strip, text.splitlines()))
+    is_meta = np.array(list(map(str.startswith, lines, repeat("#"))), dtype=bool)
     meta = {}
-    header = None
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            meta[key.strip()] = value.strip()
-        elif header is None:
-            header = line.split(",")
-        else:
-            rows.append([_parse_token(tok) for tok in line.split(",")])
-    if header is None or not rows:
+    for line in compress(lines, is_meta.tolist()):
+        key, _, value = line[1:].strip().partition("=")
+        meta[key.strip()] = value.strip()
+    body = list(compress(lines, (~is_meta).tolist()))
+    if len(body) < 2:
         raise ValidationError("CSV grid has no data rows")
+    header, rows = body[0].split(","), body[1:]
+    if set(map(str.count, rows, repeat(","))) != {len(header) - 1}:
+        raise ValidationError(f"CSV grid rows must have {len(header)} fields")
     kind = meta.pop("kind", "grid")
     if "seed" in meta:
         meta["seed"] = int(meta["seed"])
     row_name, col_name, *names = header
-    row_values, col_values = [], []
-    for row in rows:
-        if row[0] not in row_values:
-            row_values.append(row[0])
-        if row[1] not in col_values:
-            col_values.append(row[1])
-    shape = (len(row_values), len(col_values))
-    if shape[0] * shape[1] != len(rows):
+    row_cells, col_cells, *cells = _parse_columns(rows, len(header))
+    row_values, col_values = tuple(dict.fromkeys(row_cells)), tuple(dict.fromkeys(col_cells))
+    height, width = len(row_values), len(col_values)
+    if height * width != len(rows):
         raise ValidationError("CSV grid is ragged or out of order")
-    columns = {}
-    for k, name in enumerate(names):
-        grid = [[row[2 + k] for row in rows[i * shape[1]:(i + 1) * shape[1]]]
-                for i in range(shape[0])]
-        columns[name] = tuple(tuple(r) for r in grid)
-    return GridArtifact(kind=kind, row_name=row_name, row_values=tuple(row_values),
-                        col_name=col_name, col_values=tuple(col_values),
+    columns = {name: tuple(tuple(values[i * width:(i + 1) * width]) for i in range(height))
+               for name, values in zip(names, cells)}
+    return GridArtifact(kind=kind, row_name=row_name, row_values=row_values,
+                        col_name=col_name, col_values=col_values,
                         columns=columns, provenance=meta)
 
 
@@ -242,10 +449,12 @@ def parse_grid_csv(text: str) -> GridArtifact:
 def _json_tokens(cells: _Cells) -> list:
     """What json.dumps writes for each cell."""
     if cells.kind == "float":
-        reprs = list(map(float.__repr__, cells.values))
-        return list(map(_JSON_NONFINITE.get, reprs, reprs))
+        if cells.decimals is None:  # values need not be pinned: repr each
+            reprs = list(map(float.__repr__, cells.values))
+            return list(map(_JSON_NONFINITE.get, reprs, reprs))
+        return _printed(cells.values, cells.decimals, _repr_block, _json_float)
     if cells.kind == "int":
-        return cells.tokens
+        return _tokens(cells)
     quoted = {s: json.dumps(s) for s in set(cells.values)}
     return list(map(quoted.__getitem__, cells.values))
 
@@ -317,12 +526,15 @@ def _ramp_colors(values) -> list:
     v = np.clip(np.where(finite, v, 0.0), 0.0, 1.0)
     seg = np.searchsorted(_RAMP_STOPS[1:], v)  # the first upper stop >= v
     lo, hi = _RAMP_STOPS[seg], _RAMP_STOPS[seg + 1]
-    f = ((v - lo) / (hi - lo))[:, None]
-    c0, c1 = _RAMP_RGB[seg], _RAMP_RGB[seg + 1]
-    rgb = np.rint(c0 + f * (c1 - c0)).astype(np.intp)
-    colors = "#" + _HEX[rgb[:, 0]] + _HEX[rgb[:, 1]] + _HEX[rgb[:, 2]]
-    colors[~finite] = _NO_COLOR
-    return colors.tolist()
+    f = (v - lo) / (hi - lo)
+    c0, c1 = _RAMP_RGB[:, seg], _RAMP_RGB[:, seg + 1]
+    rgb = np.rint(c0 + f * (c1 - c0)).astype(np.uint8)
+    rgb[:, ~finite] = _NO_RGB[:, None]
+    chars = np.empty((8, v.size), dtype=np.uint8)  # "#rrggbb" and a separator
+    chars[0] = ord("#")
+    chars[1:7:2] = _HEX_DIGITS[rgb >> 4]
+    chars[2:7:2] = _HEX_DIGITS[rgb & 15]
+    return _join(chars)
 
 
 def _colors(name: str, cells: _Cells) -> list:
@@ -338,6 +550,7 @@ def grid_to_svg(artifact: GridArtifact, cell: int = 8) -> str:
     block is embedded as a <metadata> element.
     """
     rows, cols, columns = _flat(artifact)
+    row_tokens, col_tokens = _tokens(rows), _tokens(cols)
     names = list(artifact.columns)
     n_rows = len(artifact.row_values)
     n_cols = len(artifact.col_values)
@@ -370,11 +583,11 @@ def grid_to_svg(artifact: GridArtifact, cell: int = 8) -> str:
                                       colors[i * n_cols:(i + 1) * n_cols], repeat('"/>')))
         parts.append(
             f'<text x="{x0}" y="{y0 + panel_h + 14}" font-family="monospace" '
-            f'font-size="10">{artifact.col_name}: {cols.tokens[0]}'
-            f' .. {cols.tokens[-1]}</text>')
+            f'font-size="10">{artifact.col_name}: {col_tokens[0]}'
+            f' .. {col_tokens[-1]}</text>')
     parts.append(
         f'<text x="{margin}" y="{height - 8}" font-family="monospace" '
-        f'font-size="10">{artifact.row_name}: {rows.tokens[0]} .. '
-        f'{rows.tokens[-1]} (bottom to top)</text>')
+        f'font-size="10">{artifact.row_name}: {row_tokens[0]} .. '
+        f'{row_tokens[-1]} (bottom to top)</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

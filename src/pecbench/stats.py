@@ -1,8 +1,9 @@
 """Normal-distribution tail and interval probabilities.
 
 The error function is delegated to the platform libm (documented accuracy
-well below 1e-12 over the real line); odd symmetry is enforced exactly by
-evaluating on |x| and restoring the sign.  All probabilities are clamped to
+well below 1e-12 over the real line) through math.erf, mapped over the
+cells as one list; odd symmetry is enforced exactly by evaluating on |x|
+and restoring the sign with np.copysign.  All probabilities are clamped to
 [0, 1] to keep round-off from leaking out of the invariant.
 
 Every function takes floats or broadcastable arrays, applies the scalar
@@ -19,8 +20,6 @@ import numpy as np
 from .errors import ValidationError
 
 _SQRT2 = math.sqrt(2.0)
-
-_odd_erf = np.frompyfunc(lambda v: math.copysign(math.erf(abs(v)), v), 1, 1)
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,8 @@ def erf(x):
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValidationError("erf argument must not be NaN")
-    return _float_if_scalar(_odd_erf(x))
+    magnitude = np.fromiter(map(math.erf, np.abs(x).ravel().tolist()), float, x.size)
+    return _float_if_scalar(np.copysign(magnitude.reshape(x.shape), x))
 
 
 def _clamp(p):

@@ -115,6 +115,36 @@ def test_tie_rule_rounds_like_the_builtin():
     assert labels.tolist() == [[LABEL_RAW, LABEL_PEC, LABEL_NONE]]
 
 
+def _winner_reference(pec: float, raw: float, threshold: float) -> str:
+    if max(pec, raw) < threshold:
+        return LABEL_NONE
+    return LABEL_RAW if round(raw, 3) >= round(pec, 3) else LABEL_PEC
+
+
+def test_tie_rule_matches_the_builtin_on_half_way_cells():
+    rng = np.random.default_rng(3)
+    # every half-milli in [0, 1], the documented cases, and their neighbours
+    centres = np.concatenate([(np.arange(2000) + 0.5) / 1000,
+                              [0.9585, 0.0005, 0.9995, 0.0015, 0.1235, 0.5, 1.0, 0.0]])
+    near = [centres]
+    for way in (0.0, 2.0):
+        step = centres
+        for _ in range(3):
+            step = np.nextafter(step, way)
+            near.append(step)
+    near = np.concatenate(near)
+    # pec and raw both near half-millis, on either side of each other
+    pec = np.concatenate([near, rng.permutation(near), np.round(near, 3), rng.random(20_000)])
+    raw = np.concatenate([rng.permutation(near), near, near, rng.random(20_000)])
+    pec, raw = np.clip(pec, 0.0, 1.0), np.clip(raw, 0.0, 1.0)
+    for threshold in (0.0, 0.5, 0.95):
+        got = _winner(pec.reshape(1, -1), raw.reshape(1, -1), threshold)[0].tolist()
+        want = [_winner_reference(p, r, threshold) for p, r in zip(pec.tolist(), raw.tolist())]
+        assert got == want
+    assert _winner(np.array([[0.001]]), np.array([[0.0005]]), 0.0).tolist() == [[LABEL_RAW]]
+    assert _winner(np.array([[1.0]]), np.array([[0.9995]]), 0.0).tolist() == [[LABEL_RAW]]
+
+
 def _odd_erf(x: float) -> float:
     return math.copysign(math.erf(abs(x)), x)
 

@@ -166,6 +166,21 @@ WIDE_PINNED_ARTIFACTS = {
 }
 
 
+# The benchmark's grid workload: 200x200 axes, P 1e-5..1e-1 x shots 1..1e6
+# and the default centering ranges, on the reference instance
+BENCH_AXES = ("\n[sweep]\np_min = 1e-5\np_max = 1e-1\np_points = 200\n"
+              "shots_min = 1\nshots_max = 1e6\nshots_points = 200\n"
+              "[centering]\nshift_points = 200\nwidth_points = 200\n")
+BENCH_PINNED_ARTIFACTS = {
+    ("phase-diagram", "csv"): "9f161feff7d36b3918c2ba73c3b33b18b6f66f45be61a8a91f39b0b42102c4da",
+    ("phase-diagram", "json"): "c930a46b78b038162f4d6c3c6b29c1dacfd55fd25cc5ab9c7cb42d33ad1ebd78",
+    ("phase-diagram", "svg"): "fa20bd5dc94af65050dfd04f92ba1fadfadbb09493452f30dcf05d5f63f328e0",
+    ("centering", "csv"): "276651ee263779469e0a73608bfd0b838e88aae4ea7e0e627dbc989e4b745331",
+    ("centering", "json"): "b54cf98252ffce4539b5ca83693d4bf1761cb127fd8eb98b6f0062bb0d4edc39",
+    ("centering", "svg"): "d4fe2e8e241670525c3bdadbbb3e6a61696b16f8540471f9d86eb044fb669e56",
+}
+
+
 @pytest.mark.parametrize("command, fmt", PINNED_ARTIFACTS.keys(),
                          ids=[f"{c}-{f}" for c, f in PINNED_ARTIFACTS])
 def test_reference_artifacts_are_pinned(tmp_path, command, fmt):
@@ -184,6 +199,17 @@ def test_wide_axis_artifacts_are_pinned(tmp_path, command, fmt):
     assert main([command, "--config", str(cfg), "--format", fmt,
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_PINNED_ARTIFACTS[command, fmt]
+
+
+@pytest.mark.parametrize("command, fmt", BENCH_PINNED_ARTIFACTS.keys(),
+                         ids=[f"{c}-{f}" for c, f in BENCH_PINNED_ARTIFACTS])
+def test_benchmark_axis_artifacts_are_pinned(tmp_path, command, fmt):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(Path(REFERENCE_CFG).read_text() + BENCH_AXES)
+    out = tmp_path / f"artifact.{fmt}"
+    assert main([command, "--config", str(cfg), "--format", fmt,
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_PINNED_ARTIFACTS[command, fmt]
 
 
 def test_centering_reports_region_max(tmp_path):

@@ -1,5 +1,8 @@
 import json
 import math
+import time
+import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,10 @@ from pecbench.config import config_hash, load_config, parse_config_dict
 from pecbench.errors import ConfigError, ValidationError
 from pecbench.report import (
     GridArtifact,
+    _cells_of,
+    _json_tokens,
+    _pinned,
+    _tokens,
     centering_artifact,
     grid_to_csv,
     grid_to_json,
@@ -294,3 +301,104 @@ def test_emitters_match_cellwise_oracle():
         assert emit(artifact) == want
         assert emit(elsewhere) == want
     assert "9.99999999998e-313" in grid_to_csv(artifact)
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _assert_digits_match_oracles(values) -> np.ndarray:
+    """Pinning, CSV and JSON tokens of flat cells against format/float/repr, cell by cell.
+
+    Returns the cells' fast-path mask.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    want_tokens = list(map("{:.11e}".format, values.tolist()))
+    want_pinned = list(map(float, want_tokens))
+    cells = _pinned(values)
+    assert np.array_equal(np.array(cells.values).view(np.int64),
+                          np.array(want_pinned).view(np.int64))
+    assert _tokens(cells) == list(map("{:.11e}".format, want_pinned))
+    reprs = list(map(repr, want_pinned))
+    assert _json_tokens(cells) == list(map(_JSON_NONFINITE.get, reprs, reprs))
+    # cells not pinned here are formatted from their own digits
+    assert _tokens(_cells_of(values.tolist())) == want_tokens
+    return np.concatenate([dec.fast for dec in cells.decimals])
+
+
+def test_pinning_and_tokens_match_oracles_on_a_million_doubles():
+    rng = np.random.default_rng(20261018)
+    chunk = 100_000
+    for _ in range(4):
+        fast = _assert_digits_match_oracles(rng.random(chunk))
+        assert fast.mean() > 0.99
+    for _ in range(4):
+        signs = rng.choice([-1.0, 1.0], chunk)
+        fast = _assert_digits_match_oracles(signs * 10.0 ** rng.uniform(-120, 120, chunk))
+        assert fast.mean() > 0.99
+    for _ in range(2):  # every exponent, subnormals, infinities and nans
+        _assert_digits_match_oracles(rng.integers(0, 2**64, chunk, dtype=np.uint64,
+                                                  endpoint=False).view(np.float64))
+
+
+def test_pinning_exact_half_way_decimals():
+    # n / 2^p with n * 5^p a 13-digit integer is exactly half-way between
+    # two 12-digit decimals, as are 13-digit integers ending in 5
+    rng = np.random.default_rng(5)
+    values = []
+    for p in range(1, 18):
+        lo, hi = -(-10**12 // 5**p), 10**13 // 5**p
+        for n in rng.integers(lo, hi, 200).tolist():
+            values.append((n | 1) / 2**p)
+    values += [float(n * 10 + 5) for n in rng.integers(10**11, 10**12, 500).tolist()]
+    for v in values:  # the exact binary value has 13 significant digits, the last a 5
+        digits = Decimal(v).normalize().as_tuple().digits
+        assert len(digits) == 13 and digits[-1] == 5
+    values = np.array(values)
+    _assert_digits_match_oracles(np.concatenate([values, -values]))
+
+
+def test_pinning_powers_of_ten_and_edges():
+    powers = np.array([float(f"1e{m}") for m in range(-323, 309)])
+    carries = np.array([float(f"9.999999999995e{m}") for m in range(-300, 308)])
+    cells = []
+    for base in (powers, carries):
+        for way in (-np.inf, np.inf):
+            step = base
+            for _ in range(3):
+                cells.append(step)
+                step = np.nextafter(step, way)
+    tiny = np.finfo(float).tiny
+    edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+             tiny, np.nextafter(tiny, 0.0), 1e-310, 1.000000000003e-312,
+             np.finfo(float).max, -np.finfo(float).max, 1.797693134865e308,
+             1e-297, np.nextafter(1e-297, 0.0), 1e307, 9.999999999995e307,
+             # three-digit exponents
+             1.234e-150, -5e200, 1e100, 9.99999999999e99, 9.999999999995e99, 1.5e-100]
+    _assert_digits_match_oracles(np.concatenate(cells + [np.array(edges)]))
+
+
+def test_parse_grid_csv_200x200_and_ragged_rows():
+    shift = np.linspace(0.0, 0.99, 200)
+    width = np.logspace(-2, 0, 200)
+    grid = np.outer(shift, width) / 3.0
+    artifact = centering_artifact(shift, width, grid, grid.T, -grid,
+                                  make_provenance("c0ffee0000000000", 1))
+    text = grid_to_csv(artifact)
+    start = time.perf_counter()
+    parsed = parse_grid_csv(text)
+    elapsed = time.perf_counter() - start
+    assert parsed == artifact and grid_to_csv(parsed) == text
+    assert elapsed < 0.5  # a list scan per row took 0.9 s
+    # rows are split a chunk at a time: splitting all 200,000 tokens at
+    # once peaked at 29 MB here, a 3.6 MB text
+    tracemalloc.start()
+    try:
+        parse_grid_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * len(text)
+    lines = text.splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+    with pytest.raises(ValidationError, match="must have 5 fields"):
+        parse_grid_csv("\n".join(lines) + "\n")

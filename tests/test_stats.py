@@ -109,3 +109,21 @@ def test_normal_spec_validation():
         NormalSpec(np.zeros(3), np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValidationError):
         NormalSpec(np.array([0.0, math.inf]), 1.0)
+
+
+def test_erf_is_bitwise_the_odd_libm_erf():
+    rng = np.random.default_rng(11)
+    tiny = np.finfo(float).tiny
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    xs = np.concatenate([
+        3.0 * rng.standard_normal(200_000),
+        rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-320, 300, 100_000),
+        bits[~np.isnan(bits)],
+        [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, tiny, -tiny, 6.0, -6.0],
+    ])
+    want = np.array([math.copysign(math.erf(abs(x)), x) for x in xs.tolist()])
+    got = erf(xs)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    grid = xs[:40_000].reshape(200, 200)
+    assert np.array_equal(erf(grid).view(np.int64), want[:40_000].reshape(200, 200).view(np.int64))
+    assert math.copysign(1.0, erf(-0.0)) == -1.0
