@@ -52,12 +52,12 @@ def cmd_norm(config: RunConfig, args) -> str:
         report = {"norm2_squared": norm2sq, "trace_over_d": trace_over_d,
                   "term_count": None, "source": "explicit"}
     else:
-        decomp = hubbard.build_hubbard_pauli(spec)
+        norm2sq, trace_over_d, term_count = hubbard.norm_summary(spec)
         report = {
-            "norm2_squared": hubbard.norm2_squared(decomp),
-            "trace_over_d": decomp.identity_coefficient,
-            "term_count": len(decomp.terms),
-            "qubits": decomp.n,
+            "norm2_squared": norm2sq,
+            "trace_over_d": trace_over_d,
+            "term_count": term_count,
+            "qubits": spec.qubits,
             "source": "model",
         }
     report["config_hash"] = config_hash(config)

@@ -151,8 +151,8 @@ class RunConfig:
         explicit = self.data.get("hamiltonian")
         if explicit is not None:
             return explicit["norm2_squared"], explicit["trace_over_d"]
-        decomp = hubbard.build_hubbard_pauli(self.hubbard_spec())
-        return hubbard.norm2_squared(decomp), decomp.identity_coefficient
+        norm2sq, trace_over_d, _ = hubbard.norm_summary(self.hubbard_spec())
+        return norm2sq, trace_over_d
 
     def estimated_norm_quantities(self) -> tuple[float, float]:
         """_norm_quantities of a Hamiltonian that has something to estimate.

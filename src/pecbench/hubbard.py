@@ -21,6 +21,15 @@ exact_ground_energy is its energy.  The decomposition has O(L) terms,
 each with two masks of up to n = 2L bits, so its masks take O(L^2) bytes; a
 lattice whose masks could exceed MAX_MASK_BYTES is refused before any mask is
 built.
+
+hubbard_terms yields the terms one by one; build_hubbard_pauli collects them
+into a dict and norm_summary keeps only their coefficients.  The dict is
+super-linear at large n: Python hashes an int modulo 2^61 - 1, so 2^a and
+2^(a+61) hash alike, and a mask with one or two set bits, or one run of them,
+has one of a few thousand hashes whatever n is.  The 17,600 keys of a 40x40
+lattice have 596 distinct hashes, so each insert walks a chain of keys and
+compares n-bit ints.  A caller that wants only the norm should call
+norm_summary.
 """
 
 from __future__ import annotations
@@ -165,13 +174,14 @@ def _bit(n: int, mode: int) -> int:
     return 1 << (n - 1 - mode)
 
 
-def build_hubbard_pauli(spec: HubbardSpec) -> PauliDecomposition:
-    """Jordan-Wigner qubit decomposition of the Hubbard Hamiltonian.
+def hubbard_terms(spec: HubbardSpec):
+    """Jordan-Wigner terms of the Hubbard Hamiltonian as ((x, z), coeff) pairs.
 
     Per edge and spin sector: two hopping terms (XZ..ZX and YZ..ZY) with
     coefficient -t/2.  Per site: a ZZ term with +U/4 on the paired up/down
-    modes.  Per mode: a single Z with mu/2 - U/4.  Identity weight:
-    U*L/4 - mu*L.
+    modes.  Per mode: a single Z with mu/2 - U/4.  They come in that order,
+    and a term whose coefficient is 0.0 is left out.  No two terms share a
+    key.  The identity weight is identity_coefficient_closed_form.
     """
     L = spec.sites
     n = spec.qubits
@@ -183,28 +193,41 @@ def build_hubbard_pauli(spec: HubbardSpec) -> PauliDecomposition:
             f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols) needs up to "
             f"{size / 2**30:.1f} GiB of Pauli masks, over the "
             f"{MAX_MASK_BYTES / 2**30:.0f} GiB cap")
-    terms: dict[tuple[int, int], float] = {}
-
-    def add(key: tuple[int, int], coeff: float) -> None:
-        terms[key] = terms.get(key, 0.0) + coeff
-
-    for a, b in lattice_edges(spec.rows, spec.cols, spec.boundary):
-        for offset in (0, L):  # spin-up then spin-down sector
-            p, q = a + offset, b + offset
-            x = _bit(n, p) | _bit(n, q)
-            run = ((1 << (q - p - 1)) - 1) << (n - q)  # Z on the modes strictly between
-            add((x, run), -spec.t / 2.0)
-            add((x, x | run), -spec.t / 2.0)
-
+    hop = -spec.t / 2.0
+    if hop != 0.0:
+        for a, b in lattice_edges(spec.rows, spec.cols, spec.boundary):
+            for offset in (0, L):  # spin-up then spin-down sector
+                p, q = a + offset, b + offset
+                x = _bit(n, p) | _bit(n, q)
+                run = ((1 << (q - p - 1)) - 1) << (n - q)  # Z on the modes strictly between
+                yield (x, run), hop
+                yield (x, x | run), hop
+    pair = spec.U / 4.0
+    if pair != 0.0:
+        for s in range(L):
+            yield (0, _bit(n, s) | _bit(n, L + s)), pair
     z_coeff = spec.mu / 2.0 - spec.U / 4.0
-    for s in range(L):
-        add((0, _bit(n, s) | _bit(n, L + s)), spec.U / 4.0)
-    for mode in range(n):
-        add((0, _bit(n, mode)), z_coeff)
+    if z_coeff != 0.0:
+        for mode in range(n):
+            yield (0, _bit(n, mode)), z_coeff
 
-    terms = {key: c for key, c in terms.items() if c != 0.0}
-    identity = spec.U * L / 4.0 - spec.mu * L
-    return PauliDecomposition(n=n, terms=terms, identity_coefficient=identity)
+
+def build_hubbard_pauli(spec: HubbardSpec) -> PauliDecomposition:
+    """The Hubbard Hamiltonian as a PauliDecomposition of hubbard_terms."""
+    return PauliDecomposition(n=spec.qubits, terms=dict(hubbard_terms(spec)),
+                              identity_coefficient=identity_coefficient_closed_form(spec))
+
+
+def norm_summary(spec: HubbardSpec) -> tuple[float, float, int]:
+    """(norm2_squared, identity_coefficient, term count) of build_hubbard_pauli.
+
+    Bitwise equal to the same three figures of the decomposition: the squares
+    are summed in the same order by the same builtin sum.  No decomposition
+    is built, so the cost is linear in the size of the masks.
+    """
+    coeffs = [coeff for _, coeff in hubbard_terms(spec)]
+    return (float(sum(c * c for c in coeffs)), identity_coefficient_closed_form(spec),
+            len(coeffs))
 
 
 def norm2_squared(decomp: PauliDecomposition) -> float:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pecbench import hubbard
 from pecbench.cli import main
 from pecbench.config import _SCHEMA
 from pecbench.report import parse_grid_csv, parse_grid_json
@@ -210,6 +211,47 @@ def test_benchmark_axis_artifacts_are_pinned(tmp_path, command, fmt):
     assert main([command, "--config", str(cfg), "--format", fmt,
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_PINNED_ARTIFACTS[command, fmt]
+
+
+# The benchmark's scale workload: the reference instance on a 40x40 periodic
+# lattice, with the [circuit] defaults (D = L, n = 2L).  Its couplings are
+# dyadic, so norm2_squared is an exact sum on any Python.
+SCALE_PINNED_ARTIFACTS = {
+    "norm": "692f35a3ee297a38d14751d4c3deb1cb822f688ec3622e06a31458d0fd107b4d",
+    "success": "0fefd280bdfa9158d95a0c0ebe1c01ab4e7339b93a8a53b53e18186aac2fc53c",
+}
+
+
+def _lattice_cfg(tmp_path, side):
+    """The reference instance on a side x side periodic lattice, no [circuit]."""
+    text = Path(REFERENCE_CFG).read_text()
+    circuit = "[circuit]\nlayers = 64\nqubits = 128\n\n"
+    assert circuit in text
+    path = tmp_path / f"lattice{side}.cfg"
+    path.write_text(text.replace(circuit, "").replace("rows = 8", f"rows = {side}")
+                    .replace("cols = 8", f"cols = {side}"))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", SCALE_PINNED_ARTIFACTS)
+def test_scale_lattice_artifacts_are_pinned(tmp_path, command):
+    out = tmp_path / "artifact.json"
+    assert main([command, "--config", _lattice_cfg(tmp_path, 40), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCALE_PINNED_ARTIFACTS[command]
+
+
+def test_norm_and_success_build_no_decomposition(tmp_path, capsys, monkeypatch):
+    """norm and success need three scalars, not the dict of 100x100 masks."""
+    def refuse(self):
+        raise AssertionError("a PauliDecomposition was built")
+
+    monkeypatch.setattr(hubbard.PauliDecomposition, "__post_init__", refuse)
+    cfg = _lattice_cfg(tmp_path, 100)
+    assert main(["norm", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    edges = hubbard.lattice_edges(100, 100, "periodic")
+    assert report["term_count"] == 4 * len(edges) + 3 * 100 * 100
+    assert main(["success", "--config", cfg]) == 0
 
 
 def test_centering_reports_region_max(tmp_path):

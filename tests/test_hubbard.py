@@ -196,6 +196,30 @@ def test_large_periodic_build():
         hb.norm2_squared_closed_form(spec), rel=1e-12)
 
 
+@pytest.mark.parametrize("rows, cols, boundary, t, U, mu", [
+    (1, 1, "open", 1.0, 8.0, 3.75),
+    (1, 2, "periodic", 1.0, 8.0, 3.75),
+    (2, 2, "periodic", 0.3, 7.1, 2.9),  # wrap edges coincide with interior ones
+    (2, 5, "periodic", 0.3, 7.1, 2.9),
+    (7, 9, "open", -1.3, 2.2, 0.7),
+    (40, 40, "periodic", 0.3, 7.1, 2.9),
+    (3, 4, "periodic", 0.0, 7.1, 2.9),  # no hopping terms
+    (3, 4, "periodic", 0.3, 0.0, 2.9),  # no ZZ terms
+    (3, 4, "periodic", 0.3, 7.1, 3.55),  # mu = U/2: no single-Z terms
+    (3, 4, "periodic", -0.0, -0.0, -0.0),
+    (3, 4, "periodic", 0.3, 5e-324, 2.9),  # U/4 underflows to 0.0
+    (3, 4, "periodic", 5e-324, 7.1, 2.9),  # -t/2 underflows to -0.0
+])
+def test_norm_summary_is_bitwise_the_decomposition(rows, cols, boundary, t, U, mu):
+    spec = hb.HubbardSpec(rows, cols, boundary, t, U, mu)
+    decomp = hb.build_hubbard_pauli(spec)
+    assert hb.norm_summary(spec) == (hb.norm2_squared(decomp), decomp.identity_coefficient,
+                                     len(decomp.terms))
+    terms = list(hb.hubbard_terms(spec))
+    assert len(dict(terms)) == len(terms)  # no key repeats
+    assert all(coeff != 0.0 for _, coeff in terms)
+
+
 # the criterion-6 lattices of test_acceptance, plus a 5-site chain
 SECTOR_LATTICES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1), (2, 2), (1, 5)]
 
