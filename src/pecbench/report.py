@@ -5,42 +5,32 @@ version, seed) and round-trips through its serialized form: numeric cells
 are pinned to 12 significant digits at artifact-construction time, so
 parse(emit(x)) == x and re-emission is byte-identical.
 
-Emission is array-first: numpy computes each float cell's 12 digits once,
-and Python touches single cells only where those fast paths flag them.
-For e = floor(log10|v|) the integer k = rint(|v| 10^(11 - e)) holds the
-digits ``.11e`` prints, unless the cell sits within the scaling error
-(<= 2.3e-4) of a half-integer.  The pinned value is float() of that
-string, which one IEEE multiply or divide of k by an exact 10^|e - 11|
-gives when |e - 11| <= 22 (Clinger's fast path).  Flagged cells (non-finite,
-|v| outside [1e-297, 1e308), near a tie, or out of that exponent range for
-the value) are formatted with ``.11e`` and parsed one by one.
-CSV tokens are the ``.11e`` strings of the pinned values.  For a normal
-float or zero that is the string it was pinned from, so the digits above
-are written into one byte array and split once.  A subnormal carries
-fewer significant bits, so its pinned value can print differently
-(1.000000000003e-312 formats as 1.00000000000e-312 and pins to a value
-that prints as 9.99999999998e-313); subnormal cells are flagged and
-formatted from the pinned value.  Non-finite cells format as nan / inf /
--inf.
-JSON cells are the pinned floats' repr, built from the same digits: no
-other decimal of at most 12 digits rounds to a normal pinned double, so
-its repr is those digits without trailing zeros, in fixed notation for
-exponents -4 .. 15 and scientific otherwise.  Grid bodies are laid out in
-json.dumps's indent-2 layout; json.dumps itself writes only the names and
-provenance.
-SVG cells are colored by one numpy pass over a fixed ramp: each value is
-clipped to [0, 1], takes the first ramp segment whose upper stop it does
-not exceed, and each channel is rounded with np.rint, half to even like
-the builtin round; the "#rrggbb" strings are written into one byte array.
-Non-finite cells are grey.  SVG output is a pure function of the
-artifact — no timestamps — with the provenance embedded as metadata text.
+Pinning is array-first: for e = floor(log10|v|), k = rint(|v| 10^(11 - e))
+holds the digits ``.11e`` prints unless the cell lies within the scaling
+error of a half-integer, and the pinned value is one IEEE multiply or divide
+of k by an exact power of ten (Clinger's fast path).  The other ("slow")
+cells are formatted and parsed one by one.
+
+CSV lines and JSON cells go through one byte writer.  A token's length
+comes from its sign, significant digits and exponent (fast floats) or from
+a table of distinct tokens (ints, strings, separators).  Records sit at the
+exclusive prefix sum of their lengths in one exact-size buffer, each byte
+position is one vectorized write, and slow cells' Python tokens are copied
+in.  CSV cells are '.11e' of the pinned values; subnormals are slow, as
+their pinned value can print differently.  JSON cells are the repr: the
+same digits without trailing zeros, fixed for exponents -4 .. 15.  SVG cells
+take a fixed ramp (clipped to [0, 1], channels rounded half to even,
+non-finite grey); each panel's rect lines are 2-D arrays filled from row
+templates.  The output is a pure function of the artifact.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from functools import partial
+from itertools import chain, compress, groupby, repeat
 
 import numpy as np
 
@@ -65,37 +55,27 @@ _token = "{:.11e}".format
 _RAMP_STOPS = np.array([stop for stop, _ in COLOR_RAMP])
 _RAMP_RGB = np.array([rgb for _, rgb in COLOR_RAMP], dtype=float).T  # channel x stop
 _NO_RGB = np.frombuffer(bytes.fromhex(_NO_COLOR[1:]), dtype=np.uint8)
-_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # 10^m as the nearest double (int -> float rounds correctly), m = 0 .. 308;
 # exact up to m = 22
 _POW10 = np.array([float(10 ** m) for m in range(309)])
 _EXACT_POW10 = 22
-_ZERO, _DOT, _MINUS, _PLUS, _E, _COMMA = b"0.-+e,"
+_ZERO, _DOT, _MINUS, _PLUS, _E = b"0.-+e"
 # exact digits need the scaled cell's distance to a half-integer to beat
 # its scaling error, <= 2 roundings x 2^-53 x 1e12 = 2.3e-4
 _TIE_MARGIN = 1e-3
 # cells per numpy pass: a block's temporaries stay under 100 kB, where a
 # whole 40,000-cell column would hold megabytes of them at once
 _BLOCK = 2048
+# bytes past the writer's output, where slow cells' digit writes land
+_SINK = 32
+_EXPONENT_DIGITS = (np.arange(309) // np.array([[100], [10], [1]]) % 10 + _ZERO).astype(np.uint8)
+_PLACES = np.arange(1, 13, dtype=np.uint8)[:, None]
 
 
-class _Decimal:
-    """Flat float cells rounded to 12 significant digits, as .11e rounds them.
-
-    A fast cell is (-1)^negative * k * 10^(exponent - 11), with k an integer
-    in [1e11, 1e12), or k = 0 for a zero.  The other cells (non-finite,
-    |v| outside [1e-297, 1e308), or within the scaling error of a half-way
-    decimal) are printed one by one.  A plain class: a dataclass would add
-    about 2 ms to every import.
-    """
-
-    __slots__ = ("negative", "k", "exponent", "fast")
-
-    def __init__(self, negative: np.ndarray, k: np.ndarray, exponent: np.ndarray,
-                 fast: np.ndarray):
-        self.negative, self.k, self.exponent, self.fast = negative, k, exponent, fast
+# .11e's rounding of flat float cells: (-1)^negative k 10^(exponent - 11), k in [1e11, 1e12) or 0
+_Decimal = namedtuple("_Decimal", "negative k exponent fast")
 
 
 def _scale(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -133,107 +113,52 @@ def _digits(k: np.ndarray) -> np.ndarray:
     q = k.astype(np.int64)
     digits = np.empty((12, q.size), dtype=np.uint8)
     for place in range(11, -1, -1):
-        q, digits[place] = np.divmod(q, 10)
+        tenth = q // 10  # np.divmod and % take longer
+        digits[place] = q - 10 * tenth
+        q = tenth
     digits += _ZERO
     return digits
 
 
-def _join(chars: np.ndarray, keep: np.ndarray | None = None) -> list:
-    """One str per cell from (width, cells) arrays of bytes and keep flags.
+# --- the byte writer ----------------------------------------------------
 
-    Column j holds cell j's bytes, so every write that builds them is a
-    contiguous row; the last row is the separator.
+def _written(n: int, fields: list) -> str:
+    """n records, each its fields' tokens back to back, as one str.
+
+    A field is (lengths, put): its tokens' byte counts (an int when all
+    match) and put(buf, start), which writes each token at its offset and
+    nowhere else.  Records sit at the exclusive prefix sum of their lengths,
+    a field at its record's offset plus the lengths of the fields before it
+    (Blelloch, "Prefix sums and their applications", CMU-CS-90-190).
     """
-    chars[-1] = _COMMA
-    if keep is None:
-        kept = chars.T.tobytes()
-    else:
-        keep[-1] = True
-        kept = chars.T.ravel()[keep.T.ravel()].tobytes()
-    return kept.decode().split(",")[:-1]
+    if not n:
+        return ""
+    width = sum(lengths for lengths, _ in fields)
+    ends = np.cumsum(np.broadcast_to(width, (n,)))
+    buf, start = np.empty(int(ends[-1]) + _SINK, dtype=np.uint8), ends - width
+    for lengths, put in fields:
+        put(buf, start)
+        start = start + lengths
+    return str(buf[:-_SINK], "utf-8")
 
 
-def _exponent_rows(chars: np.ndarray, keep: np.ndarray, e: np.ndarray) -> None:
-    """Write e+XX / e-XXX into the 5 rows before the separator."""
-    ae = np.abs(e)
-    chars[-6] = _E
-    chars[-5] = np.where(e < 0, _MINUS, _PLUS)
-    chars[-4] = ae // 100 + _ZERO
-    chars[-3] = ae // 10 % 10 + _ZERO
-    chars[-2] = ae % 10 + _ZERO
-    keep[-4] &= ae >= 100
+def _table(tokens: list, choice=None) -> tuple:
+    """The field of tokens[choice[r]] in record r, or of tokens[0] in all."""
+    data = [token.encode() for token in tokens]
+    width, keep = max(map(len, data)), 0 if choice is None else choice
+    lengths = np.array(list(map(len, data)))[keep]
+    columns = np.frombuffer(b"".join(d.ljust(width) for d in data), dtype=np.uint8)
+    columns = columns.reshape(len(data), width).T.copy()  # byte b of each token
 
-
-def _blocks(v: np.ndarray):
-    """Consecutive runs of _BLOCK cells of a flat array."""
-    return (v[lo:lo + _BLOCK] for lo in range(0, v.size, _BLOCK))
-
-
-def _printed(values: list, decimals: list, layout, one) -> list:
-    """layout's tokens for the fast cells of each block, one(value) for the others."""
-    tokens = []
-    for dec in decimals:
-        base = len(tokens)
-        tokens += layout(dec)
-        for k in np.flatnonzero(~dec.fast).tolist():
-            tokens[base + k] = one(values[base + k])
-    return tokens
-
-
-def _sci_block(dec: _Decimal) -> list:
-    """'{:.11e}' of each fast cell from its digits; "" for the others."""
-    digits = _digits(dec.k)
-    # rows: sign, d, ".", 11 digits, exponent (5), separator
-    chars = np.empty((20, dec.fast.size), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    chars[0], keep[0] = _MINUS, dec.negative
-    chars[1] = digits[0]
-    chars[2] = _DOT
-    chars[3:14] = digits[1:]
-    _exponent_rows(chars, keep, dec.exponent)
-    keep[:, ~dec.fast] = False
-    return _join(chars, keep)
-
-
-def _json_float(value: float) -> str:
-    """What json.dumps writes for one float."""
-    token = repr(value)
-    return _JSON_NONFINITE.get(token, token)
-
-
-def _repr_block(dec: _Decimal) -> list:
-    """float.__repr__ of the double nearest each fast cell's 12 digits; "" for the others.
-
-    For a normal double no other decimal of at most 12 digits rounds to the
-    same value, so its shortest repr is those digits without trailing zeros:
-    fixed notation for exponents -4 .. 15 (0.000123, 1230.0), scientific
-    otherwise (1.23e-05, 1e+16).
-    """
-    digits = _digits(dec.k)
-    e = dec.exponent
-    significant = digits != _ZERO
-    count = np.where(significant.any(axis=0), 12 - np.argmax(significant[::-1], axis=0), 1)
-    fixed = (e >= -4) & (e <= 15)
-    small, large, sci = fixed & (e < 0), fixed & (e >= 0), ~fixed
-    last = np.where(large, np.maximum(count, e + 2), count)  # integer digits + "0"
-    # rows: sign, "0." and 3 zeros (small e), 17 x (digit, dot), exponent (5), separator
-    chars = np.empty((46, dec.fast.size), dtype=np.uint8)
-    keep = np.empty(chars.shape, dtype=bool)
-    chars[0], keep[0] = _MINUS, dec.negative
-    chars[1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
-    keep[1:3] = small
-    for z in range(3):
-        keep[3 + z] = small & (z < -e - 1)
-    for place in range(17):
-        chars[6 + 2 * place] = digits[place] if place < 12 else _ZERO
-        keep[6 + 2 * place] = place < last
-        chars[7 + 2 * place] = _DOT
-        keep[7 + 2 * place] = large & (e == place)
-    keep[7] |= sci & (count > 1)
-    keep[40:45] = sci
-    _exponent_rows(chars, keep, e)
-    keep[:, ~dec.fast] = False
-    return _join(chars, keep)
+    def put(buf, start):
+        shortest = int(np.min(lengths))
+        for b in range(shortest):
+            buf[start + b] = columns[b][keep]
+        longer = np.flatnonzero(lengths > shortest)
+        for b in range(shortest, width):  # the tokens that have a byte b
+            longer = longer[lengths[longer] > b]
+            buf[start[longer] + b] = columns[b][keep[longer]]
+    return lengths, put
 
 
 @dataclass(frozen=True)
@@ -265,7 +190,8 @@ def _pinned(array) -> _Cells:
     """
     array = np.asarray(array, dtype=float)
     values, decimals = [], []
-    for block in _blocks(array.ravel()):
+    for lo in range(0, array.size, _BLOCK):
+        block = array.ravel()[lo:lo + _BLOCK]
         dec = _decimal(block)
         m = dec.exponent - 11
         exact = dec.fast & (np.abs(m) <= _EXACT_POW10)
@@ -278,16 +204,92 @@ def _pinned(array) -> _Cells:
     return _Cells("float", values, array.shape, decimals)
 
 
-def _tokens(cells: _Cells) -> list:
-    """The CSV token of each cell."""
-    if cells.kind == "str":
-        return cells.values
-    if cells.kind == "int":
-        return list(map(str, map(int, cells.values)))
-    decimals = cells.decimals
-    if decimals is None:
-        decimals = list(map(_decimal, _blocks(np.array(cells.values, dtype=float))))
-    return _printed(cells.values, decimals, _sci_block, _token)
+def _float_field(cells: _Cells, take, as_json: bool) -> tuple:
+    """The field of float cells' tokens: cell take[r] in record r.
+
+    A fast cell is written from its sign, 12 digits and exponent: '{:.11e}',
+    or in JSON the digits without trailing zeros after "0." and -e - 1 zeros
+    (e = -4 .. -1), with a "." after place e and at least one place after it
+    (e = 0 .. 15), else as d.ddde-XX.  Place p lands at start + sign + shift
+    + p, one further past the ".".  Slow cells' digits go to the sink.
+    """
+    values = cells.values
+    decimals = cells.decimals or [_decimal(np.array(values, dtype=float))]
+    negative, k, e, fast = map(np.concatenate, zip(*decimals))
+    fast &= cells.decimals is not None or not as_json  # unpinned values: repr each
+    cell = np.arange(fast.size) if take is None else np.asarray(take)
+    negative, e, fast, digits = negative[cell], e[cell], fast[cell], _digits(k[cell])
+    sign, three = negative.astype(np.int64), np.abs(e) >= 100
+    if as_json:
+        count = np.maximum(((digits != _ZERO) * _PLACES).max(axis=0), 1).astype(np.int64)
+        small, large = (e >= -4) & (e < 0), (e >= 0) & (e <= 15)
+        places = np.where(large, np.maximum(count, e + 2), count)
+        shift = np.where(small, 1 - e, 0)
+        dot = np.where(large, e, np.where(small, 16, 0))  # the place "." follows
+        has_dot, sci = ~small & (places > dot + 1), ~(small | large)
+    else:
+        places, shift, dot, has_dot, sci = 12, 0, 0, True, True
+    lengths = sign + shift + places + has_dot + sci * (4 + three)
+    slow = np.flatnonzero(~fast)
+    tokens = [float.__repr__(values[i]) if as_json else _token(values[i])
+              for i in cell[slow].tolist()]
+    tokens = [_JSON_NONFINITE.get(t, t) for t in tokens] if as_json else tokens
+    lengths[slow] = size = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # in its token
+
+    def put(buf, start):
+        buf[np.repeat(start[slow], size) + offset] = np.frombuffer(
+            "".join(tokens).encode(), dtype=np.uint8)
+        start = np.where(fast, start, buf.size - _SINK)
+        buf[start[np.flatnonzero(negative)]] = _MINUS
+        first = start + sign + shift
+        if as_json:
+            lead = np.flatnonzero(small)
+            for q, byte in enumerate(b"0.000"):  # past the zeros: on digit 0, written below
+                buf[first[lead] - shift[lead] + np.minimum(q, shift[lead])] = byte
+            point = np.flatnonzero(has_dot)
+            buf[first[point] + dot[point] + 1] = _DOT
+        else:
+            buf[first + 1] = _DOT
+        top = places - 1
+        for p in range(int(np.max(places)) - 1, -1, -1):  # a place past the last
+            c = np.minimum(p, top)  # lands on the last, which is written after it
+            buf[first + (c + (c > dot))] = digits[p] if p < 12 else _ZERO
+        exp = np.flatnonzero(sci) if as_json else slice(None)
+        at, power, wide = (first + (places + has_dot))[exp], e[exp], three[exp]
+        magnitude = np.abs(power)
+        buf[at], buf[at + 1] = _E, np.where(power < 0, np.uint8(_MINUS), np.uint8(_PLUS))
+        buf[at[wide] + 2] = _EXPONENT_DIGITS[0][magnitude[wide]]
+        at = at + wide  # a two-digit exponent starts with its tens
+        buf[at + 2] = _EXPONENT_DIGITS[1][magnitude]
+        buf[at + 3] = _EXPONENT_DIGITS[2][magnitude]
+    return lengths, put
+
+
+def _field(cells: _Cells, take=None, as_json: bool = False) -> tuple:
+    """The field of each cell's CSV (or JSON) token, or of cell take[r] in record r."""
+    if not cells.values:
+        return _table([""])
+    if cells.kind == "float":
+        return _float_field(cells, take, as_json)
+    distinct = list(dict.fromkeys(cells.values))
+    index = {value: i for i, value in enumerate(distinct)}
+    choice = np.fromiter(map(index.__getitem__, cells.values), np.intp, len(cells.values))
+    tokens = ([str(int(v)) for v in distinct] if cells.kind == "int"
+              else list(map(json.dumps, distinct)) if as_json else distinct)
+    return _table(tokens, choice if take is None else choice[take])
+
+
+def _tokens(cells: _Cells, take=None, as_json: bool = False) -> list:
+    """Each cell's CSV (or JSON) token, cut from the writer's output."""
+    lengths, _ = field = _field(cells, take, as_json)
+    n = len(cells.values if take is None else take)
+    ends = np.cumsum(np.broadcast_to(lengths, (n,))).tolist()
+    data = _written(n, [field]).encode()
+    return [data[a:b].decode() for a, b in zip([0] + ends[:-1], ends)]
+
+
+_json_tokens = partial(_tokens, as_json=True)  # what json.dumps writes for each cell
 
 
 def _cells_of(values) -> _Cells:
@@ -386,10 +388,11 @@ def grid_to_csv(artifact: GridArtifact) -> str:
         lines.append(f"# {key}={artifact.provenance[key]}")
     names = list(artifact.columns)
     lines.append(",".join([artifact.row_name, artifact.col_name] + names))
-    row_tokens, col_tokens = _tokens(rows), _tokens(cols)
-    cells = zip(chain.from_iterable(repeat(t, len(col_tokens)) for t in row_tokens),
-                col_tokens * len(row_tokens), *(_tokens(columns[name]) for name in names))
-    return "\n".join(chain(lines, map(",".join, cells))) + "\n"
+    i, j = np.divmod(np.arange(len(rows.values) * len(cols.values)), max(len(cols.values), 1))
+    fields = [_field(rows, i), _table([","]), _field(cols, j)]
+    for name in names:
+        fields += [_table([","]), _field(columns[name])]
+    return "\n".join(lines) + "\n" + _written(i.size, fields + [_table(["\n"])])
 
 
 _KINDS = (int, float, str)
@@ -446,19 +449,6 @@ def parse_grid_csv(text: str) -> GridArtifact:
 
 # --- JSON --------------------------------------------------------------
 
-def _json_tokens(cells: _Cells) -> list:
-    """What json.dumps writes for each cell."""
-    if cells.kind == "float":
-        if cells.decimals is None:  # values need not be pinned: repr each
-            reprs = list(map(float.__repr__, cells.values))
-            return list(map(_JSON_NONFINITE.get, reprs, reprs))
-        return _printed(cells.values, cells.decimals, _repr_block, _json_float)
-    if cells.kind == "int":
-        return _tokens(cells)
-    quoted = {s: json.dumps(s) for s in set(cells.values)}
-    return list(map(quoted.__getitem__, cells.values))
-
-
 def _json_block(items, depth: int, brackets: str = "[]") -> str:
     """A container of rendered items as json.dumps(indent=2) lays it out at depth."""
     if not items:
@@ -474,7 +464,6 @@ def _json_member(key: str, rendered: str) -> str:
 def grid_to_json(artifact: GridArtifact) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) of the artifact, written by hand."""
     rows, cols, columns = _flat(artifact)
-    width = len(cols.values)
 
     def axis(name: str, cells: _Cells) -> str:
         return _json_block([_json_member("name", json.dumps(name)),
@@ -482,9 +471,13 @@ def grid_to_json(artifact: GridArtifact) -> str:
                            2, "{}")
 
     def grid(cells: _Cells) -> str:
-        tokens = _json_tokens(cells)
-        return _json_block([_json_block(tokens[i * width:(i + 1) * width], 3)
-                            for i in range(len(rows.values))], 2)
+        if not cells.values:
+            return _json_block(["[]"] * len(rows.values), 2)
+        row_end = (np.arange(1, len(cells.values) + 1) % len(cols.values) == 0).astype(np.intp)
+        row_sep = "\n      ],\n      ["  # between rows; a cell ends with a new line
+        body = _written(row_end.size, [_field(cells, as_json=True),
+                                       _table([",", row_sep], row_end), _table(["\n        "])])
+        return "[\n      [\n        " + body[:-len(row_sep) - 9] + "\n      ]\n    ]"
 
     provenance = json.dumps(artifact.provenance, sort_keys=True, indent=2)
     doc = _json_block([
@@ -519,28 +512,42 @@ def report_to_json(report: dict) -> str:
 
 # --- SVG ---------------------------------------------------------------
 
-def _ramp_colors(values) -> list:
-    """COLOR_RAMP hex colors of float cells; non-finite cells get _NO_COLOR."""
-    v = np.asarray(values, dtype=float)
+def _hex_colors(name: str, cells: _Cells) -> np.ndarray:
+    """Six ASCII hex digits per cell: its regime's color, else COLOR_RAMP's."""
+    if name == "label":
+        color = {v: REGIME_COLORS.get(str(v), _NO_COLOR)[1:] for v in set(cells.values)}
+        hexes = "".join(map(color.__getitem__, cells.values))
+        return np.frombuffer(hexes.encode(), dtype=np.uint8).reshape(-1, 6)
+    v = np.asarray(cells.values, dtype=float)
     finite = np.isfinite(v)
     v = np.clip(np.where(finite, v, 0.0), 0.0, 1.0)
     seg = np.searchsorted(_RAMP_STOPS[1:], v)  # the first upper stop >= v
-    lo, hi = _RAMP_STOPS[seg], _RAMP_STOPS[seg + 1]
-    f = (v - lo) / (hi - lo)
-    c0, c1 = _RAMP_RGB[:, seg], _RAMP_RGB[:, seg + 1]
-    rgb = np.rint(c0 + f * (c1 - c0)).astype(np.uint8)
-    rgb[:, ~finite] = _NO_RGB[:, None]
-    chars = np.empty((8, v.size), dtype=np.uint8)  # "#rrggbb" and a separator
-    chars[0] = ord("#")
-    chars[1:7:2] = _HEX_DIGITS[rgb >> 4]
-    chars[2:7:2] = _HEX_DIGITS[rgb & 15]
-    return _join(chars)
+    f = (v - _RAMP_STOPS[seg]) / (_RAMP_STOPS[seg + 1] - _RAMP_STOPS[seg])
+    rgb = np.stack([np.rint(c[seg] + f * (c[seg + 1] - c[seg])) for c in _RAMP_RGB], axis=1)
+    rgb = np.where(finite[:, None], rgb, _NO_RGB).astype(np.uint8)
+    nibble = np.stack([rgb >> 4, rgb & 15], axis=2).reshape(-1, 6)
+    return nibble + np.uint8(_ZERO) + (nibble > 9) * np.uint8(ord("a") - ord("9") - 1)
 
 
-def _colors(name: str, cells: _Cells) -> list:
-    if name == "label":
-        return list(map(REGIME_COLORS.get, map(str, cells.values), repeat(_NO_COLOR)))
-    return _ramp_colors(cells.values)
+def _rects(xs: list, ys: list, cell: int, hexes: np.ndarray) -> list:
+    """A panel's rect lines from its x and y tokens and (rows, cols x 6) hex digits.
+
+    Rows whose y token has one length share a byte layout, so each band of
+    them is one 2-D array: the row template (constant text and x tokens) is
+    broadcast into it, then its y and hex digits are column writes.
+    """
+    bands = []
+    for size, band in groupby(range(len(ys)), key=lambda i: len(ys[i])):
+        band = list(band)
+        template = np.frombuffer("".join(  # \x01 marks the y digits, \x02 the color's
+            f'<rect x="{x}" y="{chr(1) * size}" width="{cell}" height="{cell}" '
+            f'fill="#{chr(2) * 6}"/>\n' for x in xs).encode(), dtype=np.uint8)
+        rows = np.tile(template, (len(band), 1))
+        y = np.frombuffer("".join(ys[i] for i in band).encode(), dtype=np.uint8)
+        rows[:, template == 1] = np.tile(y.reshape(len(band), size), len(xs))
+        rows[:, template == 2] = hexes[band[0]:band[-1] + 1]
+        bands.append(str(rows, "ascii"))
+    return bands
 
 
 def grid_to_svg(artifact: GridArtifact, cell: int = 8) -> str:
@@ -550,44 +557,37 @@ def grid_to_svg(artifact: GridArtifact, cell: int = 8) -> str:
     block is embedded as a <metadata> element.
     """
     rows, cols, columns = _flat(artifact)
-    row_tokens, col_tokens = _tokens(rows), _tokens(cols)
     names = list(artifact.columns)
-    n_rows = len(artifact.row_values)
-    n_cols = len(artifact.col_values)
+    n_rows, n_cols = len(artifact.row_values), len(artifact.col_values)
+    row_tokens, col_tokens = (_tokens(c, [0, len(c.values) - 1]) for c in (rows, cols))
     margin, gap, title_h = 40, 30, 18
-    panel_w = n_cols * cell
-    panel_h = n_rows * cell
+    panel_w, panel_h = n_cols * cell, n_rows * cell
     width = margin * 2 + len(names) * panel_w + (len(names) - 1) * gap
     height = margin * 2 + panel_h + title_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n',
         "<metadata>"
         + " ".join(f"{k}={artifact.provenance[k]}" for k in sorted(artifact.provenance))
-        + f" kind={artifact.kind}</metadata>",
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        + f" kind={artifact.kind}</metadata>\n",
+        f'<rect width="{width}" height="{height}" fill="white"/>\n',
     ]
     y0 = margin + title_h
     # row 0 at the bottom so both axes increase up/right
-    middles = [f'{y0 + (n_rows - 1 - i) * cell}" width="{cell}" height="{cell}" fill="'
-               for i in range(n_rows)]
+    ys = [str(y0 + (n_rows - 1 - i) * cell) for i in range(n_rows)]
     for k, name in enumerate(names):
         x0 = margin + k * (panel_w + gap)
         parts.append(
             f'<text x="{x0}" y="{margin + 12}" font-family="monospace" '
-            f'font-size="12">{name}</text>')
-        prefixes = [f'<rect x="{x0 + j * cell}" y="' for j in range(n_cols)]
-        colors = _colors(name, columns[name])
-        for i, middle in enumerate(middles):
-            parts += map("".join, zip(prefixes, repeat(middle),
-                                      colors[i * n_cols:(i + 1) * n_cols], repeat('"/>')))
+            f'font-size="12">{name}</text>\n')
+        hexes = _hex_colors(name, columns[name]).reshape(n_rows, -1)
+        parts += _rects([str(x0 + j * cell) for j in range(n_cols)], ys, cell, hexes)
         parts.append(
             f'<text x="{x0}" y="{y0 + panel_h + 14}" font-family="monospace" '
             f'font-size="10">{artifact.col_name}: {col_tokens[0]}'
-            f' .. {col_tokens[-1]}</text>')
+            f' .. {col_tokens[-1]}</text>\n')
     parts.append(
         f'<text x="{margin}" y="{height - 8}" font-family="monospace" '
         f'font-size="10">{artifact.row_name}: {row_tokens[0]} .. '
-        f'{row_tokens[-1]} (bottom to top)</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        f'{row_tokens[-1]} (bottom to top)</text>\n</svg>\n')
+    return "".join(parts)
