@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, gib
 
 # The sector solver's cap: 7 sites (14 qubits), whose largest (N_up, N_dn)
 # block has C(7, 3)^2 = 1,225 states.  That solve takes 1.3 s and 190 MB; at
@@ -191,7 +191,7 @@ def hubbard_terms(spec: HubbardSpec):
     if size > MAX_MASK_BYTES:
         raise CapacityError(
             f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols) needs up to "
-            f"{size / 2**30:.1f} GiB of Pauli masks, over the "
+            f"{gib(size)} GiB of Pauli masks, over the "
             f"{MAX_MASK_BYTES / 2**30:.0f} GiB cap")
     hop = -spec.t / 2.0
     if hop != 0.0:

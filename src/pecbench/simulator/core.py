@@ -21,8 +21,10 @@ each non-identity term reads
 
 The <P_j>_0 come once from the ground vector; per shot the kernel XORs the
 twirls' (x, z) masks and takes one parity per term, with no d x d matrix.
-A local (per-qubit or per-gate) noise model does not commute with the
-twirls and would break this identity.
+Every Pauli channel commutes with Pauli conjugation, so a local one such as
+per-qubit depolarizing keeps this identity: it only changes each term's
+decay, to (1-p)^{wt(P_j)} per layer, which this kernel does not model.
+Non-Pauli noise, or gates between the layers, would break it.
 
 Randomness is counter-based (Salmon et al., SC'11): shots are grouped in
 fixed blocks of SHOT_BLOCK = 4,096, and each block draws from one Philox
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import hubbard
-from ..errors import CapacityError, NumericDomainError, ValidationError
+from ..errors import CapacityError, NumericDomainError, ValidationError, gib
 from ..noise import HamiltonianSummary, NoiseCircuitSpec, gamma_layer, gamma_total, noisy_mean
 from ..stats import erf
 
@@ -154,7 +156,7 @@ def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
     if size > MAX_DRAW_BYTES:
         raise CapacityError(
             f"[simulate] shots = {n_shots} at [circuit] layers = {layers} need "
-            f"{size / 2**30:.1f} GiB of random draws, over the "
+            f"{gib(size)} GiB of random draws, over the "
             f"{MAX_DRAW_BYTES / 2**30:.0f} GiB cap")
     u_branch = np.empty((n_shots, layers))
     twirl_idx = np.empty((n_shots, layers), dtype=np.int64)

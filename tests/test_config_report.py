@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,6 +302,100 @@ def test_emitters_match_cellwise_oracle():
         assert emit(artifact) == want
         assert emit(elsewhere) == want
     assert "9.99999999998e-313" in grid_to_csv(artifact)
+
+
+def _writer_cells(rng, shape) -> np.ndarray:
+    """Seeded cells over every token layout the byte writer has.
+
+    Ordinary values and CSV/JSON layout edges: negatives, -0.0, subnormals,
+    three-digit exponents, 1e15 / 1e16 and 1e-4 / 1e-5 (fixed against
+    scientific repr), cells within 1e-3 of a half-way decimal (slow), nan and
+    infinities.
+    """
+    cells = rng.random(shape)
+    cells[rng.random(shape) < 0.3] *= -1.0
+    scaled = rng.random(shape) < 0.2
+    cells[scaled] *= 10.0 ** rng.integers(-30, 31, int(scaled.sum()))
+    specials = [-0.0, 0.0, 5e-324, -1.000000000003e-312, 2.2250738585e-308, 1.234e-150,
+                -5e200, 1e100, 9.999999999995e99, 1e16, -1e15, 123456789012.5, 1e-4, 1e-5,
+                0.5, 1.0, 0.12345678901250001,  # within 1e-3 of half-way, then exactly
+                123456789013 / 4, -12345678901 / 8, (2 * 10**11 + 1) / 2,
+                math.nan, math.inf, -math.inf]
+    flat = cells.ravel()
+    at = rng.permutation(flat.size)[:3 * len(specials)]
+    flat[at] = rng.permutation(np.tile(specials, 3))[:at.size]
+    return cells
+
+
+def _assert_emitters_match_oracles(artifact, reference) -> None:
+    elsewhere = GridArtifact(**vars(reference))  # not made by a builder
+    for emit, render in ((grid_to_csv, grid_csv_reference),
+                         (grid_to_json, grid_json_reference),
+                         (grid_to_svg, grid_svg_reference)):
+        want = render(reference)
+        assert emit(artifact) == want
+        assert emit(elsewhere) == want
+
+
+def test_writer_matches_oracles_across_a_block_boundary():
+    # 45 x 47 = 2,115 cells: the 2,048-cell pinning block ends mid-row 43
+    rng = np.random.default_rng(20261019)
+    shift, width = _writer_cells(rng, 45), _writer_cells(rng, 47)
+    shift[[0, 7, 44]], width[[3, 46]] = [math.nan, 5e-324, -0.0], [math.inf, 1e-300]
+    grids = [_writer_cells(rng, (45, 47)) for _ in range(3)]
+    for grid in grids:  # slow and sign-flipped cells on both sides of the boundary
+        grid.ravel()[2040:2056:3] = [math.nan, -0.0, -1e-310, 7e123, 0.12345678901250001, -2.5]
+        fast = np.concatenate([dec.fast for dec in _pinned(grid).decimals])
+        assert not fast[:2048].all() and not fast[2048:].all() and fast.mean() > 0.9
+    args = (shift, width, *grids, make_provenance("b10cb0ed00000000", 11))
+    _assert_emitters_match_oracles(centering_artifact(*args),
+                                   centering_artifact_reference(*args))
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 2050), (3, 1)])
+def test_writer_matches_oracles_on_thin_grids(rows, cols):
+    rng = np.random.default_rng(rows * 10_000 + cols)
+    args = (_writer_cells(rng, rows), _writer_cells(rng, cols),
+            *(_writer_cells(rng, (rows, cols)) for _ in range(3)),
+            make_provenance("7h1n000000000000", rows))
+    _assert_emitters_match_oracles(centering_artifact(*args),
+                                   centering_artifact_reference(*args))
+
+
+def test_writer_matches_oracles_on_a_phase_artifact():
+    rng = np.random.default_rng(3)
+    p_axis = np.array([1e-5, 3.3e-4, 2e-3, 0.05])
+    shots = np.array([1, 10, 999, 12_345, 1_000_000])
+    pec, raw = rng.random((4, 5)), rng.random((4, 5))
+    pec[0, 0], raw[1, 1], raw[2, 2] = 0.0, 1.0, 2.5e-320
+    labels = np.array([["PEC", "RAW", "NONE", "RAW", "PEC"]] * 4)
+    labels[3] = "NONE"
+    artifact = phase_artifact(RegimeGrid(p_axis, shots, pec, raw, labels),
+                              make_provenance("9ha5e00000000000", 5))
+    assert {cell for row in artifact.columns["label"] for cell in row} == {"PEC", "RAW", "NONE"}
+    assert all(isinstance(n, int) for n in artifact.col_values)
+    pinned = dict(artifact.columns, label=labels.tolist())
+    for name in ("pec_success", "raw_success"):
+        pinned[name] = [[float(f"{v:.11e}") for v in row] for row in dict(
+            pec_success=pec, raw_success=raw)[name]]
+    reference = SimpleNamespace(kind="phase-diagram", row_name="p",
+                                row_values=tuple(float(f"{v:.11e}") for v in p_axis),
+                                col_name="n_shots", col_values=tuple(map(int, shots)),
+                                columns={name: tuple(map(tuple, grid))
+                                         for name, grid in pinned.items()},
+                                provenance=artifact.provenance)
+    _assert_emitters_match_oracles(artifact, reference)
+
+
+def test_writer_matches_oracles_on_ints_and_strings():
+    # table tokens of unequal and zero length, and a non-ASCII one
+    artifact = GridArtifact(kind="grid", row_name="r", row_values=(7, -12, 0),
+                            col_name="c", col_values=("", "é", "long label"),
+                            columns={"note": (("", "a", "bc"), ("é", "", "x"), ("", "", "")),
+                                     "count": ((1, 22, 333), (-4, 0, 10**20), (5, 5, 5))},
+                            provenance=make_provenance("5757000000000000", 2))
+    for emit, render in ((grid_to_csv, grid_csv_reference), (grid_to_json, grid_json_reference)):
+        assert emit(artifact) == render(artifact)
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -1,11 +1,12 @@
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
 from pecbench import hubbard as hb
-from pecbench.errors import CapacityError, ValidationError
+from pecbench.errors import CapacityError, ValidationError, gib
 from pecbench.simulator.core import _term_data
 
 from oracles import (
@@ -304,3 +305,16 @@ def test_sector_solver_refusals():
     # 8 sites: refused before any 2^16 array is built
     with pytest.raises(CapacityError, match="capped at 7 sites"):
         hb.ground_state(hb.build_hubbard_pauli(hb.HubbardSpec(2, 4, "open", 1.0, 8.0, 3.75)))
+
+
+def test_mask_capacity_message_exceeds_the_cap():
+    # a 119x119 lattice needs 1.03 GiB of masks; ".1f" printed that as "1.0"
+    with pytest.raises(CapacityError) as raised:
+        hb.norm_summary(hb.HubbardSpec(119, 119, "periodic"))
+    message = str(raised.value)
+    figure = float(re.search(r"needs up to ([0-9.]+) GiB", message).group(1))
+    cap = hb.MAX_MASK_BYTES / 2**30
+    assert figure > cap and figure == 1.03
+    assert "[model] rows x [model] cols" in message and f"the {cap:.0f} GiB cap" in message
+    # the rule: round up at two decimals, so one byte over a cap reads over it
+    assert (gib(2**30), gib(2**30 + 1), gib(2**31 - 1)) == ("1.00", "1.01", "2.00")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,18 @@ def test_shot_draw_capacity():
         simcore._shot_draws(0, n_shots, 4, 4**4, 14)
     with pytest.raises(CapacityError):
         run_raw_estimate(SPEC, NOISE, 10**11, seed=0)
+
+
+def test_shot_draw_capacity_message_exceeds_the_cap():
+    # 14,913,081 shots x (2 x 4 + 10) draws x 8 bytes is 2.01 GiB; ".1f" printed "2.0"
+    with pytest.raises(CapacityError) as raised:
+        simcore._shot_draws(1, 14_913_081, 4, 16, 10)
+    message = str(raised.value)
+    figure = float(re.search(r"need ([0-9.]+) GiB", message).group(1))
+    cap = simcore.MAX_DRAW_BYTES / 2**30
+    assert figure > cap and figure == 2.01
+    assert message.startswith("[simulate] shots = 14913081 at [circuit] layers = 4 ")
+    assert f"the {cap:.0f} GiB cap" in message
 
 
 def test_noiseless_pec_is_unbiased():
