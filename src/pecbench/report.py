@@ -109,12 +109,15 @@ def _decimal(v: np.ndarray) -> _Decimal:
 
 
 def _digits(k: np.ndarray) -> np.ndarray:
-    """The 12 ASCII digits of each integer-valued k < 1e12, one row per place."""
-    q = k.astype(np.int64)
-    digits = np.empty((12, q.size), dtype=np.uint8)
+    """The 12 ASCII digits of each integer-valued float k < 1e12, one row per place.
+
+    floor(q * 0.1) is q // 10 there: the double 0.1 exceeds 1/10 by a relative
+    5.6e-17, too little to reach the next integer and never below q / 10.
+    """
+    digits, q = np.empty((12, k.size), dtype=np.uint8), k
     for place in range(11, -1, -1):
-        tenth = q // 10  # np.divmod and % take longer
-        digits[place] = q - 10 * tenth
+        tenth = np.floor(q * 0.1)  # 2-3x faster than int64 // 10
+        digits[place] = q - 10.0 * tenth
         q = tenth
     digits += _ZERO
     return digits
@@ -389,7 +392,7 @@ def grid_to_csv(artifact: GridArtifact) -> str:
     names = list(artifact.columns)
     lines.append(",".join([artifact.row_name, artifact.col_name] + names))
     i, j = np.divmod(np.arange(len(rows.values) * len(cols.values)), max(len(cols.values), 1))
-    fields = [_field(rows, i), _table([","]), _field(cols, j)]
+    fields = [_table(_tokens(rows), i), _table([","]), _table(_tokens(cols), j)]
     for name in names:
         fields += [_table([","]), _field(columns[name])]
     return "\n".join(lines) + "\n" + _written(i.size, fields + [_table(["\n"])])
