@@ -109,14 +109,10 @@ def _decimal(v: np.ndarray) -> _Decimal:
 
 
 def _digits(k: np.ndarray) -> np.ndarray:
-    """The 12 ASCII digits of each integer-valued float k < 1e12, one row per place.
-
-    floor(q * 0.1) is q // 10 there: the double 0.1 exceeds 1/10 by a relative
-    5.6e-17, too little to reach the next integer and never below q / 10.
-    """
+    """The 12 ASCII digits of each integer-valued k < 1e12, one row per place."""
     digits, q = np.empty((12, k.size), dtype=np.uint8), k
-    for place in range(11, -1, -1):
-        tenth = np.floor(q * 0.1)  # 2-3x faster than int64 // 10
+    for place in range(11, -1, -1):  # floor(q * 0.1) is q // 10: the double 0.1 is
+        tenth = np.floor(q * 0.1)  # just above 1/10, and 2-3x faster than int64 //
         digits[place] = q - 10.0 * tenth
         q = tenth
     digits += _ZERO
@@ -248,8 +244,9 @@ def _float_field(cells: _Cells, take, as_json: bool) -> tuple:
         first = start + sign + shift
         if as_json:
             lead = np.flatnonzero(small)
-            for q, byte in enumerate(b"0.000"):  # past the zeros: on digit 0, written below
-                buf[first[lead] - shift[lead] + np.minimum(q, shift[lead])] = byte
+            at, prefix = first[lead] - shift[lead], shift[lead]  # "0." and -e - 1 zeros
+            for q, byte in enumerate(b"0.000"):  # past the prefix: on digit 0, written below
+                buf[at + np.minimum(q, prefix)] = byte
             point = np.flatnonzero(has_dot)
             buf[first[point] + dot[point] + 1] = _DOT
         else:
@@ -547,7 +544,7 @@ def _rects(xs: list, ys: list, cell: int, hexes: np.ndarray) -> list:
             f'fill="#{chr(2) * 6}"/>\n' for x in xs).encode(), dtype=np.uint8)
         rows = np.tile(template, (len(band), 1))
         y = np.frombuffer("".join(ys[i] for i in band).encode(), dtype=np.uint8)
-        rows[:, template == 1] = np.tile(y.reshape(len(band), size), len(xs))
+        rows[:, np.flatnonzero(template == 1).reshape(-1, size)] = y.reshape(-1, 1, size)
         rows[:, template == 2] = hexes[band[0]:band[-1] + 1]
         bands.append(str(rows, "ascii"))
     return bands
