@@ -6,22 +6,22 @@ are pinned to 12 significant digits at artifact-construction time, so
 parse(emit(x)) == x and re-emission is byte-identical.
 
 Pinning is array-first: for e = floor(log10|v|), k = rint(|v| 10^(11 - e))
-holds the digits ``.11e`` prints unless the cell lies within the scaling
-error of a half-integer, and the pinned value is one IEEE multiply or divide
-of k by an exact power of ten (Clinger's fast path).  The other ("slow")
-cells are formatted and parsed one by one.
+holds the digits ``.11e`` prints, and the pinned value is one IEEE multiply
+or divide of k by an exact power of ten (Clinger's fast path).  "Slow" cells
+(non-finite, subnormal, |v| outside [1e-297, 1e308), or within the scaling
+error of a half-way decimal) are formatted and parsed one by one.
 
-CSV lines and JSON cells go through one byte writer.  A token's length
-comes from its sign, significant digits and exponent (fast floats) or from
-a table of distinct tokens (ints, strings, separators).  Records sit at the
-exclusive prefix sum of their lengths in one exact-size buffer, each byte
-position is one vectorized write, and slow cells' Python tokens are copied
-in.  CSV cells are '.11e' of the pinned values; subnormals are slow, as
-their pinned value can print differently.  JSON cells are the repr: the
-same digits without trailing zeros, fixed for exponents -4 .. 15.  SVG cells
-take a fixed ramp (clipped to [0, 1], channels rounded half to even,
-non-finite grey); each panel's rect lines are 2-D arrays filled from row
-templates.  The output is a pure function of the artifact.
+CSV lines and JSON cells go through one byte writer.  It sums each record's
+token lengths: a fast float's from its sign, digit count and exponent, the
+others' from tables of distinct tokens (ints, strings, the separators).  A
+CSV line joins the row, column and cell tokens with "," and ends in a new
+line; a JSON cell is followed by "," or its row's "],", then a new line.
+Records sit at the exclusive prefix sum of the lengths in one exact-size
+buffer, each byte position is one vectorized write, and slow cells' Python
+tokens are copied in.  CSV cells are '.11e' of the pinned values, JSON cells
+their repr: the digits without trailing zeros, fixed for exponents -4 .. 15.
+SVG cells take a fixed ramp (clipped to [0, 1], channels rounded half to even,
+non-finite grey); a panel's rect lines are 2-D arrays filled from templates.
 """
 
 from __future__ import annotations

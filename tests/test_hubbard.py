@@ -308,7 +308,7 @@ def test_sector_solver_refusals():
 
 
 def test_mask_capacity_message_exceeds_the_cap():
-    # a 119x119 lattice needs 1.03 GiB of masks; ".1f" printed that as "1.0"
+    # a 119x119 lattice needs 1.03 GiB of masks, a figure that must read over the 1 GiB cap
     with pytest.raises(CapacityError) as raised:
         hb.norm_summary(hb.HubbardSpec(119, 119, "periodic"))
     message = str(raised.value)

@@ -204,7 +204,7 @@ def test_shot_draw_capacity():
 
 
 def test_shot_draw_capacity_message_exceeds_the_cap():
-    # 14,913,081 shots x (2 x 4 + 10) draws x 8 bytes is 2.01 GiB; ".1f" printed "2.0"
+    # 14,913,081 shots x (2 x 4 + 10) draws x 8 bytes is 2.01 GiB, over the 2 GiB cap
     with pytest.raises(CapacityError) as raised:
         simcore._shot_draws(1, 14_913_081, 4, 16, 10)
     message = str(raised.value)
