@@ -144,7 +144,7 @@ def _written(n: int, fields: list) -> str:
 def _table(tokens: list, choice=None) -> tuple:
     """The field of tokens[choice[r]] in record r, or of tokens[0] in all."""
     data = [token.encode() for token in tokens]
-    width, keep = max(map(len, data)), 0 if choice is None else choice
+    width, keep = max(map(len, data), default=0), 0 if choice is None else choice
     lengths = np.array(list(map(len, data)))[keep]
     columns = np.frombuffer(b"".join(d.ljust(width) for d in data), dtype=np.uint8)
     columns = columns.reshape(len(data), width).T.copy()  # byte b of each token

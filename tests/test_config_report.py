@@ -394,8 +394,11 @@ def test_writer_matches_oracles_on_ints_and_strings():
                             columns={"note": (("", "a", "bc"), ("é", "", "x"), ("", "", "")),
                                      "count": ((1, 22, 333), (-4, 0, 10**20), (5, 5, 5))},
                             provenance=make_provenance("5757000000000000", 2))
+    empty = GridArtifact(kind="grid", row_name="r", row_values=(), col_name="c", col_values=(),
+                         columns={"v": ()}, provenance=artifact.provenance)
     for emit, render in ((grid_to_csv, grid_csv_reference), (grid_to_json, grid_json_reference)):
         assert emit(artifact) == render(artifact)
+        assert emit(empty) == render(empty)
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
