@@ -1,15 +1,18 @@
 """Artifact emission: CSV / JSON grids and static SVG heatmaps.
 
 Every grid artifact carries a provenance block (config hash, package
-version, seed) and round-trips through its serialized form: numeric cells
-are pinned to 12 significant digits at artifact-construction time, so
-parse(emit(x)) == x and re-emission is byte-identical.
+version, seed) and round-trips through its serialized form: GridArtifact's
+constructor pins the float cells to 12 significant digits, for the builders,
+the parsers and direct callers alike, so parse(emit(x)) == x and
+re-emission is byte-identical.  Every emitter reads the cells and digits
+that construction stored.
 
-Pinning is array-first: for e = floor(log10|v|), k = rint(|v| 10^(11 - e))
-holds the digits ``.11e`` prints, and the pinned value is one IEEE multiply
-or divide of k by an exact power of ten (Clinger's fast path).  "Slow" cells
-(non-finite, subnormal, |v| outside [1e-297, 1e308), or within the scaling
-error of a half-way decimal) are formatted and parsed one by one.
+Pinning is one numpy pass per column: for e = floor(log10|v|),
+k = rint(|v| 10^(11 - e)) holds the digits ``.11e`` prints, and the pinned
+value is one IEEE multiply or divide of k by an exact power of ten
+(Clinger's fast path).  "Slow" cells (non-finite, subnormal, |v| outside
+[1e-297, 1e308), or within the scaling error of a half-way decimal) are
+formatted and parsed one by one.
 
 CSV lines and JSON cells go through one byte writer.  It sums each record's
 token lengths: a fast float's from its sign, digit count and exponent, the
@@ -28,9 +31,9 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, groupby, repeat
+from itertools import compress, groupby, repeat
 
 import numpy as np
 
@@ -65,9 +68,6 @@ _ZERO, _DOT, _MINUS, _PLUS, _E = b"0.-+e"
 # exact digits need the scaled cell's distance to a half-integer to beat
 # its scaling error, <= 2 roundings x 2^-53 x 1e12 = 2.3e-4
 _TIE_MARGIN = 1e-3
-# cells per numpy pass: a block's temporaries stay under 100 kB, where a
-# whole 40,000-cell column would hold megabytes of them at once
-_BLOCK = 2048
 # bytes past the writer's output, where slow cells' digit writes land
 _SINK = 32
 _EXPONENT_DIGITS = (np.arange(309) // np.array([[100], [10], [1]]) % 10 + _ZERO).astype(np.uint8)
@@ -160,51 +160,40 @@ def _table(tokens: list, choice=None) -> tuple:
     return lengths, put
 
 
-@dataclass(frozen=True)
-class _Cells:
-    """One column or axis, flat and row-major.
+def _cells_of(values) -> tuple:
+    """(values, digits) of an axis or column: its cells as one flat array, and their _Decimal.
 
-    kind is "float", "int" or "str"; shape is the input's shape.  decimals
-    hold the digits of float cells pinned by a builder, one _Decimal per
-    _BLOCK cells; CSV and JSON print from them.
+    Strings stay strings and integers (numpy's too) Python ints, with digits
+    None; any other field is float and pinned to 12 significant digits: each
+    cell becomes float() of its .11e string.  For a fast cell with
+    |exponent - 11| <= 22 both k and 10^|exponent - 11| are exact doubles, so
+    one IEEE multiply or divide gives the correctly rounded value float()
+    would (Clinger's fast path); other cells are formatted and parsed one by
+    one.  A pinned cell pins to itself, bit for bit.
     """
-
-    kind: str
-    values: list
-    shape: tuple = ()
-    decimals: list | None = None
-
-    def nested(self) -> tuple:
-        rows, width = self.shape
-        return tuple(tuple(self.values[i * width:(i + 1) * width]) for i in range(rows))
-
-
-def _pinned(array) -> _Cells:
-    """Pin cells to 12 significant digits: each becomes float() of its .11e string.
-
-    For a fast cell with |exponent - 11| <= 22 both k and 10^|exponent - 11|
-    are exact doubles, so one IEEE multiply or divide gives the correctly
-    rounded value float() would (Clinger's fast path); other cells are
-    formatted and parsed one by one.
-    """
-    array = np.asarray(array, dtype=float)
-    values, decimals = [], []
-    for lo in range(0, array.size, _BLOCK):
-        block = array.ravel()[lo:lo + _BLOCK]
-        dec = _decimal(block)
-        m = dec.exponent - 11
-        exact = dec.fast & (np.abs(m) <= _EXACT_POW10)
-        q = _scale(dec.k, np.where(exact, m, 0))
-        pinned = np.where(dec.negative, -q, q).tolist()
-        for k in np.flatnonzero(~exact).tolist():
-            pinned[k] = float(_token(float(block[k])))
-        values += pinned
-        decimals.append(dec)
-    return _Cells("float", values, array.shape, decimals)
+    # a sequence's own objects: a numpy string array is as wide as its
+    # longest string in every cell
+    array = np.ravel(values) if isinstance(values, np.ndarray) else np.asarray(
+        values, dtype=object).ravel()
+    if array.dtype.kind != "f":  # ints, strings, mixed types: the values as given
+        array = array.astype(object, copy=False)
+        kinds = set(map(type, array))
+        if all(issubclass(k, str) for k in kinds) or all(
+                issubclass(k, (int, np.integer)) for k in kinds):
+            return array, None
+    array = array.astype(float, copy=False)
+    digits = _decimal(array)
+    m = digits.exponent - 11
+    exact = digits.fast & (np.abs(m) <= _EXACT_POW10)
+    q = _scale(digits.k, np.where(exact, m, 0))
+    pinned = np.where(digits.negative, -q, q)
+    slow = np.flatnonzero(~exact)
+    pinned[slow] = [float(_token(v)) for v in array[slow].tolist()]
+    return pinned, digits
 
 
-def _float_field(cells: _Cells, take, as_json: bool) -> tuple:
-    """The field of float cells' tokens: cell take[r] in record r.
+def _float_field(values: np.ndarray, digits: _Decimal, take, as_json: bool) -> tuple:
+    """The field of pinned float cells' tokens: cell take[r] in record r.
 
     A fast cell is written from its sign, 12 digits and exponent: '{:.11e}',
     or in JSON the digits without trailing zeros after "0." and -e - 1 zeros
@@ -212,10 +201,7 @@ def _float_field(cells: _Cells, take, as_json: bool) -> tuple:
     (e = 0 .. 15), else as d.ddde-XX.  Place p lands at start + sign + shift
     + p, one further past the ".".  Slow cells' digits go to the sink.
     """
-    values = cells.values
-    decimals = cells.decimals or [_decimal(np.array(values, dtype=float))]
-    negative, k, e, fast = map(np.concatenate, zip(*decimals))
-    fast &= cells.decimals is not None or not as_json  # unpinned values: repr each
+    negative, k, e, fast = digits
     cell = np.arange(fast.size) if take is None else np.asarray(take)
     negative, e, fast, digits = negative[cell], e[cell], fast[cell], _digits(k[cell])
     sign, three = negative.astype(np.int64), np.abs(e) >= 100
@@ -230,8 +216,7 @@ def _float_field(cells: _Cells, take, as_json: bool) -> tuple:
         places, shift, dot, has_dot, sci = 12, 0, 0, True, True
     lengths = sign + shift + places + has_dot + sci * (4 + three)
     slow = np.flatnonzero(~fast)
-    tokens = [float.__repr__(values[i]) if as_json else _token(values[i])
-              for i in cell[slow].tolist()]
+    tokens = list(map(float.__repr__ if as_json else _token, values[cell[slow]].tolist()))
     tokens = [_JSON_NONFINITE.get(t, t) for t in tokens] if as_json else tokens
     lengths[slow] = size = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
     offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # in its token
@@ -266,24 +251,26 @@ def _float_field(cells: _Cells, take, as_json: bool) -> tuple:
     return lengths, put
 
 
-def _field(cells: _Cells, take=None, as_json: bool = False) -> tuple:
+def _field(cells: tuple, take=None, as_json: bool = False) -> tuple:
     """The field of each cell's CSV (or JSON) token, or of cell take[r] in record r."""
-    if not cells.values:
+    values, digits = cells
+    if not values.size:
         return _table([""])
-    if cells.kind == "float":
-        return _float_field(cells, take, as_json)
-    distinct = list(dict.fromkeys(cells.values))
+    if digits is not None:
+        return _float_field(values, digits, take, as_json)
+    values = values.tolist()
+    distinct = list(dict.fromkeys(values))
     index = {value: i for i, value in enumerate(distinct)}
-    choice = np.fromiter(map(index.__getitem__, cells.values), np.intp, len(cells.values))
-    tokens = ([str(int(v)) for v in distinct] if cells.kind == "int"
+    choice = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    tokens = ([str(int(v)) for v in distinct] if not isinstance(distinct[0], str)
               else list(map(json.dumps, distinct)) if as_json else distinct)
     return _table(tokens, choice if take is None else choice[take])
 
 
-def _tokens(cells: _Cells, take=None, as_json: bool = False) -> list:
+def _tokens(cells: tuple, take=None, as_json: bool = False) -> list:
     """Each cell's CSV (or JSON) token, cut from the writer's output."""
     lengths, _ = field = _field(cells, take, as_json)
-    n = len(cells.values if take is None else take)
+    n = len(cells[0] if take is None else take)
     ends = np.cumsum(np.broadcast_to(lengths, (n,))).tolist()
     data = _written(n, [field]).encode()
     return [data[a:b].decode() for a, b in zip([0] + ends[:-1], ends)]
@@ -292,23 +279,15 @@ def _tokens(cells: _Cells, take=None, as_json: bool = False) -> list:
 _json_tokens = partial(_tokens, as_json=True)  # what json.dumps writes for each cell
 
 
-def _cells_of(values) -> _Cells:
-    """Cells of an artifact not made by a builder (a parser's, a test's)."""
-    values = list(values)
-    kinds = set(map(type, values))
-    if kinds <= {str}:
-        return _Cells("str", values)
-    if all(issubclass(k, (int, np.integer)) for k in kinds):
-        return _Cells("int", values)
-    return _Cells("float", values)
-
-
 @dataclass(frozen=True)
 class GridArtifact:
     """A 2-D sweep result plus provenance, in serialization-ready form.
 
-    columns maps a column name to a row-major tuple-of-tuples grid; cell
-    values are strings or floats already pinned to emission precision.
+    columns maps a column name to a row-major grid.  Construction pins the
+    float cells of every axis and column to emission precision, whoever
+    builds the artifact (the builders, the parsers, a caller with raw
+    arrays), and stores them as tuples: row_values and col_values flat,
+    each column a tuple of row tuples of floats, ints or strings.
     """
 
     kind: str
@@ -318,8 +297,6 @@ class GridArtifact:
     col_values: tuple
     columns: dict
     provenance: dict
-    # (rows, cols, {name: cells}) as the builders formatted them
-    _cells: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for key in ("config_hash", "version", "seed"):
@@ -327,28 +304,18 @@ class GridArtifact:
                 raise ValidationError(f"provenance block is missing {key!r}")
         shape = (len(self.row_values), len(self.col_values))
         for name, grid in self.columns.items():
-            got = (len(grid), len(grid[0]) if grid else 0)
+            got = (len(grid), len(grid[0]) if len(grid) else 0)
             if got != shape:
                 raise ValidationError(f"column {name!r} has shape {got}, expected {shape}")
-
-
-def _flat(artifact: GridArtifact) -> tuple:
-    """(rows, cols, {name: cells}) of an artifact, in column order."""
-    if artifact._cells is not None:
-        return artifact._cells
-    return (_cells_of(artifact.row_values), _cells_of(artifact.col_values),
-            {name: _cells_of(chain.from_iterable(grid))
-             for name, grid in artifact.columns.items()})
-
-
-def _artifact(kind: str, row_name: str, rows: _Cells, col_name: str, cols: _Cells,
-              columns: dict, provenance: dict) -> GridArtifact:
-    return GridArtifact(
-        kind=kind, row_name=row_name, row_values=tuple(rows.values),
-        col_name=col_name, col_values=tuple(cols.values),
-        columns={name: cells.nested() for name, cells in columns.items()},
-        provenance=provenance, _cells=(rows, cols, columns),
-    )
+        rows, cols = _cells_of(self.row_values), _cells_of(self.col_values)
+        columns = {name: _cells_of(grid) for name, grid in self.columns.items()}
+        store = partial(object.__setattr__, self)
+        store("row_values", tuple(rows[0].tolist()))
+        store("col_values", tuple(cols[0].tolist()))
+        store("columns", {name: tuple(map(tuple, values.reshape(shape).tolist()))
+                          for name, (values, _) in columns.items()})
+        # not a field: (rows, cols, {name: cells}) from _cells_of, which the emitters read
+        store("_flat", (rows, cols, columns))
 
 
 def make_provenance(config_hash: str, seed: int) -> dict:
@@ -356,25 +323,20 @@ def make_provenance(config_hash: str, seed: int) -> dict:
 
 
 def phase_artifact(grid: RegimeGrid, provenance: dict) -> GridArtifact:
-    shots = list(map(int, grid.shot_values))
-    labels = list(map(str, np.ravel(grid.label).tolist()))
-    return _artifact(
-        "phase-diagram", "p", _pinned(grid.p_values),
-        "n_shots", _Cells("int", shots),
-        {"pec_success": _pinned(grid.pec_success),
-         "raw_success": _pinned(grid.raw_success),
-         "label": _Cells("str", labels, np.shape(grid.label))},
+    return GridArtifact(
+        "phase-diagram", "p", grid.p_values, "n_shots", list(map(int, grid.shot_values)),
+        {"pec_success": grid.pec_success, "raw_success": grid.raw_success,
+         "label": grid.label},
         provenance,
     )
 
 
 def centering_artifact(shift_axis, width_axis, true_grid, proxy_grid, error_grid,
                        provenance: dict) -> GridArtifact:
-    return _artifact(
-        "centering", "rel_shift", _pinned(shift_axis), "rel_width", _pinned(width_axis),
-        {"true_success": _pinned(true_grid),
-         "proxy_success": _pinned(proxy_grid),
-         "relative_error": _pinned(error_grid)},
+    return GridArtifact(
+        "centering", "rel_shift", shift_axis, "rel_width", width_axis,
+        {"true_success": true_grid, "proxy_success": proxy_grid,
+         "relative_error": error_grid},
         provenance,
     )
 
@@ -382,13 +344,14 @@ def centering_artifact(shift_axis, width_axis, true_grid, proxy_grid, error_grid
 # --- CSV ---------------------------------------------------------------
 
 def grid_to_csv(artifact: GridArtifact) -> str:
-    rows, cols, columns = _flat(artifact)
+    rows, cols, columns = artifact._flat
     lines = [f"# kind={artifact.kind}"]
     for key in sorted(artifact.provenance):
         lines.append(f"# {key}={artifact.provenance[key]}")
     names = list(artifact.columns)
     lines.append(",".join([artifact.row_name, artifact.col_name] + names))
-    i, j = np.divmod(np.arange(len(rows.values) * len(cols.values)), max(len(cols.values), 1))
+    n_rows, n_cols = len(artifact.row_values), len(artifact.col_values)
+    i, j = np.divmod(np.arange(n_rows * n_cols), max(n_cols, 1))
     fields = [_table(_tokens(rows), i), _table([","]), _table(_tokens(cols), j)]
     for name in names:
         fields += [_table([","]), _field(columns[name])]
@@ -436,11 +399,12 @@ def parse_grid_csv(text: str) -> GridArtifact:
         meta["seed"] = int(meta["seed"])
     row_name, col_name, *names = header
     row_cells, col_cells, *cells = _parse_columns(rows, len(header))
+    del lines, body, rows  # the text's lines, before construction pins the cells
     row_values, col_values = tuple(dict.fromkeys(row_cells)), tuple(dict.fromkeys(col_cells))
     height, width = len(row_values), len(col_values)
-    if height * width != len(rows):
+    if height * width != len(row_cells):
         raise ValidationError("CSV grid is ragged or out of order")
-    columns = {name: tuple(tuple(values[i * width:(i + 1) * width]) for i in range(height))
+    columns = {name: [values[i * width:(i + 1) * width] for i in range(height)]
                for name, values in zip(names, cells)}
     return GridArtifact(kind=kind, row_name=row_name, row_values=row_values,
                         col_name=col_name, col_values=col_values,
@@ -463,17 +427,18 @@ def _json_member(key: str, rendered: str) -> str:
 
 def grid_to_json(artifact: GridArtifact) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) of the artifact, written by hand."""
-    rows, cols, columns = _flat(artifact)
+    rows, cols, columns = artifact._flat
+    n_rows, n_cols = len(artifact.row_values), len(artifact.col_values)
 
-    def axis(name: str, cells: _Cells) -> str:
+    def axis(name: str, cells: tuple) -> str:
         return _json_block([_json_member("name", json.dumps(name)),
                             _json_member("values", _json_block(_json_tokens(cells), 3))],
                            2, "{}")
 
-    def grid(cells: _Cells) -> str:
-        if not cells.values:
-            return _json_block(["[]"] * len(rows.values), 2)
-        row_end = (np.arange(1, len(cells.values) + 1) % len(cols.values) == 0).astype(np.intp)
+    def grid(cells: tuple) -> str:
+        if not n_rows * n_cols:
+            return _json_block(["[]"] * n_rows, 2)
+        row_end = (np.arange(1, n_rows * n_cols + 1) % n_cols == 0).astype(np.intp)
         row_sep = "\n      ],\n      ["  # between rows; a cell ends with a new line
         body = _written(row_end.size, [_field(cells, as_json=True),
                                        _table([",", row_sep], row_end), _table(["\n        "])])
@@ -497,11 +462,10 @@ def parse_grid_json(text: str) -> GridArtifact:
     return GridArtifact(
         kind=doc["kind"],
         row_name=doc["axes"]["row"]["name"],
-        row_values=tuple(doc["axes"]["row"]["values"]),
+        row_values=doc["axes"]["row"]["values"],
         col_name=doc["axes"]["col"]["name"],
-        col_values=tuple(doc["axes"]["col"]["values"]),
-        columns={name: tuple(tuple(row) for row in grid)
-                 for name, grid in doc["columns"].items()},
+        col_values=doc["axes"]["col"]["values"],
+        columns=doc["columns"],
         provenance=doc["provenance"],
     )
 
@@ -512,13 +476,14 @@ def report_to_json(report: dict) -> str:
 
 # --- SVG ---------------------------------------------------------------
 
-def _hex_colors(name: str, cells: _Cells) -> np.ndarray:
+def _hex_colors(name: str, values: np.ndarray) -> np.ndarray:
     """Six ASCII hex digits per cell: its regime's color, else COLOR_RAMP's."""
     if name == "label":
-        color = {v: REGIME_COLORS.get(str(v), _NO_COLOR)[1:] for v in set(cells.values)}
-        hexes = "".join(map(color.__getitem__, cells.values))
+        values = values.tolist()
+        color = {v: REGIME_COLORS.get(str(v), _NO_COLOR)[1:] for v in set(values)}
+        hexes = "".join(map(color.__getitem__, values))
         return np.frombuffer(hexes.encode(), dtype=np.uint8).reshape(-1, 6)
-    v = np.asarray(cells.values, dtype=float)
+    v = np.asarray(values, dtype=float)
     finite = np.isfinite(v)
     v = np.clip(np.where(finite, v, 0.0), 0.0, 1.0)
     seg = np.searchsorted(_RAMP_STOPS[1:], v)  # the first upper stop >= v
@@ -556,10 +521,10 @@ def grid_to_svg(artifact: GridArtifact, cell: int = 8) -> str:
     Deterministic: depends only on the artifact contents; the provenance
     block is embedded as a <metadata> element.
     """
-    rows, cols, columns = _flat(artifact)
+    rows, cols, columns = artifact._flat
     names = list(artifact.columns)
     n_rows, n_cols = len(artifact.row_values), len(artifact.col_values)
-    row_tokens, col_tokens = (_tokens(c, [0, len(c.values) - 1]) for c in (rows, cols))
+    row_tokens, col_tokens = (_tokens(c, [0, len(c[0]) - 1]) for c in (rows, cols))
     margin, gap, title_h = 40, 30, 18
     panel_w, panel_h = n_cols * cell, n_rows * cell
     width = margin * 2 + len(names) * panel_w + (len(names) - 1) * gap
@@ -580,7 +545,7 @@ def grid_to_svg(artifact: GridArtifact, cell: int = 8) -> str:
         parts.append(
             f'<text x="{x0}" y="{margin + 12}" font-family="monospace" '
             f'font-size="12">{name}</text>\n')
-        hexes = _hex_colors(name, columns[name]).reshape(n_rows, -1)
+        hexes = _hex_colors(name, columns[name][0]).reshape(n_rows, -1)
         parts += _rects([str(x0 + j * cell) for j in range(n_cols)], ys, cell, hexes)
         parts.append(
             f'<text x="{x0}" y="{y0 + panel_h + 14}" font-family="monospace" '

@@ -1,4 +1,4 @@
-"""Normal-distribution tail and interval probabilities.
+"""Normal-distribution interval probabilities.
 
 The error function is delegated to the platform libm (documented accuracy
 well below 1e-12 over the real line) through math.erf, mapped over the
@@ -58,16 +58,6 @@ def _z(dist: NormalSpec, x):
     # a z beyond float range saturates to +-inf, where erf is exactly +-1
     with np.errstate(over="ignore"):
         return (x - dist.mean) / (dist.sigma * _SQRT2)
-
-
-def tail_above(dist: NormalSpec, x_max):
-    """P(X >= x_max) for X ~ N(mean, sigma^2)."""
-    return _clamp(0.5 * (1.0 - erf(_z(dist, x_max))))
-
-
-def tail_below(dist: NormalSpec, x_min):
-    """P(X <= x_min) for X ~ N(mean, sigma^2)."""
-    return _clamp(0.5 * (1.0 + erf(_z(dist, x_min))))
 
 
 def interval_probability(dist: NormalSpec, lo, hi):

@@ -16,7 +16,6 @@ from pecbench.report import (
     GridArtifact,
     _cells_of,
     _json_tokens,
-    _pinned,
     _tokens,
     centering_artifact,
     grid_to_csv,
@@ -338,18 +337,41 @@ def _assert_emitters_match_oracles(artifact, reference) -> None:
 
 
 def test_writer_matches_oracles_across_a_block_boundary():
-    # 45 x 47 = 2,115 cells: the 2,048-cell pinning block ends mid-row 43
+    # 45 x 47 = 2,115 cells, slow ones in every part of each column
     rng = np.random.default_rng(20261019)
     shift, width = _writer_cells(rng, 45), _writer_cells(rng, 47)
     shift[[0, 7, 44]], width[[3, 46]] = [math.nan, 5e-324, -0.0], [math.inf, 1e-300]
     grids = [_writer_cells(rng, (45, 47)) for _ in range(3)]
-    for grid in grids:  # slow and sign-flipped cells on both sides of the boundary
+    for grid in grids:  # slow and sign-flipped cells on both sides of cell 2,048
         grid.ravel()[2040:2056:3] = [math.nan, -0.0, -1e-310, 7e123, 0.12345678901250001, -2.5]
-        fast = np.concatenate([dec.fast for dec in _pinned(grid).decimals])
+        fast = _cells_of(grid)[1].fast
         assert not fast[:2048].all() and not fast[2048:].all() and fast.mean() > 0.9
     args = (shift, width, *grids, make_provenance("b10cb0ed00000000", 11))
     _assert_emitters_match_oracles(centering_artifact(*args),
                                    centering_artifact_reference(*args))
+
+
+def test_direct_construction_pins_raw_arrays_like_the_builder():
+    rng = np.random.default_rng(20261020)
+    shift, width = _writer_cells(rng, 9), _writer_cells(rng, 11)
+    grids = [_writer_cells(rng, (9, 11)) for _ in range(3)]
+    for cells in (shift, width, *grids):  # nan != nan would fail the equality below
+        cells[np.isnan(cells)] = 0.12345678901250001
+    provenance = make_provenance("d1ec700000000000", 13)
+    columns = {"true_success": grids[0], "proxy_success": grids[1].tolist(),
+               "relative_error": tuple(map(tuple, grids[2].tolist()))}
+    given = dict(columns)
+    direct = GridArtifact(kind="centering", row_name="rel_shift", row_values=shift,
+                          col_name="rel_width", col_values=width.tolist(),
+                          columns=columns, provenance=provenance)
+    assert columns.keys() == given.keys()
+    assert all(columns[name] is given[name] for name in given)
+    assert direct == centering_artifact(shift, width, *grids, provenance)
+    reference = centering_artifact_reference(shift, width, *grids, provenance)
+    for emit, render in ((grid_to_csv, grid_csv_reference),
+                         (grid_to_json, grid_json_reference),
+                         (grid_to_svg, grid_svg_reference)):
+        assert emit(direct) == render(reference)
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 2050), (3, 1)])
@@ -412,15 +434,12 @@ def _assert_digits_match_oracles(values) -> np.ndarray:
     values = np.asarray(values, dtype=float).ravel()
     want_tokens = list(map("{:.11e}".format, values.tolist()))
     want_pinned = list(map(float, want_tokens))
-    cells = _pinned(values)
-    assert np.array_equal(np.array(cells.values).view(np.int64),
-                          np.array(want_pinned).view(np.int64))
+    cells = _cells_of(values)
+    assert np.array_equal(cells[0].view(np.int64), np.array(want_pinned).view(np.int64))
     assert _tokens(cells) == list(map("{:.11e}".format, want_pinned))
     reprs = list(map(repr, want_pinned))
     assert _json_tokens(cells) == list(map(_JSON_NONFINITE.get, reprs, reprs))
-    # cells not pinned here are formatted from their own digits
-    assert _tokens(_cells_of(values.tolist())) == want_tokens
-    return np.concatenate([dec.fast for dec in cells.decimals])
+    return cells[1].fast
 
 
 def test_pinning_and_tokens_match_oracles_on_a_million_doubles():

@@ -8,8 +8,6 @@ from pecbench.stats import (
     NormalSpec,
     erf,
     interval_probability,
-    tail_above,
-    tail_below,
 )
 
 from oracles import erf_reference, erf_reference_fast, normal_interval_reference
@@ -70,20 +68,22 @@ def test_partition_of_unity():
         dist = NormalSpec(float(rng.normal()), float(rng.uniform(0.01, 5.0)))
         lo = dist.mean + float(rng.normal()) * dist.sigma
         hi = lo + abs(float(rng.normal())) * dist.sigma
-        total = tail_below(dist, lo) + interval_probability(dist, lo, hi) + tail_above(dist, hi)
+        total = (interval_probability(dist, -math.inf, lo) + interval_probability(dist, lo, hi)
+                 + interval_probability(dist, hi, math.inf))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tails_symmetric():
     dist = NormalSpec(0.0, 1.0)
-    assert tail_above(dist, 1.3) == pytest.approx(tail_below(dist, -1.3), abs=1e-15)
-    assert tail_above(dist, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert interval_probability(dist, 1.3, math.inf) == pytest.approx(
+        interval_probability(dist, -math.inf, -1.3), abs=1e-15)
+    assert interval_probability(dist, 0.0, math.inf) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_clamping_and_order_check():
     dist = NormalSpec(0.0, 1e-300)
     assert 0.0 <= interval_probability(dist, -1.0, 1.0) <= 1.0
-    assert tail_above(dist, 100.0) == 0.0
+    assert interval_probability(dist, 100.0, math.inf) == 0.0
     with pytest.raises(ValidationError):
         interval_probability(NormalSpec(0.0, 1.0), 2.0, 1.0)
 
