@@ -304,9 +304,10 @@ class GridArtifact:
                 raise ValidationError(f"provenance block is missing {key!r}")
         shape = (len(self.row_values), len(self.col_values))
         for name, grid in self.columns.items():
-            got = (len(grid), len(grid[0]) if len(grid) else 0)
-            if got != shape:
-                raise ValidationError(f"column {name!r} has shape {got}, expected {shape}")
+            widths = set(map(len, grid)) or {0}
+            if (len(grid), *widths) != shape:
+                raise ValidationError(f"column {name!r} has {len(grid)} rows of lengths "
+                                      f"{sorted(widths)}, expected shape {shape}")
         rows, cols = _cells_of(self.row_values), _cells_of(self.col_values)
         columns = {name: _cells_of(grid) for name, grid in self.columns.items()}
         store = partial(object.__setattr__, self)

@@ -234,6 +234,10 @@ def test_phase_artifact_round_trips_json():
     text = grid_to_json(artifact)
     assert parse_grid_json(text) == artifact
     assert grid_to_json(parse_grid_json(text)) == text
+    ragged = json.loads(text)
+    ragged["columns"]["raw_success"][1].pop()
+    with pytest.raises(ValidationError, match=r"'raw_success' has 2 rows of lengths \[2, 3\]"):
+        parse_grid_json(json.dumps(ragged))
 
 
 def test_csv_values_have_12_significant_digits():
