@@ -22,20 +22,21 @@ each with two masks of up to n = 2L bits, so its masks take O(L^2) bytes; a
 lattice whose masks could exceed MAX_MASK_BYTES is refused before any mask is
 built.
 
-hubbard_terms yields the terms one by one; build_hubbard_pauli collects them
-into a dict and norm_summary keeps only their coefficients.  The dict is
-super-linear at large n: Python hashes an int modulo 2^61 - 1, so 2^a and
-2^(a+61) hash alike, and a mask with one or two set bits, or one run of them,
-has one of a few thousand hashes whatever n is.  The 17,600 keys of a 40x40
-lattice have 596 distinct hashes, so each insert walks a chain of keys and
-compares n-bit ints.  A caller that wants only the norm should call
-norm_summary.
+hubbard_terms yields the terms one by one and build_hubbard_pauli collects
+them into a dict.  The dict is super-linear at large n: Python hashes an int
+modulo 2^61 - 1, so 2^a and 2^(a+61) hash alike, and a mask with one or two
+set bits, or one run of them, has one of a few thousand hashes whatever n is.
+The 17,600 keys of a 40x40 lattice have 596 distinct hashes, so each insert
+walks a chain of keys and compares n-bit ints.  A caller that wants only the
+norm should call norm_summary, which counts the terms from the lattice and
+builds no mask.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -170,6 +171,30 @@ def lattice_edges(rows: int, cols: int, boundary: str) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
+def bond_count(rows: int, cols: int, boundary: str) -> int:
+    """len(lattice_edges(rows, cols, boundary)), without listing the edges.
+
+    A periodic side adds one wrap bond per line only when it is longer than
+    2: on a side of 2 the wrap is the interior bond, on a side of 1 a loop.
+    """
+    periodic = boundary == "periodic"
+    return (rows * (cols - 1 + (periodic and cols > 2))
+            + cols * (rows - 1 + (periodic and rows > 2)))
+
+
+def check_mask_capacity(spec: HubbardSpec) -> None:
+    """Refuse a lattice whose Pauli masks could exceed MAX_MASK_BYTES."""
+    L = spec.sites
+    # at most 2L edges of 4 hopping terms each, plus 3L Z-type terms, each
+    # term holding two masks of up to n bits
+    size = (4 * 2 * L + 3 * L) * 2 * spec.qubits // 8
+    if size > MAX_MASK_BYTES:
+        raise CapacityError(
+            f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols) needs up to "
+            f"{gib(size)} GiB of Pauli masks, over the "
+            f"{MAX_MASK_BYTES / 2**30:.0f} GiB cap")
+
+
 def _bit(n: int, mode: int) -> int:
     return 1 << (n - 1 - mode)
 
@@ -183,16 +208,9 @@ def hubbard_terms(spec: HubbardSpec):
     and a term whose coefficient is 0.0 is left out.  No two terms share a
     key.  The identity weight is identity_coefficient_closed_form.
     """
+    check_mask_capacity(spec)
     L = spec.sites
     n = spec.qubits
-    # at most 2L edges of 4 hopping terms each, plus 3L Z-type terms, each
-    # term holding two masks of up to n bits
-    size = (4 * 2 * L + 3 * L) * 2 * n // 8
-    if size > MAX_MASK_BYTES:
-        raise CapacityError(
-            f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols) needs up to "
-            f"{gib(size)} GiB of Pauli masks, over the "
-            f"{MAX_MASK_BYTES / 2**30:.0f} GiB cap")
     hop = -spec.t / 2.0
     if hop != 0.0:
         for a, b in lattice_edges(spec.rows, spec.cols, spec.boundary):
@@ -221,13 +239,22 @@ def build_hubbard_pauli(spec: HubbardSpec) -> PauliDecomposition:
 def norm_summary(spec: HubbardSpec) -> tuple[float, float, int]:
     """(norm2_squared, identity_coefficient, term count) of build_hubbard_pauli.
 
-    Bitwise equal to the same three figures of the decomposition: the squares
-    are summed in the same order by the same builtin sum.  No decomposition
-    is built, so the cost is linear in the size of the masks.
+    hubbard_terms yields three runs of equal coefficients: 4 per bond at
+    -t/2, L at U/4 and 2L at mu/2 - U/4, a run at 0.0 left out.  Their
+    squares are summed in that order by the same builtin sum, so the figures
+    are bitwise those of the decomposition.  No mask, term or edge list is
+    built: the cost is linear in the term count.  A lattice that
+    hubbard_terms refuses is refused here too.
     """
-    coeffs = [coeff for _, coeff in hubbard_terms(spec)]
-    return (float(sum(c * c for c in coeffs)), identity_coefficient_closed_form(spec),
-            len(coeffs))
+    check_mask_capacity(spec)
+    L = spec.sites
+    runs = [(count, coeff) for count, coeff in (
+        (4 * bond_count(spec.rows, spec.cols, spec.boundary), -spec.t / 2.0),
+        (L, spec.U / 4.0),
+        (2 * L, spec.mu / 2.0 - spec.U / 4.0)) if coeff != 0.0]
+    squares = chain.from_iterable(repeat(coeff * coeff, count) for count, coeff in runs)
+    return (float(sum(squares)), identity_coefficient_closed_form(spec),
+            sum(count for count, _ in runs))
 
 
 def norm2_squared(decomp: PauliDecomposition) -> float:

@@ -241,11 +241,15 @@ def test_scale_lattice_artifacts_are_pinned(tmp_path, command):
 
 
 def test_norm_and_success_build_no_decomposition(tmp_path, capsys, monkeypatch):
-    """norm and success need three scalars, not the dict of 100x100 masks."""
+    """norm and success need three scalars, not the dict or the masks of 100x100."""
     def refuse(self):
         raise AssertionError("a PauliDecomposition was built")
 
+    def no_masks(spec):
+        raise AssertionError("Pauli masks were built")
+
     monkeypatch.setattr(hubbard.PauliDecomposition, "__post_init__", refuse)
+    monkeypatch.setattr(hubbard, "hubbard_terms", no_masks)
     cfg = _lattice_cfg(tmp_path, 100)
     assert main(["norm", "--config", cfg]) == 0
     report = json.loads(capsys.readouterr().out)

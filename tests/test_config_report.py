@@ -340,13 +340,13 @@ def _assert_emitters_match_oracles(artifact, reference) -> None:
         assert emit(elsewhere) == want
 
 
-def test_writer_matches_oracles_across_a_block_boundary():
-    # 45 x 47 = 2,115 cells, slow ones in every part of each column
+def test_writer_matches_oracles_on_mixed_cells():
+    # 45 x 47 = 2,115 cells, slow ones mixed with fast ones all through each column
     rng = np.random.default_rng(20261019)
     shift, width = _writer_cells(rng, 45), _writer_cells(rng, 47)
     shift[[0, 7, 44]], width[[3, 46]] = [math.nan, 5e-324, -0.0], [math.inf, 1e-300]
     grids = [_writer_cells(rng, (45, 47)) for _ in range(3)]
-    for grid in grids:  # slow and sign-flipped cells on both sides of cell 2,048
+    for grid in grids:  # slow and sign-flipped cells in the leading 2,048 cells and after
         grid.ravel()[2040:2056:3] = [math.nan, -0.0, -1e-310, 7e123, 0.12345678901250001, -2.5]
         fast = _cells_of(grid)[1].fast
         assert not fast[:2048].all() and not fast[2048:].all() and fast.mean() > 0.9

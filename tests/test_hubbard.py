@@ -37,6 +37,14 @@ def test_lattice_edges_counts():
     assert len(hb.lattice_edges(8, 8, "periodic")) == 128
 
 
+def test_bond_count_is_the_edge_count():
+    sizes = [(rows, cols) for rows in range(1, 8) for cols in range(1, 8)]
+    for rows, cols in sizes + [(40, 40), (1, 200), (2, 117), (118, 118)]:
+        for boundary in ("open", "periodic"):
+            assert hb.bond_count(rows, cols, boundary) == \
+                len(hb.lattice_edges(rows, cols, boundary))
+
+
 def test_lattice_edges_match_reference_convention():
     for rows, cols in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 5)]:
         for boundary in ("open", "periodic"):
@@ -210,6 +218,12 @@ def test_large_periodic_build():
     (3, 4, "periodic", -0.0, -0.0, -0.0),
     (3, 4, "periodic", 0.3, 5e-324, 2.9),  # U/4 underflows to 0.0
     (3, 4, "periodic", 5e-324, 7.1, 2.9),  # -t/2 underflows to -0.0
+    # periodic sides of 1 and 2 add no wrap bond, a side of 3 adds one per line
+    (1, 1, "periodic", 1.0, 8.0, 3.75),
+    (1, 3, "periodic", 0.3, 7.1, 2.9),
+    (3, 1, "periodic", 0.3, 7.1, 2.9),
+    (2, 3, "periodic", -1.3, 2.2, 0.7),
+    (3, 2, "periodic", -1.3, 2.2, 0.7),
 ])
 def test_norm_summary_is_bitwise_the_decomposition(rows, cols, boundary, t, U, mu):
     spec = hb.HubbardSpec(rows, cols, boundary, t, U, mu)
