@@ -182,7 +182,7 @@ def bond_count(rows: int, cols: int, boundary: str) -> int:
             + cols * (rows - 1 + (periodic and rows > 2)))
 
 
-def check_mask_capacity(spec: HubbardSpec) -> None:
+def _check_mask_capacity(spec: HubbardSpec) -> None:
     """Refuse a lattice whose Pauli masks could exceed MAX_MASK_BYTES."""
     L = spec.sites
     # at most 2L edges of 4 hopping terms each, plus 3L Z-type terms, each
@@ -208,7 +208,7 @@ def hubbard_terms(spec: HubbardSpec):
     and a term whose coefficient is 0.0 is left out.  No two terms share a
     key.  The identity weight is identity_coefficient_closed_form.
     """
-    check_mask_capacity(spec)
+    _check_mask_capacity(spec)
     L = spec.sites
     n = spec.qubits
     hop = -spec.t / 2.0
@@ -246,7 +246,7 @@ def norm_summary(spec: HubbardSpec) -> tuple[float, float, int]:
     built: the cost is linear in the term count.  A lattice that
     hubbard_terms refuses is refused here too.
     """
-    check_mask_capacity(spec)
+    _check_mask_capacity(spec)
     L = spec.sites
     runs = [(count, coeff) for count, coeff in (
         (4 * bond_count(spec.rows, spec.cols, spec.boundary), -spec.t / 2.0),
