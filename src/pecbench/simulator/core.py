@@ -7,9 +7,7 @@ to hubbard.MAX_SECTOR_SITES sites (14 qubits).  The experiment isolates the
 interplay of layered depolarizing noise, quasi-probability inversion and
 shot noise.  Monte Carlo randomness enters only through the
 quasi-probability branch choices and the measurement sampling.  No 2^n x 2^n
-matrix is formed on the way to a report; prepare_ground_state, the one
-dense d x d object here, is capped at MAX_DENSE_QUBITS and serves only
-perfbench.
+matrix is formed on the way to a report.
 
 The shot kernel uses the Pauli-frame identity.  Each noise layer is
 *global* depolarizing, rho -> (1-P) rho + P I/d, which commutes with every
@@ -20,11 +18,10 @@ each non-identity term reads
     e_j = (1-P)^D (-1)^{anticommute(Q, P_j)} <P_j>_0.
 
 The <P_j>_0 come once from the ground vector; per shot the kernel XORs the
-twirls' (x, z) masks and takes one parity per term, with no d x d matrix.
-Every Pauli channel commutes with Pauli conjugation, so a local one such as
-per-qubit depolarizing keeps this identity: it only changes each term's
-decay, to (1-p)^{wt(P_j)} per layer, which this kernel does not model.
-Non-Pauli noise, or gates between the layers, would break it.
+twirls' base-4 indices and looks every term's anticommutation up in byte
+tables.  A local Pauli channel keeps this identity but changes each term's
+decay, to (1-p)^{wt(P_j)} per layer, which this kernel does not model;
+non-Pauli noise, or gates between the layers, would break it.
 
 Randomness is counter-based (Salmon et al., SC'11): shots are grouped in
 fixed blocks of SHOT_BLOCK = 4,096, and each block draws from one Philox
@@ -38,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -76,9 +74,8 @@ class QuasiProbDecomposition:
     gamma: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShotRecord:
-    __slots__ = ("sampled_ops", "sign", "outcome")
     sampled_ops: tuple  # per-layer Pauli index, 0 = identity branch
     sign: int
     outcome: float
@@ -195,20 +192,32 @@ def run_shots(expect0, term_x, term_z, keep, p_twirl, u_branch, twirl_idx,
     p_twirl; the branch then conjugates by the pre-drawn non-identity Pauli
     and flips the shot sign.  keep = (1-P)^D scales every expectation, and
     each term is measured once as an independent +/-1 sample with
-    P(+1) = (1 + e_j)/2, e_j clipped to [-1, 1].
+    P(+1) = (1 + e_j)/2, e_j clipped to [-1, 1].  Anticommutation is linear
+    over GF(2) in the frame index, so each of its bytes picks one row of a
+    (256, terms) table and the rows XOR.  Blocks of SHOT_BLOCK shots keep
+    memory O(SHOT_BLOCK x terms).
     Returns (sign, branch, term_outcomes), all discrete.
     """
-    twirled = u_branch < p_twirl
-    branch = np.where(twirled, twirl_idx, 0)
-    sign = np.where(np.count_nonzero(twirled, axis=1) % 2 == 1, -1, 1).astype(np.int8)
-    # Up to phase, a product's base-4 digits are the XOR of its factors'
-    # digits, and the identity branch is index 0.
-    frame_x, frame_z = pauli_masks(np.bitwise_xor.reduce(branch, axis=1), n_qubits)
+    byte_x, byte_z = pauli_masks(np.arange(256) << np.arange(0, 2 * n_qubits, 8)[:, None],
+                                 n_qubits)
+    tables = hubbard.parity((byte_x[..., None] & term_z) ^ (byte_z[..., None] & term_x)) == 1
+    thresholds = [0.5 * (1.0 + np.clip(keep * e, -1.0, 1.0)) for e in (-expect0, expect0)]
+    sign = np.empty(len(u_branch), dtype=np.int8)
+    branch = np.empty_like(twirl_idx)
     term_outcomes = np.empty(u_outcome.shape, dtype=np.int8)
-    for j in range(len(expect0)):  # one column at a time keeps memory O(shots)
-        anticommutes = hubbard.parity((frame_x & term_z[j]) ^ (frame_z & term_x[j])) == 1
-        e = np.clip(keep * np.where(anticommutes, -expect0[j], expect0[j]), -1.0, 1.0)
-        term_outcomes[:, j] = np.where(u_outcome[:, j] < 0.5 * (1.0 + e), 1, -1)
+    for start in range(0, len(u_branch), SHOT_BLOCK):
+        rows = slice(start, start + SHOT_BLOCK)
+        twirled = u_branch[rows] < p_twirl
+        branch[rows] = np.where(twirled, twirl_idx[rows], 0)
+        sign[rows] = np.where(reduce(np.bitwise_xor, twirled.T), -1, 1)
+        # Up to phase, a product's base-4 digits are the XOR of its factors'
+        # digits, and the identity branch is index 0.
+        frame = reduce(np.bitwise_xor, branch[rows].T)
+        anti = reduce(np.bitwise_xor, (table.take((frame >> 8 * k) & 255, axis=0)
+                                       for k, table in enumerate(tables)))
+        np.less(u_outcome[rows], np.where(anti, *thresholds), out=term_outcomes[rows])
+    term_outcomes *= 2  # {0, 1} -> {-1, +1}
+    term_outcomes -= 1
     return sign, branch, term_outcomes
 
 
@@ -234,13 +243,9 @@ def _shot_inputs(terms, noise, n_shots, seed):
 def _estimate(inputs, noise, mitigated):
     """Per-shot outcomes, signs and branches of one estimator."""
     identity, coeffs, term_x, term_z, expect0, draws = inputs
-    if mitigated:
-        qpd = build_qpd(noise)
-        p_twirl = abs(qpd.q[1]) / qpd.gamma
-        weight = qpd.gamma**noise.layers
-    else:
-        p_twirl = 0.0
-        weight = 1.0
+    qpd = build_qpd(noise)  # the raw estimator samples no twirl and weighs 1
+    p_twirl = abs(qpd.q[1]) / qpd.gamma if mitigated else 0.0
+    weight = qpd.gamma**noise.layers if mitigated else 1.0
 
     keep = (1.0 - noise.p_layer) ** noise.layers
     sign, branch, term_outcomes = run_shots(expect0, term_x, term_z, keep, p_twirl,
@@ -250,11 +255,8 @@ def _estimate(inputs, noise, mitigated):
 
 
 def _records(branch, sign, outcomes):
-    return [
-        ShotRecord(sampled_ops=tuple(int(x) for x in branch[s]),
-                   sign=int(sign[s]), outcome=float(outcomes[s]))
-        for s in range(len(outcomes))
-    ]
+    return [ShotRecord(tuple(ops), s, outcome)
+            for ops, s, outcome in zip(branch.tolist(), sign.tolist(), outcomes.tolist())]
 
 
 def run_pec_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
@@ -350,11 +352,8 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     ground = hubbard.ground_state(decomp)
     e0 = ground.energy
     inputs = _shot_inputs(_term_data(decomp, ground.vector), noise, n_shots, seed)
-    ham_exact = HamiltonianSummary(
-        norm2=math.sqrt(norm2sq),
-        trace_over_d=decomp.identity_coefficient,
-        e0_proxy=e0,
-    )
+    ham_exact = HamiltonianSummary(norm2=math.sqrt(norm2sq),
+                                   trace_over_d=decomp.identity_coefficient, e0_proxy=e0)
     gt = gamma_total(noise)
 
     pec_outcomes, sign, _ = _estimate(inputs, noise, mitigated=True)

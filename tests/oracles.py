@@ -8,10 +8,12 @@ oracle integrates the density numerically, the centering oracle
 evaluates the proxy-error closed form with mpmath in 40-digit arithmetic,
 the Pauli-sum oracle adds dense Kronecker-product matrices of display
 strings, the shot oracle evolves an explicit density matrix through
-every noise layer with the same Kronecker-product Pauli matrices, and the
-superoperator oracles build the noise layer and the quasi-probability
-inverse from those matrices too.  The artifact oracles pin, format and
-color one cell at a time with scalar Python and build JSON with json.dumps.
+every noise layer with the same Kronecker-product Pauli matrices, the
+frame-shot oracle takes one anticommutation parity per term from the
+frame's (x, z) masks, with no lookup table, and the superoperator oracles
+build the noise layer and the quasi-probability inverse from those
+matrices too.  The artifact oracles pin, format and color one cell at a
+time with scalar Python and build JSON with json.dumps.
 The sector solver has three: the dense ground state (one eigh of the dense
 matrix scattered from the package's masks and signs, the solver it
 replaced), sector labels counted mode by mode, and H v applied term by term
@@ -254,6 +256,36 @@ def density_matrix_shots_reference(rho0, p_layer, p_twirl, u_branch, twirl_idx,
         for j, term in enumerate(terms):
             e = min(1.0, max(-1.0, float(np.sum(term * rho.T).real)))
             term_outcomes[s, j] = 1 if u_outcome[s, j] < 0.5 * (1.0 + e) else -1
+    return sign, branch, term_outcomes
+
+
+# --- per-term Pauli-frame shot oracle ------------------------------------
+
+def frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, u_branch, twirl_idx,
+                          u_outcome, n_qubits):
+    """Pauli-frame shots with one anticommutation parity per term.
+
+    Same contract as simulator.core.run_shots.  Per layer the pre-drawn
+    uniform picks the twirl branch with probability p_twirl; the branch
+    conjugates by the pre-drawn non-identity Pauli and flips the shot sign.
+    The frame's (x, z) masks are built once for all shots, and each term's
+    column is then sampled with P(+1) = (1 + e_j)/2, where
+    e_j = keep * (-1)^{anticommute} <P_j>_0 is clipped to [-1, 1].
+    Returns (sign, branch, term_outcomes).
+    """
+    from pecbench.hubbard import parity
+    from pecbench.simulator.core import pauli_masks
+
+    twirled = u_branch < p_twirl
+    branch = np.where(twirled, twirl_idx, 0)
+    sign = np.where(np.count_nonzero(twirled, axis=1) % 2 == 1, -1, 1).astype(np.int8)
+    # up to phase, a product's base-4 digits are the XOR of its factors' digits
+    frame_x, frame_z = pauli_masks(np.bitwise_xor.reduce(branch, axis=1), n_qubits)
+    term_outcomes = np.empty(u_outcome.shape, dtype=np.int8)
+    for j in range(len(expect0)):
+        anticommutes = parity((frame_x & term_z[j]) ^ (frame_z & term_x[j])) == 1
+        e = np.clip(keep * np.where(anticommutes, -expect0[j], expect0[j]), -1.0, 1.0)
+        term_outcomes[:, j] = np.where(u_outcome[:, j] < 0.5 * (1.0 + e), 1, -1)
     return sign, branch, term_outcomes
 
 

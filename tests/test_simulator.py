@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     apply_depolarizing,
     dense_ground_state,
     density_matrix_shots_reference,
+    frame_shots_reference,
     purity,
     qpd_composition_residual,
     reconstruct_matrix,
@@ -118,6 +120,73 @@ def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers, n_sho
         assert np.array_equal(a, b)
     # the comparison is not vacuous: twirls are sampled whenever P > 0
     assert (np.count_nonzero(frame[1]) > 0) == (p_layer > 0)
+
+
+# run_shots reads one byte table per byte of the 2n-bit frame index: 1x5
+# periodic is 10 qubits and 3 tables, 2x3 open 12 and 3, 1x7 open 14 and 4
+FRAME_LATTICES = {
+    "1x5-periodic": HubbardSpec(1, 5, "periodic", 1.0, 4.0, 3.0),
+    "2x3-open": HubbardSpec(2, 3, "open", 1.0, 4.0, 1.0),
+    "1x7-open": HubbardSpec(1, 7, "open", 1.0, 4.0, 1.0),
+}
+
+
+def _frame_inputs(spec, layers, n_shots):
+    """Term masks of the instance, a synthetic <P_j>_0 and the shot draws.
+
+    The expectations need no sector solve.  They include +/-1 and 0, and
+    +/-1.25, whose product with keep < 1 can still leave [-1, 1], so both
+    clip bounds are reached.
+    """
+    keys = list(build_hubbard_pauli(spec).terms)
+    term_x = np.array([x for x, _ in keys], dtype=np.int64)
+    term_z = np.array([z for _, z in keys], dtype=np.int64)
+    expect0 = np.random.default_rng(spec.sites).uniform(-1.0, 1.0, len(keys))
+    expect0[:5] = (1.0, -1.0, 0.0, 1.25, -1.25)
+    draws = simcore._shot_draws(11, n_shots, layers, 4**spec.qubits, len(keys))
+    return expect0, term_x, term_z, draws
+
+
+@pytest.mark.parametrize("n_shots", [1, 4_095, 4_097, 8_193])
+@pytest.mark.parametrize("spec", FRAME_LATTICES.values(), ids=FRAME_LATTICES.keys())
+def test_table_kernel_matches_the_per_term_kernel(spec, n_shots):
+    noise = NoiseCircuitSpec(layers=4, p_layer=0.05, qubits=spec.qubits)
+    qpd = build_qpd(noise)
+    keep = (1.0 - noise.p_layer) ** noise.layers
+    expect0, term_x, term_z, draws = _frame_inputs(spec, noise.layers, n_shots)
+    for p_twirl in (0.0, abs(qpd.q[1]) / qpd.gamma, 0.9):
+        ours = simcore.run_shots(expect0, term_x, term_z, keep, p_twirl, *draws, spec.qubits)
+        reference = frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, *draws,
+                                          spec.qubits)
+        for a, b in zip(ours, reference):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_run_shots_memory_is_bounded_by_the_shot_block():
+    spec, layers, n_shots = FRAME_LATTICES["1x5-periodic"], 7, 20_000
+    expect0, term_x, term_z, draws = _frame_inputs(spec, layers, n_shots)
+    tracemalloc.start()
+    try:
+        outputs = simcore.run_shots(expect0, term_x, term_z, 0.5, 0.3, *draws, spec.qubits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # What the kernel holds besides its outputs, as if every temporary were
+    # live at once.  Per shot of a block: a float64 threshold and a bool
+    # anticommutation flag for each term (9 bytes a term; the XOR of table
+    # rows holds 3 bool rows, fewer), a twirl flag and an int64 branch entry
+    # for each layer before it is stored (9 bytes a layer), and four int64
+    # vectors (frame, shifted frame, byte index, sign).  Once: the byte
+    # tables, 256 bool rows per byte of the frame index, and numpy's
+    # iterator buffers, np.getbufsize() float64s for each of two operands.
+    # The table build's int64 temporaries, 3 x 8 x 256 bytes per table and
+    # term, are freed before the first block and are smaller than a block's
+    # 9 x 4,096 bytes per term.  A temporary spanning all shots breaks it.
+    block, n_terms = simcore.SHOT_BLOCK, len(term_x)
+    tables = -(-2 * spec.qubits // 8) * 256 * n_terms
+    bound = block * (9 * n_terms + 9 * layers + 4 * 8) + tables + 2 * 8 * np.getbufsize()
+    assert peak - sum(a.nbytes for a in outputs) <= bound
+    assert n_shots * n_terms * 8 > bound  # a float64 column per term for all shots
 
 
 def test_term_order_is_display_string_order():
