@@ -133,20 +133,20 @@ def parity(values):
     return values & 1
 
 
-def real_pauli_signs(key: tuple[int, int], basis: np.ndarray) -> np.ndarray:
-    """s(b) with P|b> = s(b) |b XOR x> for each basis index b.
+def real_pauli_signs(keys, basis: np.ndarray) -> np.ndarray:
+    """s_j(b) with P_j|b> = s_j(b) |b XOR x_j>, one row per (x, z) key.
 
-    s(b) = (-1)^{ny/2} (-1)^{|b & z|}; a term with an odd Y count has an
-    imaginary matrix and is rejected.
+    s_j(b) = (-1)^{ny/2} (-1)^{|b & z_j|} for each basis index b; a term
+    with an odd Y count has an imaginary matrix and is rejected.
     """
-    x, z = key
-    ny = (x & z).bit_count()
-    if ny % 2:
-        raise ValidationError(
-            f"Pauli term (x={x:#x}, z={z:#x}) has an odd number of Y factors; "
-            "its matrix is not real")
-    signs = np.where(parity(basis & z) == 1, -1.0, 1.0)
-    return -signs if ny % 4 == 2 else signs
+    for x, z in keys:
+        if (x & z).bit_count() % 2:
+            raise ValidationError(
+                f"Pauli term (x={x:#x}, z={z:#x}) has an odd number of Y factors; "
+                "its matrix is not real")
+    z_masks = np.array([z for _, z in keys], dtype=np.int64)
+    y_phase = np.array([(x & z).bit_count() // 2 % 2 for x, z in keys], dtype=np.int64)
+    return 1.0 - 2.0 * (parity(basis & z_masks[:, None]) ^ y_phase[:, None])
 
 
 def lattice_edges(rows: int, cols: int, boundary: str) -> list[tuple[int, int]]:
@@ -319,10 +319,12 @@ def ground_state(decomp: PauliDecomposition) -> GroundState:
     A Hubbard Hamiltonian conserves both spin counts, so H is block diagonal
     over the (L+1)^2 sectors.  The up modes are the high L bits of a basis
     index and the down modes the low L bits, so N_up and N_dn are the
-    popcounts of the two halves.  Each term's in-sector entries
-    H[b XOR x, b] += a s(b) are scattered into the flat storage of all blocks
-    with one bincount; its out-of-sector entries must cancel across the
-    terms that share x, to ZERO_RTOL of the scale |c| + sum_j |a_j|, or the
+    popcounts of the two halves.  The entries H[b XOR x, b] = sum_j a_j s_j(b)
+    of the terms that share an x mask are summed in term order before the
+    scatter; entries of different x never collide, so the in-sector ones go
+    into the flat storage of all blocks with one bincount, and the per-entry
+    sums are those of a term-by-term scatter.  The out-of-sector entries of
+    each x must cancel, to ZERO_RTOL of the scale |c| + sum_j |a_j|, or the
     decomposition does not conserve N_up and N_dn and is refused.
 
     Every block is diagonalized (eigvalsh), then the ground block once more
@@ -348,20 +350,23 @@ def ground_state(decomp: PauliDecomposition) -> GroundState:
     local[order] = basis - starts[sector[order]]
     offsets = np.cumsum(dims**2) - dims**2
 
-    terms = [((0, 0), decomp.identity_coefficient), *decomp.terms.items()]
-    scale = sum(abs(coeff) for _, coeff in terms)
-    flat, weights = [], []
-    leaks: dict[int, np.ndarray] = {}  # x mask -> summed out-of-sector entries
-    for key, coeff in terms:
-        rows = basis ^ key[0]
-        values = coeff * real_pauli_signs(key, basis)
+    keys = [(0, 0), *decomp.terms]
+    coeffs = np.array([decomp.identity_coefficient, *decomp.terms.values()])
+    scale = sum(map(abs, coeffs.tolist()))
+    # x mask -> the entries H[b XOR x, b] of its terms, summed in term order
+    summed: dict[int, np.ndarray] = {}
+    for (x, _), values in zip(keys, coeffs[:, None] * real_pauli_signs(keys, basis)):
+        summed[x] = summed.get(x, 0.0) + values
+    flat, weights, leak = [], [], 0.0
+    for x, values in summed.items():
+        rows = basis ^ x
         inside = sector[rows] == sector
         col_sector = sector[inside]
         flat.append(offsets[col_sector] + local[rows[inside]] * dims[col_sector]
                     + local[inside])
         weights.append(values[inside])
-        leaks[key[0]] = leaks.get(key[0], 0.0) + np.where(inside, 0.0, values)
-    if max(np.abs(leak).max() for leak in leaks.values()) > ZERO_RTOL * scale:
+        leak = max(leak, np.abs(values[~inside]).max(initial=0.0))
+    if leak > ZERO_RTOL * scale:
         raise ValidationError("the Pauli terms do not conserve N_up and N_dn: their "
                               "out-of-sector entries do not cancel")
     storage = np.bincount(np.concatenate(flat), np.concatenate(weights),

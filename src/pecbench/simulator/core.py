@@ -17,18 +17,23 @@ each non-identity term reads
 
     e_j = (1-P)^D (-1)^{anticommute(Q, P_j)} <P_j>_0.
 
-The <P_j>_0 come once from the ground vector; per shot the kernel XORs the
-twirls' base-4 indices and looks every term's anticommutation up in byte
-tables.  A local Pauli channel keeps this identity but changes each term's
-decay, to (1-p)^{wt(P_j)} per layer, which this kernel does not model;
-non-Pauli noise, or gates between the layers, would break it.
+The <P_j>_0 come once from the ground vector, and the byte tables of the
+terms' anticommutation once per instance; per shot the kernel XORs the
+twirls' base-4 indices and, only when that frame is not the identity, looks
+every term's anticommutation up in the tables.  A local Pauli channel keeps
+this identity but changes each term's decay, to (1-p)^{wt(P_j)} per layer,
+which this kernel does not model; non-Pauli noise, or gates between the
+layers, would break it.
 
 Randomness is counter-based (Salmon et al., SC'11): shots are grouped in
 fixed blocks of SHOT_BLOCK = 4,096, and each block draws from one Philox
-stream keyed by (seed, block index).  Every block is drawn in full, so a
-shot's draws depend only on the seed and its index, never on the shot
-count: a shorter run is a prefix of a longer one, and results are
-reproducible bit for bit.
+stream keyed by (seed, block index).  A block's draws sit at fixed stream
+positions whatever the shot count: the uniforms are drawn only for the rows
+a run keeps, the twirl indices start from a counter advanced past the
+block's branch uniforms, and the indices are drawn in full, so the term
+uniforms after them start where they would.  A shot's draws therefore
+depend only on the seed and its index: a shorter run is a prefix of a
+longer one, and results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -136,8 +141,8 @@ def _term_data(decomp: hubbard.PauliDecomposition, v: np.ndarray):
     term_x = np.array([x for x, _ in keys], dtype=np.int64)
     term_z = np.array([z for _, z in keys], dtype=np.int64)
     basis = np.arange(len(v))
-    expect0 = np.array([v[basis ^ key[0]] @ (hubbard.real_pauli_signs(key, basis) * v)
-                        for key in keys])
+    expect0 = np.array([v[basis ^ x] @ (signs * v) for x, signs
+                        in zip(term_x.tolist(), hubbard.real_pauli_signs(keys, basis))])
     return decomp.identity_coefficient, coeffs, term_x, term_z, expect0
 
 
@@ -147,7 +152,12 @@ def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
     Block b covers shots [b*SHOT_BLOCK, (b+1)*SHOT_BLOCK) and draws, from
     Philox(key=(seed, b)), a full block of branch uniforms, then of twirl
     indices in [1, d2), then of term uniforms; a partial last block keeps
-    its leading rows.
+    its leading rows, so a shorter run is a prefix of a longer one.  Of the
+    uniforms only the kept rows are drawn.  The twirl indices start from a
+    fresh Philox advanced past the block's SHOT_BLOCK * layers branch
+    doubles (one counter step per 4 doubles), and they are drawn in full,
+    because bounded sampling consumes a data-dependent count; the term
+    uniforms then start where a full block's would.
     """
     size = n_shots * (2 * layers + n_terms) * 8
     if size > MAX_DRAW_BYTES:
@@ -160,11 +170,12 @@ def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
     u_outcome = np.empty((n_shots, n_terms))
     for block, start in enumerate(range(0, n_shots, SHOT_BLOCK)):
         rows = min(SHOT_BLOCK, n_shots - start)
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-        u_branch[start:start + rows] = gen.random((SHOT_BLOCK, layers))[:rows]
+        key = np.array([seed, block], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        gen.random(out=u_branch[start:start + rows])
+        gen = np.random.Generator(np.random.Philox(key=key).advance(SHOT_BLOCK * layers // 4))
         twirl_idx[start:start + rows] = gen.integers(1, d2, size=(SHOT_BLOCK, layers))[:rows]
-        u_outcome[start:start + rows] = gen.random((SHOT_BLOCK, n_terms))[:rows]
+        gen.random(out=u_outcome[start:start + rows])
     return u_branch, twirl_idx, u_outcome
 
 
@@ -184,24 +195,39 @@ def pauli_masks(index, n: int):
     return x, z
 
 
-def run_shots(expect0, term_x, term_z, keep, p_twirl, u_branch, twirl_idx,
-              u_outcome, n_qubits):
+def byte_tables(term_x, term_z, n_qubits: int) -> np.ndarray:
+    """Anticommutation of every term with every byte of a frame index.
+
+    Row (k, v) holds, per term, whether the Pauli whose base-4 index is
+    v << 8k anticommutes with it: one (256, terms) bool table for each byte
+    of the 2n-bit index.
+    """
+    byte_x, byte_z = pauli_masks(np.arange(256) << np.arange(0, 2 * n_qubits, 8)[:, None],
+                                 n_qubits)
+    return hubbard.parity((byte_x[..., None] & term_z) ^ (byte_z[..., None] & term_x)) == 1
+
+
+def run_shots(expect0, tables, keep, p_twirl, u_branch, twirl_idx, u_outcome):
     """Sample every shot's twirls, sign and term outcomes in the Pauli frame.
 
     Per layer the pre-drawn uniform picks the twirl branch with probability
     p_twirl; the branch then conjugates by the pre-drawn non-identity Pauli
     and flips the shot sign.  keep = (1-P)^D scales every expectation, and
     each term is measured once as an independent +/-1 sample with
-    P(+1) = (1 + e_j)/2, e_j clipped to [-1, 1].  Anticommutation is linear
-    over GF(2) in the frame index, so each of its bytes picks one row of a
-    (256, terms) table and the rows XOR.  Blocks of SHOT_BLOCK shots keep
-    memory O(SHOT_BLOCK x terms).
+    P(+1) = (1 + e_j)/2, e_j clipped to [-1, 1].  Every term is first
+    compared with its identity-frame threshold.  Only shots whose frame is
+    not the identity look up `tables` (byte_tables of the terms):
+    anticommutation is linear over GF(2) in the frame index, so each of its
+    bytes picks one row of a (256, terms) table and the rows XOR, and the
+    anticommuting terms are compared again with the flipped threshold.
+    Raw shots never twirl, so they never read the tables.  A shot's
+    outputs depend only on its own draws, so on a prefix of the draws (see
+    _shot_draws) they are a prefix of the outputs.  Blocks of SHOT_BLOCK
+    shots keep memory O(SHOT_BLOCK x terms).
     Returns (sign, branch, term_outcomes), all discrete.
     """
-    byte_x, byte_z = pauli_masks(np.arange(256) << np.arange(0, 2 * n_qubits, 8)[:, None],
-                                 n_qubits)
-    tables = hubbard.parity((byte_x[..., None] & term_z) ^ (byte_z[..., None] & term_x)) == 1
-    thresholds = [0.5 * (1.0 + np.clip(keep * e, -1.0, 1.0)) for e in (-expect0, expect0)]
+    identity_threshold, flipped_threshold = (0.5 * (1.0 + np.clip(keep * e, -1.0, 1.0))
+                                             for e in (expect0, -expect0))
     sign = np.empty(len(u_branch), dtype=np.int8)
     branch = np.empty_like(twirl_idx)
     term_outcomes = np.empty(u_outcome.shape, dtype=np.int8)
@@ -210,12 +236,17 @@ def run_shots(expect0, term_x, term_z, keep, p_twirl, u_branch, twirl_idx,
         twirled = u_branch[rows] < p_twirl
         branch[rows] = np.where(twirled, twirl_idx[rows], 0)
         sign[rows] = np.where(reduce(np.bitwise_xor, twirled.T), -1, 1)
+        block = term_outcomes[rows]
+        np.less(u_outcome[rows], identity_threshold, out=block)
         # Up to phase, a product's base-4 digits are the XOR of its factors'
         # digits, and the identity branch is index 0.
         frame = reduce(np.bitwise_xor, branch[rows].T)
-        anti = reduce(np.bitwise_xor, (table.take((frame >> 8 * k) & 255, axis=0)
-                                       for k, table in enumerate(tables)))
-        np.less(u_outcome[rows], np.where(anti, *thresholds), out=term_outcomes[rows])
+        moved = np.flatnonzero(frame)
+        if moved.size:
+            anti = reduce(np.bitwise_xor, (table.take((frame[moved] >> 8 * k) & 255, axis=0)
+                                           for k, table in enumerate(tables)))
+            block[moved] = np.where(anti, u_outcome[rows][moved] < flipped_threshold,
+                                    block[moved])
     term_outcomes *= 2  # {0, 1} -> {-1, +1}
     term_outcomes -= 1
     return sign, branch, term_outcomes
@@ -235,21 +266,21 @@ def _validate_run(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: i
 
 
 def _shot_inputs(terms, noise, n_shots, seed):
-    """Term data plus the per-shot draws that the estimators consume."""
-    draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(terms[1]))
-    return (*terms, draws)
+    """Term data, its byte tables and the per-shot draws that the estimators consume."""
+    identity, coeffs, term_x, term_z, expect0 = terms
+    draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(coeffs))
+    return identity, coeffs, expect0, byte_tables(term_x, term_z, noise.qubits), draws
 
 
 def _estimate(inputs, noise, mitigated):
     """Per-shot outcomes, signs and branches of one estimator."""
-    identity, coeffs, term_x, term_z, expect0, draws = inputs
+    identity, coeffs, expect0, tables, draws = inputs
     qpd = build_qpd(noise)  # the raw estimator samples no twirl and weighs 1
     p_twirl = abs(qpd.q[1]) / qpd.gamma if mitigated else 0.0
     weight = qpd.gamma**noise.layers if mitigated else 1.0
 
     keep = (1.0 - noise.p_layer) ** noise.layers
-    sign, branch, term_outcomes = run_shots(expect0, term_x, term_z, keep, p_twirl,
-                                            *draws, noise.qubits)
+    sign, branch, term_outcomes = run_shots(expect0, tables, keep, p_twirl, *draws)
     outcomes = sign.astype(float) * weight * (term_outcomes @ coeffs) + identity
     return outcomes, sign, branch
 

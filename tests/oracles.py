@@ -10,7 +10,8 @@ the Pauli-sum oracle adds dense Kronecker-product matrices of display
 strings, the shot oracle evolves an explicit density matrix through
 every noise layer with the same Kronecker-product Pauli matrices, the
 frame-shot oracle takes one anticommutation parity per term from the
-frame's (x, z) masks, with no lookup table, and the superoperator oracles
+frame's (x, z) masks, with no lookup table, the draw oracle draws every
+Philox block in full, with no counter advance, and the superoperator oracles
 build the noise layer and the quasi-probability inverse from those
 matrices too.  The artifact oracles pin, format and color one cell at a
 time with scalar Python and build JSON with json.dumps.
@@ -289,6 +290,31 @@ def frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, u_branch, twir
     return sign, branch, term_outcomes
 
 
+# --- full-block Philox draw oracle ----------------------------------------
+
+def shot_draws_reference(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
+    """(u_branch, twirl_idx, u_outcome) with every block drawn in full.
+
+    Same contract as simulator.core._shot_draws, without its cap: block b
+    draws from Philox(key=(seed, b)) a full SHOT_BLOCK rows of branch
+    uniforms, of twirl indices in [1, d2) and of term uniforms, in that
+    order, one stream position after another, and keeps the leading rows.
+    """
+    from pecbench.simulator.core import SHOT_BLOCK
+
+    u_branch = np.empty((n_shots, layers))
+    twirl_idx = np.empty((n_shots, layers), dtype=np.int64)
+    u_outcome = np.empty((n_shots, n_terms))
+    for block, start in enumerate(range(0, n_shots, SHOT_BLOCK)):
+        rows = min(SHOT_BLOCK, n_shots - start)
+        gen = np.random.Generator(
+            np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+        u_branch[start:start + rows] = gen.random((SHOT_BLOCK, layers))[:rows]
+        twirl_idx[start:start + rows] = gen.integers(1, d2, size=(SHOT_BLOCK, layers))[:rows]
+        u_outcome[start:start + rows] = gen.random((SHOT_BLOCK, n_terms))[:rows]
+    return u_branch, twirl_idx, u_outcome
+
+
 # --- density-matrix and superoperator oracles (up to 4 qubits) --------------
 
 def validate_density_matrix(rho, n: int, trace_tol=1e-10, herm_tol=1e-12, psd_tol=1e-10):
@@ -519,7 +545,7 @@ def reconstruct_matrix(decomp) -> np.ndarray:
     basis = np.arange(d)
     out = np.eye(d) * decomp.identity_coefficient
     for key, coeff in decomp.terms.items():
-        out[basis ^ key[0], basis] += coeff * real_pauli_signs(key, basis)
+        out[basis ^ key[0], basis] += coeff * real_pauli_signs([key], basis)[0]
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import time
@@ -332,3 +333,36 @@ def test_mask_capacity_message_exceeds_the_cap():
     assert "[model] rows x [model] cols" in message and f"the {cap:.0f} GiB cap" in message
     # the rule: round up at two decimals, so one byte over a cap reads over it
     assert (gib(2**30), gib(2**30 + 1), gib(2**31 - 1)) == ("1.00", "1.01", "2.00")
+
+
+# Recorded from the solver at the commit before terms sharing an x mask were
+# summed ahead of the sector scatter: float.hex of the energy and the gap, the
+# sector and degeneracy, and sha256 of the ground vector's bytes and of the
+# simulator's <P_j>_0.  The eigensolver's bits depend on the LAPACK that numpy
+# links, so another numpy build may move their last bits.
+SOLVER_PINS = {
+    (1, 5, "periodic", 1.0, 4.0, 3.0): (
+        "-0x1.2493c7c8e4ceap+4", "0x1.5f3b1d1add6a0p-1", (3, 3), 1,
+        "3ef2ea0c3490e56fb5cf2b45b10b3dc1edf60d39c133fce04412ed45eb0ac9d6",
+        "1a5df20d60bfadfcf868d1ca9415eec54f40a58d64f12a611fc15f84104980c2"),
+    (2, 3, "open", 1.0, 4.0, 1.0): (
+        "-0x1.33d17af4039e7p+3", "0x1.c8b8047da1d80p-4", (3, 3), 1,
+        "7fe4a7e054ce917931c165d360ab6c1836ecc84b4ce29891c3749228c86c869b",
+        "768c86e02821f40192e047f99058a4d1c0c51588d08d274fb1ff93eaf06b8462"),
+    (1, 7, "open", 1.0, 4.0, 1.0): (
+        "-0x1.5697580043facp+3", "0x1.f658a6f448b00p-4", (3, 3), 1,
+        "f610bddb17ed9e2751294b74989b514a15182f9981f840ee8adad32d4618fda2",
+        "236d761c73f04d827b57c9deb91570873a912814a51cf1ac9615f3af6d284c0b"),
+}
+
+
+@pytest.mark.parametrize("args", SOLVER_PINS, ids=lambda a: f"{a[0]}x{a[1]}-{a[2]}")
+def test_sector_solver_bits_are_pinned(args):
+    energy, gap, sector, degeneracy, vector_sha, expect_sha = SOLVER_PINS[args]
+    decomp = hb.build_hubbard_pauli(hb.HubbardSpec(*args))
+    ground = hb.ground_state(decomp)
+    assert ground.energy.hex() == energy and ground.gap.hex() == gap
+    assert ground.sector == sector and ground.degeneracy == degeneracy
+    assert hashlib.sha256(ground.vector.tobytes()).hexdigest() == vector_sha
+    expect0 = _term_data(decomp, ground.vector)[4]
+    assert hashlib.sha256(expect0.tobytes()).hexdigest() == expect_sha

@@ -34,6 +34,7 @@ from oracles import (
     purity,
     qpd_composition_residual,
     reconstruct_matrix,
+    shot_draws_reference,
     validate_density_matrix,
 )
 
@@ -111,8 +112,8 @@ def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers, n_sho
     qpd = build_qpd(noise)
     p_twirl = abs(qpd.q[1]) / qpd.gamma
     draws = simcore._shot_draws(21, n_shots, layers, 4**spec.qubits, len(strings))
-    frame = simcore.run_shots(expect0, term_x, term_z, (1.0 - p_layer) ** layers,
-                              p_twirl, *draws, spec.qubits)
+    frame = simcore.run_shots(expect0, simcore.byte_tables(term_x, term_z, spec.qubits),
+                              (1.0 - p_layer) ** layers, p_twirl, *draws)
     oracle = density_matrix_shots_reference(
         prepare_ground_state(spec).entries, p_layer, p_twirl, *draws, strings,
         spec.qubits)
@@ -155,7 +156,8 @@ def test_table_kernel_matches_the_per_term_kernel(spec, n_shots):
     keep = (1.0 - noise.p_layer) ** noise.layers
     expect0, term_x, term_z, draws = _frame_inputs(spec, noise.layers, n_shots)
     for p_twirl in (0.0, abs(qpd.q[1]) / qpd.gamma, 0.9):
-        ours = simcore.run_shots(expect0, term_x, term_z, keep, p_twirl, *draws, spec.qubits)
+        ours = simcore.run_shots(expect0, simcore.byte_tables(term_x, term_z, spec.qubits),
+                                 keep, p_twirl, *draws)
         reference = frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, *draws,
                                           spec.qubits)
         for a, b in zip(ours, reference):
@@ -167,7 +169,8 @@ def test_run_shots_memory_is_bounded_by_the_shot_block():
     expect0, term_x, term_z, draws = _frame_inputs(spec, layers, n_shots)
     tracemalloc.start()
     try:
-        outputs = simcore.run_shots(expect0, term_x, term_z, 0.5, 0.3, *draws, spec.qubits)
+        outputs = simcore.run_shots(expect0, simcore.byte_tables(term_x, term_z, spec.qubits),
+                                    0.5, 0.3, *draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -262,6 +265,21 @@ def test_shot_streams_are_blocked_prefixes():
                                                          n_terms)
     assert u_branch.shape == (5_000, layers) and u_outcome.shape == (5_000, n_terms)
     assert twirl_idx.min() >= 1 and twirl_idx.max() < d2
+
+
+# the 4-qubit small_sim instance, the 10-qubit 1x5 chain and the 14-qubit 1x7
+# chain, each with its term count
+@pytest.mark.parametrize("qubits, n_terms", [(4, 14), (10, 35), (14, 45)])
+@pytest.mark.parametrize("layers", [1, 4, 7])
+def test_trimmed_draws_equal_full_block_draws(qubits, n_terms, layers):
+    # the branch and term uniforms draw only the rows a block keeps, and the
+    # twirl indices start from a counter advance; one counter step too many
+    # or too few shifts every later draw of the block
+    for n_shots in (1, 30, 4_095, 4_096, 4_097, 8_193):
+        ours = simcore._shot_draws(7, n_shots, layers, 4**qubits, n_terms)
+        reference = shot_draws_reference(7, n_shots, layers, 4**qubits, n_terms)
+        for a, b in zip(ours, reference):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_shot_draw_capacity():
