@@ -3,12 +3,7 @@
 Subcommands: norm, success, phase-diagram, centering, simulate.  Each takes
 --config (INI or JSON), optional --output / --format / --seed.  Exit codes:
 0 success, 2 config/validation errors, 3 capacity errors, 4 numeric-domain
-errors.  simulate's Pauli-frame shot kernel is exact for its noise model,
-global depolarizing, which commutes with the sampled Pauli twirls.  Every
-Pauli channel commutes with them, per-qubit depolarizing included: such a
-local model would only change each term's decay to (1-p)^wt(P_j) per layer,
-which the kernel does not model.  Non-Pauli noise, or gates between the
-layers, would break the identity.
+errors.  When simulate's Pauli-frame kernel is exact: see pecbench.simulator.
 """
 
 from __future__ import annotations

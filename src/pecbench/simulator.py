@@ -9,21 +9,24 @@ shot noise.  Monte Carlo randomness enters only through the
 quasi-probability branch choices and the measurement sampling.  No 2^n x 2^n
 matrix is formed on the way to a report.
 
-The shot kernel uses the Pauli-frame identity.  Each noise layer is
-*global* depolarizing, rho -> (1-P) rho + P I/d, which commutes with every
-Pauli conjugation.  After D layers with sampled twirls whose product is Q,
-a shot's state is therefore (1-P)^D Q rho0 Q^dagger + (1-(1-P)^D) I/d, and
-each non-identity term reads
+The shot kernel uses the Pauli-frame identity, and it is exact only where
+that identity holds.  Each noise layer is *global* depolarizing,
+rho -> (1-P) rho + P I/d, which commutes with every Pauli conjugation.
+After D layers with sampled twirls whose product is Q, a shot's state is
+therefore (1-P)^D Q rho0 Q^dagger + (1-(1-P)^D) I/d, and each non-identity
+term reads
 
     e_j = (1-P)^D (-1)^{anticommute(Q, P_j)} <P_j>_0.
 
-The <P_j>_0 come once from the ground vector, and the byte tables of the
-terms' anticommutation once per instance; per shot the kernel XORs the
+Every Pauli channel, per-qubit depolarizing included, commutes with the
+twirls too, but a local one changes each term's decay, to (1-p)^{wt(P_j)}
+per layer, which this kernel does not model; non-Pauli noise, or gates
+between the layers, would break the identity.
+
+The <P_j>_0 come once from the ground vector.  Per shot the kernel XORs the
 twirls' base-4 indices and, only when that frame is not the identity, looks
-every term's anticommutation up in the tables.  A local Pauli channel keeps
-this identity but changes each term's decay, to (1-p)^{wt(P_j)} per layer,
-which this kernel does not model; non-Pauli noise, or gates between the
-layers, would break it.
+every term's anticommutation up in byte tables that the mitigated estimator
+builds once per call; raw shots never twirl and build none.
 
 Randomness is counter-based (Salmon et al., SC'11): shots are grouped in
 fixed blocks of SHOT_BLOCK = 4,096, and each block draws from one Philox
@@ -44,10 +47,10 @@ from functools import reduce
 
 import numpy as np
 
-from .. import hubbard
-from ..errors import CapacityError, NumericDomainError, ValidationError, gib
-from ..noise import HamiltonianSummary, NoiseCircuitSpec, gamma_layer, gamma_total, noisy_mean
-from ..stats import erf
+from . import hubbard
+from .errors import CapacityError, NumericDomainError, ValidationError, gib
+from .noise import HamiltonianSummary, NoiseCircuitSpec, gamma_layer, gamma_total, noisy_mean
+from .stats import erf
 
 
 SHOT_BLOCK = 4096  # shots per Philox stream; fixed, so streams never depend on n_shots
@@ -70,11 +73,10 @@ class DensityMatrix:
 class QuasiProbDecomposition:
     """Signed two-branch decomposition of the inverse depolarizing layer.
 
-    Branch 0 is the identity, branch 1 the uniform average over all
+    q[0] weighs the identity branch, q[1] the uniform average over all
     non-identity Pauli conjugations; gamma = sum |q_i|.
     """
 
-    operations: tuple
     q: tuple
     gamma: float
 
@@ -114,26 +116,16 @@ def build_qpd(noise: NoiseCircuitSpec) -> QuasiProbDecomposition:
     inv_d2 = math.ldexp(1.0, -2 * noise.qubits)  # 1/d^2, underflows cleanly
     q_id = (1.0 - p * inv_d2) / (1.0 - p)
     q_twirl = -(p / (1.0 - p)) * (1.0 - inv_d2)
-    return QuasiProbDecomposition(
-        operations=("identity", "pauli_twirl"),
-        q=(q_id, q_twirl),
-        gamma=q_id + abs(q_twirl),
-    )
+    return QuasiProbDecomposition(q=(q_id, q_twirl), gamma=q_id + abs(q_twirl))
 
 
 # --- Monte Carlo estimators -------------------------------------------------
 
-def _frame_terms(spec: hubbard.HubbardSpec):
-    """_term_data of the instance and its ground vector."""
-    decomp = hubbard.build_hubbard_pauli(spec)
-    return _term_data(decomp, hubbard.ground_state(decomp).vector)
-
-
 def _term_data(decomp: hubbard.PauliDecomposition, v: np.ndarray):
-    """(identity coefficient, coeffs, x masks, z masks, <P_j>_0) of the terms.
+    """(coeffs, x masks, z masks, <P_j>_0) of the non-identity terms.
 
-    The non-identity terms are in the sorted order of their display strings;
-    each term's position picks its u_outcome column.
+    The terms are in the sorted order of their display strings; each
+    term's position picks its u_outcome column.
     <P_j>_0 = sum_b s_j(b) v[b] v[b ^ x_j] on the real ground vector v.
     """
     keys = sorted(decomp.terms, key=lambda key: hubbard.pauli_string(key, decomp.n))
@@ -143,7 +135,7 @@ def _term_data(decomp: hubbard.PauliDecomposition, v: np.ndarray):
     basis = np.arange(len(v))
     expect0 = np.array([v[basis ^ x] @ (signs * v) for x, signs
                         in zip(term_x.tolist(), hubbard.real_pauli_signs(keys, basis))])
-    return decomp.identity_coefficient, coeffs, term_x, term_z, expect0
+    return coeffs, term_x, term_z, expect0
 
 
 def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
@@ -179,32 +171,28 @@ def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
     return u_branch, twirl_idx, u_outcome
 
 
-def pauli_masks(index, n: int):
-    """Symplectic (x, z) masks of a base-4 Pauli index, elementwise on arrays.
-
-    The twirl draws name a Pauli by its base-4 index (0=I, 1=X, 2=Y, 3=Z;
-    qubit 0 in the most significant digit), which is also the sorted order
-    of display strings.  Bit k of each mask belongs to qubit n - 1 - k, the
-    bit that the Pauli flips (x) or phases (z).
-    """
-    x = z = 0
-    for bitpos in range(n):
-        g = (index >> (2 * bitpos)) & 3
-        x |= (((g + 1) >> 1) & 1) << bitpos  # X or Y
-        z |= (g >> 1) << bitpos  # Y or Z
-    return x, z
-
-
 def byte_tables(term_x, term_z, n_qubits: int) -> np.ndarray:
     """Anticommutation of every term with every byte of a frame index.
 
     Row (k, v) holds, per term, whether the Pauli whose base-4 index is
     v << 8k anticommutes with it: one (256, terms) bool table for each byte
-    of the 2n-bit index.
+    of the 2n-bit index.  A twirl draw names a Pauli by that index (0=I,
+    1=X, 2=Y, 3=Z; qubit 0 in the most significant digit), which is also the
+    sorted order of display strings, and digit k belongs to mask bit k.  In
+    the symplectic form (Aaronson & Gottesman, PRA 70, 052328 (2004)) digit
+    k's low bit is x_k ^ z_k and its high bit z_k, so a term's
+    anticommutation x.z_j ^ z.x_j is one linear form over the index: z_j in
+    each digit's low bit and (x ^ z)_j in its high bit.  A row is the
+    parity of that form on one byte, folded in place.
     """
-    byte_x, byte_z = pauli_masks(np.arange(256) << np.arange(0, 2 * n_qubits, 8)[:, None],
-                                 n_qubits)
-    return hubbard.parity((byte_x[..., None] & term_z) ^ (byte_z[..., None] & term_x)) == 1
+    qubit = np.arange(n_qubits)
+    digits = ((term_z[:, None] >> qubit) & 1) | (((term_x ^ term_z)[:, None] >> qubit) & 1) << 1
+    form = (digits << 2 * qubit).sum(axis=1)  # the digits' bits are disjoint
+    form_bytes = ((form >> np.arange(0, 2 * n_qubits, 8)[:, None]) & 255).astype(np.uint8)
+    bits = np.arange(256, dtype=np.uint8)[:, None] & form_bytes[:, None, :]
+    for shift in (4, 2, 1):
+        bits ^= bits >> shift
+    return (bits & 1).astype(bool)
 
 
 def run_shots(expect0, tables, keep, p_twirl, u_branch, twirl_idx, u_outcome):
@@ -220,7 +208,7 @@ def run_shots(expect0, tables, keep, p_twirl, u_branch, twirl_idx, u_outcome):
     anticommutation is linear over GF(2) in the frame index, so each of its
     bytes picks one row of a (256, terms) table and the rows XOR, and the
     anticommuting terms are compared again with the flipped threshold.
-    Raw shots never twirl, so they never read the tables.  A shot's
+    At p_twirl = 0 no frame moves, so `tables` may be empty.  A shot's
     outputs depend only on its own draws, so on a prefix of the draws (see
     _shot_draws) they are a prefix of the outputs.  Blocks of SHOT_BLOCK
     shots keep memory O(SHOT_BLOCK x terms).
@@ -265,29 +253,41 @@ def _validate_run(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: i
         raise ValidationError(f"seed must lie in [0, 2^64), got {seed}")
 
 
-def _shot_inputs(terms, noise, n_shots, seed):
-    """Term data, its byte tables and the per-shot draws that the estimators consume."""
-    identity, coeffs, term_x, term_z, expect0 = terms
-    draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(coeffs))
-    return identity, coeffs, expect0, byte_tables(term_x, term_z, noise.qubits), draws
+def _prepare(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int, seed: int):
+    """(Pauli terms, ground level, their _term_data, shot draws) of one run."""
+    _validate_run(spec, noise, n_shots, seed)
+    decomp = hubbard.build_hubbard_pauli(spec)
+    ground = hubbard.ground_state(decomp)
+    terms = _term_data(decomp, ground.vector)
+    draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(decomp.terms))
+    return decomp, ground, terms, draws
 
 
-def _estimate(inputs, noise, mitigated):
-    """Per-shot outcomes, signs and branches of one estimator."""
-    identity, coeffs, expect0, tables, draws = inputs
-    qpd = build_qpd(noise)  # the raw estimator samples no twirl and weighs 1
-    p_twirl = abs(qpd.q[1]) / qpd.gamma if mitigated else 0.0
-    weight = qpd.gamma**noise.layers if mitigated else 1.0
+def _estimate(identity, terms, noise, draws, mitigated):
+    """Per-shot outcomes, signs and branches of one estimator.
 
+    The raw estimator samples no twirl and weighs 1, so it builds no tables.
+    """
+    coeffs, term_x, term_z, expect0 = terms
+    if mitigated:
+        qpd = build_qpd(noise)
+        p_twirl, weight = abs(qpd.q[1]) / qpd.gamma, qpd.gamma**noise.layers
+        tables = byte_tables(term_x, term_z, noise.qubits)
+    else:
+        p_twirl, weight, tables = 0.0, 1.0, ()
     keep = (1.0 - noise.p_layer) ** noise.layers
     sign, branch, term_outcomes = run_shots(expect0, tables, keep, p_twirl, *draws)
     outcomes = sign.astype(float) * weight * (term_outcomes @ coeffs) + identity
     return outcomes, sign, branch
 
 
-def _records(branch, sign, outcomes):
-    return [ShotRecord(tuple(ops), s, outcome)
-            for ops, s, outcome in zip(branch.tolist(), sign.tolist(), outcomes.tolist())]
+def _run_estimate(spec, noise, n_shots, seed, mitigated):
+    """(mean, variance, (outcomes, sign, branch)) of one estimator."""
+    decomp, _, terms, draws = _prepare(spec, noise, n_shots, seed)
+    outcomes, sign, branch = _estimate(decomp.identity_coefficient, terms, noise, draws,
+                                       mitigated)
+    variance = float(np.var(outcomes, ddof=1)) if n_shots > 1 else 0.0
+    return float(np.mean(outcomes)), variance, (outcomes, sign, branch)
 
 
 def run_pec_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
@@ -296,11 +296,11 @@ def run_pec_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
 
     `workers` is accepted for compatibility and ignored; shots run serially.
     """
-    _validate_run(spec, noise, n_shots, seed)
-    inputs = _shot_inputs(_frame_terms(spec), noise, n_shots, seed)
-    outcomes, sign, branch = _estimate(inputs, noise, mitigated=True)
-    variance = float(np.var(outcomes, ddof=1)) if n_shots > 1 else 0.0
-    return float(np.mean(outcomes)), variance, _records(branch, sign, outcomes)
+    mean, variance, (outcomes, sign, branch) = _run_estimate(spec, noise, n_shots, seed,
+                                                             mitigated=True)
+    return mean, variance, [
+        ShotRecord(tuple(ops), s, outcome)
+        for ops, s, outcome in zip(branch.tolist(), sign.tolist(), outcomes.tolist())]
 
 
 def run_raw_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
@@ -309,11 +309,32 @@ def run_raw_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
 
     `workers` is accepted for compatibility and ignored; shots run serially.
     """
-    _validate_run(spec, noise, n_shots, seed)
-    inputs = _shot_inputs(_frame_terms(spec), noise, n_shots, seed)
-    outcomes, _, _ = _estimate(inputs, noise, mitigated=False)
-    variance = float(np.var(outcomes, ddof=1)) if n_shots > 1 else 0.0
-    return float(np.mean(outcomes)), variance
+    return _run_estimate(spec, noise, n_shots, seed, mitigated=False)[:2]
+
+
+def single_shot_variance_law(coeffs, expect0, noise: NoiseCircuitSpec) -> float:
+    """Exact single-shot variance of the PEC estimator on terms a_j, <P_j>_0 = e_j.
+
+    A shot is c + s W sum_j a_j o_j with W = gamma_layer^D, s = +/-1 the
+    twirl-parity sign and o_j = +/-1.  Given the net twirl Q the o_j are
+    independent with mean keep sigma_j(Q) e_j, keep = (1-P)^D and
+    sigma_j(Q) = +/-1 the commutation sign.  One layer gives
+    E[sigma(Q_l, R)] = lambda = 1 - p_twirl d^2/(d^2 - 1) for every
+    non-identity R, and P_j P_k is such an R for every j != k, so with
+    kappa = keep^2 lambda^D and m = sum_j a_j e_j
+
+        Var = W^2 [sum_j a_j^2 (1 - kappa e_j^2) + kappa m^2] - m^2.
+
+    The paper's norm2^2 gamma_tot^2 leaves out (W^2 kappa - 1) m^2, the
+    variance of the sign on a nonzero traceless mean.
+    """
+    qpd = build_qpd(noise)
+    p_twirl = abs(qpd.q[1]) / qpd.gamma
+    lam = 1.0 - p_twirl / (1.0 - math.ldexp(1.0, -2 * noise.qubits))
+    kappa = (1.0 - noise.p_layer) ** (2 * noise.layers) * lam**noise.layers
+    m = float(coeffs @ expect0)
+    second = float(coeffs**2 @ (1.0 - kappa * expect0**2)) + kappa * m * m
+    return qpd.gamma ** (2 * noise.layers) * second - m * m
 
 
 # --- normality of batch means ----------------------------------------------
@@ -372,23 +393,24 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     vector behind the term expectations; both estimators share those and one
     set of per-shot draws.  The report carries the ground level's
     diagnostics: its (N_up, N_dn) sector, the gap above it and its degeneracy.
-    Flags: pec_unbiased / raw_bias_matches (3 standard errors), the
-    single-shot variance against norm2^2 gamma_tot^2 with 10% slack,
-    empirical gamma within 3 standard errors of the analytic overhead, batch
-    normality below the 1% critical value.
+    Flags: pec_unbiased / raw_bias_matches (3 standard errors),
+    variance_bounded (the single-shot variance within 3 standard errors of
+    single_shot_variance_law, two-sided), empirical gamma within 3 standard
+    errors of the analytic overhead, batch normality below the 1% critical
+    value.  single_shot_variance_bound is the paper's norm2^2 gamma_tot^2,
+    a one-sided figure that the variance may exceed.
     """
-    _validate_run(spec, noise, n_shots, seed)
-    decomp = hubbard.build_hubbard_pauli(spec)
+    decomp, ground, terms, draws = _prepare(spec, noise, n_shots, seed)
     norm2sq = hubbard.norm2_squared(decomp)
-    ground = hubbard.ground_state(decomp)
     e0 = ground.energy
-    inputs = _shot_inputs(_term_data(decomp, ground.vector), noise, n_shots, seed)
     ham_exact = HamiltonianSummary(norm2=math.sqrt(norm2sq),
                                    trace_over_d=decomp.identity_coefficient, e0_proxy=e0)
     gt = gamma_total(noise)
 
-    pec_outcomes, sign, _ = _estimate(inputs, noise, mitigated=True)
-    raw_outcomes, _, _ = _estimate(inputs, noise, mitigated=False)
+    pec_outcomes, sign, _ = _estimate(decomp.identity_coefficient, terms, noise, draws,
+                                      mitigated=True)
+    raw_outcomes, _, _ = _estimate(decomp.identity_coefficient, terms, noise, draws,
+                                   mitigated=False)
 
     pec_mean = float(np.mean(pec_outcomes))
     pec_var = float(np.var(pec_outcomes, ddof=1))
@@ -398,6 +420,13 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     raw_se = math.sqrt(raw_var / n_shots)
 
     variance_bound = norm2sq * gt**2
+    coeffs, _, _, expect0 = terms
+    variance_law = single_shot_variance_law(coeffs, expect0, noise)
+    # SE(s^2)^2 = (mu_4 - s^4)/N, mu_4 the fourth central moment; squaring
+    # twice avoids numpy's per-element pow, which costs 0.8 ms at 10,000 shots
+    squares = np.square(pec_outcomes - pec_mean)
+    mu4 = float(np.mean(squares * squares))
+    variance_se = math.sqrt(max(mu4 - pec_var**2, 0.0) / n_shots)
 
     mean_sign = float(np.mean(sign.astype(float)))
     gamma_empirical = math.inf if mean_sign == 0 else 1.0 / mean_sign
@@ -434,6 +463,8 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
         "raw_variance": raw_var,
         "single_shot_variance": pec_var,
         "single_shot_variance_bound": variance_bound,
+        "single_shot_variance_law": variance_law,
+        "single_shot_variance_se": variance_se,
         "gamma_empirical": gamma_empirical,
         "normality_statistic": stat,
         "normality_critical_1pct": crit_1pct,
@@ -442,7 +473,7 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
         "checks": {
             "pec_unbiased": abs(pec_mean - e0) <= 3.0 * pec_se,
             "raw_bias_matches": abs(raw_mean - e_noisy) <= 3.0 * raw_se,
-            "variance_bounded": pec_var <= 1.1 * variance_bound,
+            "variance_bounded": abs(pec_var - variance_law) <= 3.0 * variance_se,
             # an infinite band (mean sign 0) fails
             "gamma_within_3se": abs(gamma_empirical - gt) <= 3.0 * gamma_se < math.inf,
             "batch_means_normal": stat < crit_1pct,

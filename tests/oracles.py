@@ -10,7 +10,10 @@ the Pauli-sum oracle adds dense Kronecker-product matrices of display
 strings, the shot oracle evolves an explicit density matrix through
 every noise layer with the same Kronecker-product Pauli matrices, the
 frame-shot oracle takes one anticommutation parity per term from the
-frame's (x, z) masks, with no lookup table, the draw oracle draws every
+frame's (x, z) masks, with no lookup table, the byte-table oracle decodes
+each byte's Pauli digit by digit and takes the same symplectic product, both
+counting set bits one at a time, the variance oracle sums a PEC shot's
+first two moments over every branch sequence, the draw oracle draws every
 Philox block in full, with no counter advance, and the superoperator oracles
 build the noise layer and the quasi-probability inverse from those
 matrices too.  The artifact oracles pin, format and color one cell at a
@@ -24,8 +27,11 @@ Hamiltonians from display strings.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -262,11 +268,50 @@ def density_matrix_shots_reference(rho0, p_layer, p_twirl, u_branch, twirl_idx,
 
 # --- per-term Pauli-frame shot oracle ------------------------------------
 
+def pauli_masks(index, n: int):
+    """Symplectic (x, z) masks of a base-4 Pauli index, elementwise on arrays.
+
+    The twirl draws name a Pauli by its base-4 index (0=I, 1=X, 2=Y, 3=Z;
+    qubit 0 in the most significant digit), which is also the sorted order
+    of display strings.  Bit k of each mask belongs to qubit n - 1 - k, the
+    bit that the Pauli flips (x) or phases (z).
+    """
+    x = z = 0
+    for bitpos in range(n):
+        g = (index >> (2 * bitpos)) & 3
+        x |= (((g + 1) >> 1) & 1) << bitpos  # X or Y
+        z |= (g >> 1) << bitpos  # Y or Z
+    return x, z
+
+
+def _anticommutes(frame_x, frame_z, term_x, term_z, n: int):
+    """Whether the frame Paulis anticommute with one term, elementwise.
+
+    The symplectic product's parity is counted one bit at a time.
+    """
+    product = (frame_x & term_z) ^ (frame_z & term_x)
+    return sum((product >> k) & 1 for k in range(n)) % 2 == 1
+
+
+def byte_tables_reference(term_x, term_z, n_qubits: int) -> np.ndarray:
+    """(bytes, 256, terms) bool anticommutation of the Pauli v << 8k with each term.
+
+    Same contract as simulator.byte_tables: every byte value is decoded to
+    its Pauli's masks, one term at a time.
+    """
+    values = np.arange(256)[:, None] << np.arange(0, 2 * n_qubits, 8)  # (256, bytes)
+    frame_x, frame_z = pauli_masks(values, n_qubits)
+    tables = np.empty((values.shape[1], 256, len(term_x)), dtype=bool)
+    for j, (x, z) in enumerate(zip(term_x.tolist(), term_z.tolist())):
+        tables[:, :, j] = _anticommutes(frame_x, frame_z, x, z, n_qubits).T
+    return tables
+
+
 def frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, u_branch, twirl_idx,
                           u_outcome, n_qubits):
     """Pauli-frame shots with one anticommutation parity per term.
 
-    Same contract as simulator.core.run_shots.  Per layer the pre-drawn
+    Same contract as simulator.run_shots.  Per layer the pre-drawn
     uniform picks the twirl branch with probability p_twirl; the branch
     conjugates by the pre-drawn non-identity Pauli and flips the shot sign.
     The frame's (x, z) masks are built once for all shots, and each term's
@@ -274,9 +319,6 @@ def frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, u_branch, twir
     e_j = keep * (-1)^{anticommute} <P_j>_0 is clipped to [-1, 1].
     Returns (sign, branch, term_outcomes).
     """
-    from pecbench.hubbard import parity
-    from pecbench.simulator.core import pauli_masks
-
     twirled = u_branch < p_twirl
     branch = np.where(twirled, twirl_idx, 0)
     sign = np.where(np.count_nonzero(twirled, axis=1) % 2 == 1, -1, 1).astype(np.int8)
@@ -284,10 +326,35 @@ def frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, u_branch, twir
     frame_x, frame_z = pauli_masks(np.bitwise_xor.reduce(branch, axis=1), n_qubits)
     term_outcomes = np.empty(u_outcome.shape, dtype=np.int8)
     for j in range(len(expect0)):
-        anticommutes = parity((frame_x & term_z[j]) ^ (frame_z & term_x[j])) == 1
+        anticommutes = _anticommutes(frame_x, frame_z, term_x[j], term_z[j], n_qubits)
         e = np.clip(keep * np.where(anticommutes, -expect0[j], expect0[j]), -1.0, 1.0)
         term_outcomes[:, j] = np.where(u_outcome[:, j] < 0.5 * (1.0 + e), 1, -1)
     return sign, branch, term_outcomes
+
+
+def pec_variance_reference(coeffs, expect0, term_x, term_z, n_qubits, keep, p_twirl,
+                           weight, layers) -> float:
+    """Single-shot variance of c + s W sum_j a_j o_j over every branch sequence.
+
+    Each layer takes the identity with probability 1 - p_twirl, else one of
+    the 4^n - 1 non-identity Paulis uniformly, and each twirl flips s.
+    Given the sequence the o_j = +/-1 are independent with mean
+    keep (-1)^{anticommute(Q, P_j)} e_j, Q the net frame; the first and
+    second moments are summed over all (4^n)^layers sequences.
+    """
+    d2 = 4**n_qubits
+    first = second = 0.0
+    for sequence in itertools.product(range(d2), repeat=layers):
+        twirls = sum(1 for index in sequence if index)
+        probability = (1.0 - p_twirl) ** (layers - twirls) * (p_twirl / (d2 - 1)) ** twirls
+        frame_x, frame_z = pauli_masks(functools.reduce(operator.xor, sequence), n_qubits)
+        mu = [keep * e * (-1.0 if _anticommutes(frame_x, frame_z, x, z, n_qubits) else 1.0)
+              for e, x, z in zip(expect0, term_x, term_z)]
+        mean = sum(a * m for a, m in zip(coeffs, mu))
+        first += probability * (-1) ** twirls * weight * mean
+        second += probability * weight**2 * (
+            sum(a * a for a in coeffs) + mean**2 - sum((a * m) ** 2 for a, m in zip(coeffs, mu)))
+    return second - first**2
 
 
 # --- full-block Philox draw oracle ----------------------------------------
@@ -295,12 +362,12 @@ def frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, u_branch, twir
 def shot_draws_reference(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
     """(u_branch, twirl_idx, u_outcome) with every block drawn in full.
 
-    Same contract as simulator.core._shot_draws, without its cap: block b
+    Same contract as simulator._shot_draws, without its cap: block b
     draws from Philox(key=(seed, b)) a full SHOT_BLOCK rows of branch
     uniforms, of twirl indices in [1, d2) and of term uniforms, in that
     order, one stream position after another, and keeps the leading rows.
     """
-    from pecbench.simulator.core import SHOT_BLOCK
+    from pecbench.simulator import SHOT_BLOCK
 
     u_branch = np.empty((n_shots, layers))
     twirl_idx = np.empty((n_shots, layers), dtype=np.int64)

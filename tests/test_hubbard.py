@@ -8,7 +8,7 @@ import pytest
 
 from pecbench import hubbard as hb
 from pecbench.errors import CapacityError, ValidationError, gib
-from pecbench.simulator.core import _term_data
+from pecbench.simulator import _term_data
 
 from oracles import (
     decomposition_from_strings,
@@ -265,8 +265,8 @@ def test_sector_solver_matches_dense_oracle():
                 sectors = [sector_of_reference(b, decomp.n) for b in range(len(v))]
                 if ground.degeneracy == 1:
                     seen["non-degenerate"] += 1
-                    ours = _term_data(decomp, v)[4]
-                    dense = _term_data(decomp, dense_ground_state(decomp)[1])[4]
+                    ours = _term_data(decomp, v)[3]
+                    dense = _term_data(decomp, dense_ground_state(decomp)[1])[3]
                     assert np.max(np.abs(ours - dense)) <= 1e-12
                 else:
                     seen["degenerate"] += 1
@@ -364,5 +364,5 @@ def test_sector_solver_bits_are_pinned(args):
     assert ground.energy.hex() == energy and ground.gap.hex() == gap
     assert ground.sector == sector and ground.degeneracy == degeneracy
     assert hashlib.sha256(ground.vector.tobytes()).hexdigest() == vector_sha
-    expect0 = _term_data(decomp, ground.vector)[4]
+    expect0 = _term_data(decomp, ground.vector)[3]
     assert hashlib.sha256(expect0.tobytes()).hexdigest() == expect_sha

@@ -24,13 +24,16 @@ from pecbench.simulator import (
     run_raw_estimate,
     simulate_report,
 )
-from pecbench.simulator import core as simcore
+from pecbench import simulator as simcore
 
 from oracles import (
     apply_depolarizing,
+    byte_tables_reference,
     dense_ground_state,
     density_matrix_shots_reference,
     frame_shots_reference,
+    pauli_masks,
+    pec_variance_reference,
     purity,
     qpd_composition_residual,
     reconstruct_matrix,
@@ -40,6 +43,12 @@ from oracles import (
 
 SPEC = HubbardSpec(1, 2, "open", 1.0, 4.0, 1.0)
 NOISE = NoiseCircuitSpec(layers=4, p_layer=0.05, qubits=4)
+
+
+def _frame_terms(spec):
+    """_term_data of the instance and its ground vector."""
+    decomp = build_hubbard_pauli(spec)
+    return simcore._term_data(decomp, simcore.hubbard.ground_state(decomp).vector)
 
 
 def test_prepare_ground_state_is_valid_pure_state():
@@ -108,7 +117,7 @@ ORACLE_CASES = {
 def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers, n_shots):
     noise = NoiseCircuitSpec(layers=layers, p_layer=p_layer, qubits=spec.qubits)
     strings = sorted(build_hubbard_pauli(spec).terms)
-    _, _, term_x, term_z, expect0 = simcore._frame_terms(spec)
+    _, term_x, term_z, expect0 = _frame_terms(spec)
     qpd = build_qpd(noise)
     p_twirl = abs(qpd.q[1]) / qpd.gamma
     draws = simcore._shot_draws(21, n_shots, layers, 4**spec.qubits, len(strings))
@@ -164,6 +173,24 @@ def test_table_kernel_matches_the_per_term_kernel(spec, n_shots):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+# 1x2 open is 4 qubits and one byte table, 1x5 periodic 10 and 3, 1x7 open 14 and 4
+@pytest.mark.parametrize("spec", [SPEC, FRAME_LATTICES["1x5-periodic"],
+                                  FRAME_LATTICES["1x7-open"]],
+                         ids=["4-qubits", "10-qubits", "14-qubits"])
+def test_byte_tables_match_the_symplectic_product(spec):
+    # the instance's terms, and random masks that reach every digit pattern
+    keys = list(build_hubbard_pauli(spec).terms)
+    random_masks = np.random.default_rng(spec.qubits).integers(0, 2**spec.qubits, (2, 64))
+    term_x = np.concatenate([[x for x, _ in keys], random_masks[0]]).astype(np.int64)
+    term_z = np.concatenate([[z for _, z in keys], random_masks[1]]).astype(np.int64)
+    ours = simcore.byte_tables(term_x, term_z, spec.qubits)
+    reference = byte_tables_reference(term_x, term_z, spec.qubits)
+    assert ours.dtype == reference.dtype and ours.shape == reference.shape
+    for k in range(len(reference)):
+        for v in range(256):
+            assert np.array_equal(ours[k, v], reference[k, v]), (k, v)
+
+
 def test_run_shots_memory_is_bounded_by_the_shot_block():
     spec, layers, n_shots = FRAME_LATTICES["1x5-periodic"], 7, 20_000
     expect0, term_x, term_z, draws = _frame_inputs(spec, layers, n_shots)
@@ -182,9 +209,10 @@ def test_run_shots_memory_is_bounded_by_the_shot_block():
     # vectors (frame, shifted frame, byte index, sign).  Once: the byte
     # tables, 256 bool rows per byte of the frame index, and numpy's
     # iterator buffers, np.getbufsize() float64s for each of two operands.
-    # The table build's int64 temporaries, 3 x 8 x 256 bytes per table and
-    # term, are freed before the first block and are smaller than a block's
-    # 9 x 4,096 bytes per term.  A temporary spanning all shots breaks it.
+    # The table build's temporaries, at most two uint8 arrays the size of the
+    # tables (2 x 256 bytes per table and term), are freed before the first
+    # block and are smaller than a block's 9 x 4,096 bytes per term.  A
+    # temporary spanning all shots breaks it.
     block, n_terms = simcore.SHOT_BLOCK, len(term_x)
     tables = -(-2 * spec.qubits // 8) * 256 * n_terms
     bound = block * (9 * n_terms + 9 * layers + 4 * 8) + tables + 2 * 8 * np.getbufsize()
@@ -196,11 +224,11 @@ def test_term_order_is_display_string_order():
     # the u_outcome column of each term is its position in this order; the
     # base-4 twirl indices map one to one onto display strings, in order
     for q in (1, 2, 3):
-        strings = [pauli_string(simcore.pauli_masks(i, q), q) for i in range(4**q)]
+        strings = [pauli_string(pauli_masks(i, q), q) for i in range(4**q)]
         assert all(a < b for a, b in zip(strings, strings[1:]))
     for spec in (SPEC, HubbardSpec(1, 3, "periodic", 1.0, 8.0, 3.75)):
         decomp = build_hubbard_pauli(spec)
-        _, coeffs, term_x, term_z, _ = simcore._frame_terms(spec)
+        coeffs, term_x, term_z, _ = _frame_terms(spec)
         keys = list(zip(term_x.tolist(), term_z.tolist()))
         strings = [pauli_string(key, decomp.n) for key in keys]
         assert strings == sorted(strings)
@@ -242,6 +270,18 @@ def test_estimator_streams_are_pinned():
     mean, variance, _ = run_pec_estimate(SPEC, NOISE, 2_000, seed=2024)
     assert mean == float.fromhex("-0x1.7142703055f83p+1")
     assert variance == float.fromhex("0x1.1629b10b97fa8p+3")
+    raw_mean, raw_variance = run_raw_estimate(SPEC, NOISE, 2_000, seed=2024)
+    assert raw_mean == float.fromhex("-0x1.29cac083126e9p+1")
+    assert raw_variance == float.fromhex("0x1.8134197a42144p+1")
+
+
+def test_raw_estimate_builds_no_tables(monkeypatch):
+    # raw shots never twirl, so the raw estimator reads no byte tables and
+    # must not build them; its bits are test_estimator_streams_are_pinned's
+    def refuse(*args):
+        raise AssertionError("the raw estimator built byte tables")
+
+    monkeypatch.setattr(simcore, "byte_tables", refuse)
     raw_mean, raw_variance = run_raw_estimate(SPEC, NOISE, 2_000, seed=2024)
     assert raw_mean == float.fromhex("-0x1.29cac083126e9p+1")
     assert raw_variance == float.fromhex("0x1.8134197a42144p+1")
@@ -386,6 +426,38 @@ def test_simulate_report_quick_run():
         "gamma_within_3se", "batch_means_normal"}
     assert all(report["checks"].values())
     assert report["single_shot_variance"] <= 1.1 * report["single_shot_variance_bound"]
+
+
+@pytest.mark.parametrize("p_layer, layers", [(0.05, 2), (0.3, 3), (0.0, 2)])
+def test_variance_law_matches_every_branch_sequence(p_layer, layers):
+    # every real 2-qubit Pauli but the identity, with expectations that
+    # keep their signs and magnitudes apart
+    strings = ["IX", "IZ", "XI", "XX", "XZ", "YY", "ZI", "ZX", "ZZ"]
+    term_x = np.array([int(s.replace("Z", "I").translate(str.maketrans("IXY", "011")), 2)
+                       for s in strings])
+    term_z = np.array([int(s.replace("X", "I").translate(str.maketrans("IYZ", "011")), 2)
+                       for s in strings])
+    rng = np.random.default_rng(layers)
+    coeffs, expect0 = rng.normal(size=len(strings)), rng.uniform(-1.0, 1.0, len(strings))
+    noise = NoiseCircuitSpec(layers=layers, p_layer=p_layer, qubits=2)
+    qpd = build_qpd(noise)
+    reference = pec_variance_reference(
+        coeffs.tolist(), expect0.tolist(), term_x.tolist(), term_z.tolist(), 2,
+        (1.0 - p_layer) ** layers, abs(qpd.q[1]) / qpd.gamma, qpd.gamma**layers, layers)
+    assert simcore.single_shot_variance_law(coeffs, expect0, noise) == pytest.approx(
+        reference, rel=1e-12)
+
+
+def test_variance_gate_is_the_exact_law():
+    # 2x2 open: the single-shot variance exceeds the paper's one-sided
+    # norm2^2 gamma_tot^2 by more than 10%, and lies within a fraction of a
+    # standard error of the exact law; a law without its kappa m^2 term is
+    # over 100 standard errors off
+    spec = HubbardSpec(2, 2, "open", 1.0, 4.0, 1.0)
+    noise = NoiseCircuitSpec(layers=4, p_layer=0.05, qubits=8)
+    report = simulate_report(spec, noise, n_shots=20_000, seed=7, batch=200)
+    assert report["checks"]["variance_bounded"]
+    assert report["single_shot_variance"] > 1.1 * report["single_shot_variance_bound"]
 
 
 def test_gamma_check_is_three_standard_errors():
