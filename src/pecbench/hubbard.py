@@ -17,10 +17,12 @@ simulator's term order (pauli_string).
 ground_state is the package's only eigensolver, and it never forms the
 2^n x 2^n matrix: H conserves N_up and N_dn, so it diagonalizes the
 (N_up, N_dn) sector blocks one by one, up to MAX_SECTOR_SITES sites.
-exact_ground_energy is its energy.  The decomposition has O(L) terms,
-each with two masks of up to n = 2L bits, so its masks take O(L^2) bytes; a
-lattice whose masks could exceed MAX_MASK_BYTES is refused before any mask is
-built.
+exact_ground_energy is its energy, and solve bundles it with the terms and
+their ground-state expectations for the simulator.
+
+The decomposition has O(L) terms, each with two masks of up to n = 2L bits,
+so its masks take O(L^2) bytes; a lattice whose masks could exceed
+MAX_MASK_BYTES is refused before any mask is built.
 
 hubbard_terms yields the terms one by one and build_hubbard_pauli collects
 them into a dict.  The dict is super-linear at large n: Python hashes an int
@@ -44,7 +46,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError, gib
 
 # The sector solver's cap: 7 sites (14 qubits), whose largest (N_up, N_dn)
-# block has C(7, 3)^2 = 1,225 states.  That solve takes 1.3 s and 190 MB; at
+# block has C(7, 3)^2 = 1,225 states.  That solve takes 0.9 s and 180 MB; at
 # 8 sites the largest block has 4,900 states and all 81 blocks need about
 # 1.3 GB of storage and minutes of eigvalsh.  The block size grows with L,
 # so capping L caps the block.
@@ -54,6 +56,11 @@ MAX_SECTOR_DIM = math.comb(MAX_SECTOR_SITES, MAX_SECTOR_SITES // 2) ** 2
 # ||H||, counts as zero: it sets the tie tolerance of the ground level and the
 # cancellation test of out-of-sector entries.
 ZERO_RTOL = 1e-10
+# A sector block is left undiagonalized when it is shown to lie more than
+# SKIP_RTOL * (|c| + sum_j |a_j|) above the first excited level found so far.
+# The margin covers the backward error of the Cholesky test, at most about
+# dim^2 * eps = 3e-10 of the scale at MAX_SECTOR_DIM, and eigvalsh's error.
+SKIP_RTOL = 1e-6
 MAX_MASK_BYTES = 2**30  # cap on the Pauli masks of one decomposition
 
 _LETTERS = "IXZY"  # display letter of a qubit's x_bit | z_bit << 1
@@ -127,7 +134,13 @@ def pauli_string(key: tuple[int, int], n: int) -> str:
 
 
 def parity(values):
-    """Elementwise parity of the set bits of non-negative 64-bit integers."""
+    """Elementwise parity of the set bits of non-negative 64-bit integers.
+
+    numpy 2 counts the bits in one pass, a tenth of the time of the six
+    shift-and-XOR folds that older numpy needs.
+    """
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(values) & 1
     for shift in (1, 2, 4, 8, 16, 32):
         values = values ^ (values >> shift)
     return values & 1
@@ -327,11 +340,18 @@ def ground_state(decomp: PauliDecomposition) -> GroundState:
     each x must cancel, to ZERO_RTOL of the scale |c| + sum_j |a_j|, or the
     decomposition does not conserve N_up and N_dn and is refused.
 
-    Every block is diagonalized (eigvalsh), then the ground block once more
-    with eigh.  Tie rule: the ground sector is the first in (N_up, N_dn)
-    order whose lowest eigenvalue lies within the tie tolerance
-    ZERO_RTOL * scale of the global minimum, and its vector is the
-    eigensolver's first column.
+    The blocks are diagonalized (eigvalsh) in ascending order of their
+    Gershgorin lower bounds, then the ground block once more with eigh.  A
+    block is skipped when every eigenvalue of it provably exceeds the lowest
+    eigenvalue above the tie tolerance found so far by SKIP_RTOL * scale:
+    its Gershgorin bound says so, which then holds for every later block
+    too, or block - bound * I has a Cholesky factor.  That level can only
+    fall as more blocks are diagonalized, so a skipped block holds no value
+    that ties with the minimum or lies below the gap level, and the energy,
+    gap, degeneracy and vector are bitwise those of diagonalizing every
+    block.  Tie rule: the ground sector is the first in (N_up, N_dn) order
+    whose lowest eigenvalue lies within the tie tolerance ZERO_RTOL * scale
+    of the global minimum, and its vector is the eigensolver's first column.
     """
     n = decomp.n
     if n % 2:
@@ -357,36 +377,106 @@ def ground_state(decomp: PauliDecomposition) -> GroundState:
     summed: dict[int, np.ndarray] = {}
     for (x, _), values in zip(keys, coeffs[:, None] * real_pauli_signs(keys, basis)):
         summed[x] = summed.get(x, 0.0) + values
-    flat, weights, leak = [], [], 0.0
-    for x, values in summed.items():
-        rows = basis ^ x
-        inside = sector[rows] == sector
-        col_sector = sector[inside]
-        flat.append(offsets[col_sector] + local[rows[inside]] * dims[col_sector]
-                    + local[inside])
-        weights.append(values[inside])
-        leak = max(leak, np.abs(values[~inside]).max(initial=0.0))
+    masks = np.array(list(summed), dtype=np.int64)
+    values = np.array(list(summed.values()))
+    rows = basis ^ masks[:, None]  # row (x, b) holds the entry H[b XOR x, b]
+    inside = sector[rows] == sector
+    cols = np.broadcast_to(basis, rows.shape)[inside]
+    leak = np.abs(values[~inside]).max(initial=0.0)
     if leak > ZERO_RTOL * scale:
         raise ValidationError("the Pauli terms do not conserve N_up and N_dn: their "
                               "out-of-sector entries do not cancel")
-    storage = np.bincount(np.concatenate(flat), np.concatenate(weights),
-                          minlength=int(offsets[-1] + dims[-1] ** 2))
+    storage = np.bincount(
+        offsets[sector[cols]] + local[rows[inside]] * dims[sector[cols]] + local[cols],
+        values[inside], minlength=int(offsets[-1] + dims[-1] ** 2))
     blocks = [storage[off:off + dim * dim].reshape(dim, dim)
               for off, dim in zip(offsets, dims)]
-    spectra = [np.linalg.eigvalsh(block) for block in blocks]
+    # Gershgorin: every eigenvalue of a block is at least the least, over its
+    # columns, of the diagonal minus the column's off-diagonal |H|
+    radius = np.abs(values[masks != 0]).sum(axis=0)
+    lower = np.minimum.reduceat((summed[0] - radius)[order], starts)
 
-    lowest = min(spectrum[0] for spectrum in spectra)
-    tie = lowest + ZERO_RTOL * scale
-    k = next(k for k, spectrum in enumerate(spectra) if spectrum[0] <= tie)
+    spectra = {}
+    level = math.inf  # the lowest eigenvalue above the tie tolerance so far
+    for k in np.argsort(lower, kind="stable").tolist():
+        bound = level + SKIP_RTOL * scale
+        if lower[k] > bound:
+            break
+        if level < math.inf and _exceeds(blocks[k], bound):
+            continue
+        spectra[k] = np.linalg.eigvalsh(blocks[k])
+        everything = np.concatenate(list(spectra.values()))
+        tie = everything.min() + ZERO_RTOL * scale
+        level = everything[everything > tie].min(initial=math.inf)
+
+    k = min(k for k, spectrum in spectra.items() if spectrum[0] <= tie)
     energies, vecs = np.linalg.eigh(blocks[k])
     vector = np.zeros(1 << n)
     vector[order[starts[k]:starts[k] + dims[k]]] = vecs[:, 0]
-    everything = np.concatenate(spectra)
-    above = everything[everything > tie]
     return GroundState(
         energy=float(energies[0]), vector=vector, sector=divmod(k, L + 1),
-        gap=float(above.min() - energies[0]) if above.size else math.inf,
+        gap=float(level - energies[0]),
         degeneracy=int(np.count_nonzero(everything <= tie)))
+
+
+def _exceeds(block: np.ndarray, bound: float) -> bool:
+    """Whether every eigenvalue of the symmetric block exceeds bound.
+
+    It does when block - bound * I is positive definite, that is when the
+    shifted block has a Cholesky factor.
+    """
+    try:
+        np.linalg.cholesky(block - bound * np.eye(len(block)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def term_data(decomp: PauliDecomposition, v: np.ndarray):
+    """(coeffs, x masks, z masks, <P_j>_0) of the non-identity terms.
+
+    The terms are in the sorted order of their display strings; each
+    term's position picks its u_outcome column in the simulator.
+    <P_j>_0 = sum_b s_j(b) v[b] v[b ^ x_j] on the real ground vector v.
+    """
+    keys = sorted(decomp.terms, key=lambda key: pauli_string(key, decomp.n))
+    coeffs = np.array([decomp.terms[key] for key in keys])
+    term_x = np.array([x for x, _ in keys], dtype=np.int64)
+    term_z = np.array([z for _, z in keys], dtype=np.int64)
+    basis = np.arange(len(v))
+    expect0 = np.array([v[basis ^ x] @ (signs * v) for x, signs
+                        in zip(term_x.tolist(), real_pauli_signs(keys, basis))])
+    return coeffs, term_x, term_z, expect0
+
+
+class SolvedInstance(NamedTuple):
+    """One lattice's Hamiltonian and ground level, as solve returns them.
+
+    identity and norm2_squared are the decomposition's identity weight and
+    norm2_squared; coeffs, term_x, term_z and expect0 are its term_data on
+    the ground vector.
+    """
+
+    identity: float
+    norm2_squared: float
+    coeffs: np.ndarray
+    term_x: np.ndarray
+    term_z: np.ndarray
+    ground: GroundState
+    expect0: np.ndarray
+
+
+def solve(spec: HubbardSpec) -> SolvedInstance:
+    """The lattice's terms and ground level: one build and one sector solve.
+
+    A caller that runs several estimators on one lattice can call this once
+    and keep the record.
+    """
+    decomp = build_hubbard_pauli(spec)
+    ground = ground_state(decomp)
+    coeffs, term_x, term_z, expect0 = term_data(decomp, ground.vector)
+    return SolvedInstance(decomp.identity_coefficient, norm2_squared(decomp), coeffs,
+                          term_x, term_z, ground, expect0)
 
 
 def exact_ground_energy(spec: HubbardSpec) -> float:

@@ -3,7 +3,9 @@
 The state preparation is taken to be exact: the ground vector comes from
 hubbard.ground_state, which diagonalizes each (N_up, N_dn) sector block
 instead of the full 2^n x 2^n matrix, so the simulator takes lattices of up
-to hubbard.MAX_SECTOR_SITES sites (14 qubits).  The experiment isolates the
+to hubbard.MAX_SECTOR_SITES sites (14 qubits).  Each estimator call, and
+simulate_report for both of its estimators, reads the terms, the ground
+level and the <P_j>_0 from one hubbard.solve.  The experiment isolates the
 interplay of layered depolarizing noise, quasi-probability inversion and
 shot noise.  Monte Carlo randomness enters only through the
 quasi-probability branch choices and the measurement sampling.  No 2^n x 2^n
@@ -23,10 +25,11 @@ twirls too, but a local one changes each term's decay, to (1-p)^{wt(P_j)}
 per layer, which this kernel does not model; non-Pauli noise, or gates
 between the layers, would break the identity.
 
-The <P_j>_0 come once from the ground vector.  Per shot the kernel XORs the
-twirls' base-4 indices and, only when that frame is not the identity, looks
-every term's anticommutation up in byte tables that the mitigated estimator
-builds once per call; raw shots never twirl and build none.
+The <P_j>_0 come once from the ground vector (hubbard.term_data).  Per shot
+the kernel XORs the twirls' base-4 indices and, only when that frame is not
+the identity, looks every term's anticommutation up in byte tables that the
+mitigated estimator builds once per call; raw shots never twirl and build
+none.
 
 Randomness is counter-based (Salmon et al., SC'11): shots are grouped in
 fixed blocks of SHOT_BLOCK = 4,096, and each block draws from one Philox
@@ -120,23 +123,6 @@ def build_qpd(noise: NoiseCircuitSpec) -> QuasiProbDecomposition:
 
 
 # --- Monte Carlo estimators -------------------------------------------------
-
-def _term_data(decomp: hubbard.PauliDecomposition, v: np.ndarray):
-    """(coeffs, x masks, z masks, <P_j>_0) of the non-identity terms.
-
-    The terms are in the sorted order of their display strings; each
-    term's position picks its u_outcome column.
-    <P_j>_0 = sum_b s_j(b) v[b] v[b ^ x_j] on the real ground vector v.
-    """
-    keys = sorted(decomp.terms, key=lambda key: hubbard.pauli_string(key, decomp.n))
-    coeffs = np.array([decomp.terms[key] for key in keys])
-    term_x = np.array([x for x, _ in keys], dtype=np.int64)
-    term_z = np.array([z for _, z in keys], dtype=np.int64)
-    basis = np.arange(len(v))
-    expect0 = np.array([v[basis ^ x] @ (signs * v) for x, signs
-                        in zip(term_x.tolist(), hubbard.real_pauli_signs(keys, basis))])
-    return coeffs, term_x, term_z, expect0
-
 
 def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
     """(u_branch, twirl_idx, u_outcome) of shots 0 .. n_shots-1.
@@ -254,38 +240,35 @@ def _validate_run(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: i
 
 
 def _prepare(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int, seed: int):
-    """(Pauli terms, ground level, their _term_data, shot draws) of one run."""
+    """(hubbard.solve's record, shot draws) of one run."""
     _validate_run(spec, noise, n_shots, seed)
-    decomp = hubbard.build_hubbard_pauli(spec)
-    ground = hubbard.ground_state(decomp)
-    terms = _term_data(decomp, ground.vector)
-    draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(decomp.terms))
-    return decomp, ground, terms, draws
+    solved = hubbard.solve(spec)
+    draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(solved.coeffs))
+    return solved, draws
 
 
-def _estimate(identity, terms, noise, draws, mitigated):
+def _estimate(solved: hubbard.SolvedInstance, noise, draws, mitigated):
     """Per-shot outcomes, signs and branches of one estimator.
 
     The raw estimator samples no twirl and weighs 1, so it builds no tables.
     """
-    coeffs, term_x, term_z, expect0 = terms
     if mitigated:
         qpd = build_qpd(noise)
         p_twirl, weight = abs(qpd.q[1]) / qpd.gamma, qpd.gamma**noise.layers
-        tables = byte_tables(term_x, term_z, noise.qubits)
+        tables = byte_tables(solved.term_x, solved.term_z, noise.qubits)
     else:
         p_twirl, weight, tables = 0.0, 1.0, ()
     keep = (1.0 - noise.p_layer) ** noise.layers
-    sign, branch, term_outcomes = run_shots(expect0, tables, keep, p_twirl, *draws)
-    outcomes = sign.astype(float) * weight * (term_outcomes @ coeffs) + identity
+    sign, branch, term_outcomes = run_shots(solved.expect0, tables, keep, p_twirl, *draws)
+    outcomes = (sign.astype(float) * weight * (term_outcomes @ solved.coeffs)
+                + solved.identity)
     return outcomes, sign, branch
 
 
 def _run_estimate(spec, noise, n_shots, seed, mitigated):
     """(mean, variance, (outcomes, sign, branch)) of one estimator."""
-    decomp, _, terms, draws = _prepare(spec, noise, n_shots, seed)
-    outcomes, sign, branch = _estimate(decomp.identity_coefficient, terms, noise, draws,
-                                       mitigated)
+    solved, draws = _prepare(spec, noise, n_shots, seed)
+    outcomes, sign, branch = _estimate(solved, noise, draws, mitigated)
     variance = float(np.var(outcomes, ddof=1)) if n_shots > 1 else 0.0
     return float(np.mean(outcomes)), variance, (outcomes, sign, branch)
 
@@ -335,6 +318,27 @@ def single_shot_variance_law(coeffs, expect0, noise: NoiseCircuitSpec) -> float:
     m = float(coeffs @ expect0)
     second = float(coeffs**2 @ (1.0 - kappa * expect0**2)) + kappa * m * m
     return qpd.gamma ** (2 * noise.layers) * second - m * m
+
+
+def raw_variance_law(coeffs, expect0, noise: NoiseCircuitSpec) -> float:
+    """Exact single-shot variance of the raw estimator on terms a_j, <P_j>_0 = e_j.
+
+    A raw shot is c + sum_j a_j o_j with independent o_j = +/-1 of mean
+    keep e_j, keep = (1-P)^D, so Var = sum_j a_j^2 (1 - keep^2 e_j^2).
+    """
+    keep2 = (1.0 - noise.p_layer) ** (2 * noise.layers)
+    return float(coeffs**2 @ (1.0 - keep2 * expect0**2))
+
+
+def _variance_se(outcomes, mean: float, variance: float) -> float:
+    """Standard error of the sample variance, sqrt((mu_4 - s^4)/N).
+
+    mu_4 is the fourth central moment; squaring twice avoids numpy's
+    per-element pow, which costs 0.8 ms at 10,000 shots.
+    """
+    squares = np.square(outcomes - mean)
+    mu4 = float(np.mean(squares * squares))
+    return math.sqrt(max(mu4 - variance**2, 0.0) / len(outcomes))
 
 
 # --- normality of batch means ----------------------------------------------
@@ -389,28 +393,28 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
                     n_shots: int, seed: int, batch: int = 500) -> dict:
     """Run both estimators and package every validation statistic.
 
-    One build and one sector solve give the exact ground energy and the
-    vector behind the term expectations; both estimators share those and one
-    set of per-shot draws.  The report carries the ground level's
-    diagnostics: its (N_up, N_dn) sector, the gap above it and its degeneracy.
-    Flags: pec_unbiased / raw_bias_matches (3 standard errors),
-    variance_bounded (the single-shot variance within 3 standard errors of
-    single_shot_variance_law, two-sided), empirical gamma within 3 standard
-    errors of the analytic overhead, batch normality below the 1% critical
-    value.  single_shot_variance_bound is the paper's norm2^2 gamma_tot^2,
-    a one-sided figure that the variance may exceed.
+    hubbard.solve's record gives the exact ground energy and the term
+    expectations; both estimators share it and one set of per-shot draws.
+    The report carries the ground level's diagnostics: its (N_up, N_dn)
+    sector, the gap above it and its degeneracy.  Flags: pec_unbiased /
+    raw_bias_matches (3 standard errors), variance_bounded (the PEC
+    single-shot variance within 3 standard errors of
+    single_shot_variance_law, two-sided), raw_variance_matches (the raw
+    variance within 3 standard errors of raw_variance_law, two-sided),
+    empirical gamma within 3 standard errors of the analytic overhead, batch
+    normality below the 1% critical value.  single_shot_variance_bound is
+    the paper's norm2^2 gamma_tot^2, a one-sided figure that the variance
+    may exceed.
     """
-    decomp, ground, terms, draws = _prepare(spec, noise, n_shots, seed)
-    norm2sq = hubbard.norm2_squared(decomp)
+    solved, draws = _prepare(spec, noise, n_shots, seed)
+    norm2sq, ground = solved.norm2_squared, solved.ground
     e0 = ground.energy
     ham_exact = HamiltonianSummary(norm2=math.sqrt(norm2sq),
-                                   trace_over_d=decomp.identity_coefficient, e0_proxy=e0)
+                                   trace_over_d=solved.identity, e0_proxy=e0)
     gt = gamma_total(noise)
 
-    pec_outcomes, sign, _ = _estimate(decomp.identity_coefficient, terms, noise, draws,
-                                      mitigated=True)
-    raw_outcomes, _, _ = _estimate(decomp.identity_coefficient, terms, noise, draws,
-                                   mitigated=False)
+    pec_outcomes, sign, _ = _estimate(solved, noise, draws, mitigated=True)
+    raw_outcomes, _, _ = _estimate(solved, noise, draws, mitigated=False)
 
     pec_mean = float(np.mean(pec_outcomes))
     pec_var = float(np.var(pec_outcomes, ddof=1))
@@ -420,13 +424,10 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     raw_se = math.sqrt(raw_var / n_shots)
 
     variance_bound = norm2sq * gt**2
-    coeffs, _, _, expect0 = terms
-    variance_law = single_shot_variance_law(coeffs, expect0, noise)
-    # SE(s^2)^2 = (mu_4 - s^4)/N, mu_4 the fourth central moment; squaring
-    # twice avoids numpy's per-element pow, which costs 0.8 ms at 10,000 shots
-    squares = np.square(pec_outcomes - pec_mean)
-    mu4 = float(np.mean(squares * squares))
-    variance_se = math.sqrt(max(mu4 - pec_var**2, 0.0) / n_shots)
+    variance_law = single_shot_variance_law(solved.coeffs, solved.expect0, noise)
+    variance_se = _variance_se(pec_outcomes, pec_mean, pec_var)
+    raw_law = raw_variance_law(solved.coeffs, solved.expect0, noise)
+    raw_variance_se = _variance_se(raw_outcomes, raw_mean, raw_var)
 
     mean_sign = float(np.mean(sign.astype(float)))
     gamma_empirical = math.inf if mean_sign == 0 else 1.0 / mean_sign
@@ -461,6 +462,8 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
         "variance": pec_var,
         "raw_mean": raw_mean,
         "raw_variance": raw_var,
+        "raw_variance_law": raw_law,
+        "raw_variance_se": raw_variance_se,
         "single_shot_variance": pec_var,
         "single_shot_variance_bound": variance_bound,
         "single_shot_variance_law": variance_law,
@@ -473,6 +476,7 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
         "checks": {
             "pec_unbiased": abs(pec_mean - e0) <= 3.0 * pec_se,
             "raw_bias_matches": abs(raw_mean - e_noisy) <= 3.0 * raw_se,
+            "raw_variance_matches": abs(raw_var - raw_law) <= 3.0 * raw_variance_se,
             "variance_bounded": abs(pec_var - variance_law) <= 3.0 * variance_se,
             # an infinite band (mean sign 0) fails
             "gamma_within_3se": abs(gamma_empirical - gt) <= 3.0 * gamma_se < math.inf,

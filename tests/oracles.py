@@ -357,6 +357,21 @@ def pec_variance_reference(coeffs, expect0, term_x, term_z, n_qubits, keep, p_tw
     return second - first**2
 
 
+def raw_variance_reference(coeffs, expect0, keep) -> float:
+    """Single-shot variance of c + sum_j a_j o_j over every joint outcome.
+
+    The o_j = +/-1 are independent with P(o_j = +1) = (1 + keep e_j)/2;
+    the first and second moments are summed over all 2^terms sign vectors.
+    """
+    first = second = 0.0
+    for outcome in itertools.product((-1, 1), repeat=len(coeffs)):
+        probability = math.prod((1.0 + o * keep * e) / 2.0 for o, e in zip(outcome, expect0))
+        value = sum(a * o for a, o in zip(coeffs, outcome))
+        first += probability * value
+        second += probability * value * value
+    return second - first**2
+
+
 # --- full-block Philox draw oracle ----------------------------------------
 
 def shot_draws_reference(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):

@@ -8,7 +8,6 @@ import pytest
 
 from pecbench import hubbard as hb
 from pecbench.errors import CapacityError, ValidationError, gib
-from pecbench.simulator import _term_data
 
 from oracles import (
     decomposition_from_strings,
@@ -265,8 +264,8 @@ def test_sector_solver_matches_dense_oracle():
                 sectors = [sector_of_reference(b, decomp.n) for b in range(len(v))]
                 if ground.degeneracy == 1:
                     seen["non-degenerate"] += 1
-                    ours = _term_data(decomp, v)[3]
-                    dense = _term_data(decomp, dense_ground_state(decomp)[1])[3]
+                    ours = hb.term_data(decomp, v)[3]
+                    dense = hb.term_data(decomp, dense_ground_state(decomp)[1])[3]
                     assert np.max(np.abs(ours - dense)) <= 1e-12
                 else:
                     seen["degenerate"] += 1
@@ -364,5 +363,44 @@ def test_sector_solver_bits_are_pinned(args):
     assert ground.energy.hex() == energy and ground.gap.hex() == gap
     assert ground.sector == sector and ground.degeneracy == degeneracy
     assert hashlib.sha256(ground.vector.tobytes()).hexdigest() == vector_sha
-    expect0 = _term_data(decomp, ground.vector)[3]
+    expect0 = hb.term_data(decomp, ground.vector)[3]
     assert hashlib.sha256(expect0.tobytes()).hexdigest() == expect_sha
+
+
+def test_skipped_blocks_change_no_bit(monkeypatch):
+    # ground_state leaves a sector block undiagonalized when it provably lies
+    # above the first excited level; diagonalizing every block must give the
+    # same bits, degenerate and zero-coupling lattices included
+    rng = np.random.default_rng(31)
+    specs = [hb.HubbardSpec(1, 5, "periodic", 1.0, 4.0, 3.0),
+             hb.HubbardSpec(2, 3, "open", 1.0, 4.0, 1.0),
+             hb.HubbardSpec(1, 3, "periodic", 1.0, 8.0, 3.75),
+             hb.HubbardSpec(2, 2, "open", 0.0, 4.0, 1.0),
+             hb.HubbardSpec(1, 2, "open", 0.0, 0.0, 0.0)]
+    specs += [hb.HubbardSpec(rows, cols, boundary, *(float(v) for v in rng.normal(size=3)))
+              for rows, cols in SECTOR_LATTICES for boundary in ("open", "periodic")]
+    decomps = [hb.build_hubbard_pauli(spec) for spec in specs]
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(block):
+        calls.append(len(block))
+        return eigvalsh(block)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    pruned = [hb.ground_state(decomp) for decomp in decomps]
+    calls.clear()
+    hb.ground_state(decomps[0])
+    assert calls == [100, 100, 100]  # of the 1x5 chain's 36 blocks
+
+    monkeypatch.setattr(hb, "SKIP_RTOL", math.inf)
+    monkeypatch.setattr(hb, "_exceeds", lambda block, bound: False)
+    calls.clear()
+    full = [hb.ground_state(decomp) for decomp in decomps]
+    assert len(calls) == sum((decomp.n // 2 + 1) ** 2 for decomp in decomps)
+    degenerate = 0
+    for ours, every in zip(pruned, full):
+        assert ours.energy.hex() == every.energy.hex() and ours.gap.hex() == every.gap.hex()
+        assert ours.sector == every.sector and ours.degeneracy == every.degeneracy
+        assert ours.vector.tobytes() == every.vector.tobytes()
+        degenerate += ours.degeneracy > 1
+    assert degenerate >= 2

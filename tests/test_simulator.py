@@ -36,6 +36,7 @@ from oracles import (
     pec_variance_reference,
     purity,
     qpd_composition_residual,
+    raw_variance_reference,
     reconstruct_matrix,
     shot_draws_reference,
     validate_density_matrix,
@@ -46,9 +47,9 @@ NOISE = NoiseCircuitSpec(layers=4, p_layer=0.05, qubits=4)
 
 
 def _frame_terms(spec):
-    """_term_data of the instance and its ground vector."""
+    """term_data of the instance and its ground vector."""
     decomp = build_hubbard_pauli(spec)
-    return simcore._term_data(decomp, simcore.hubbard.ground_state(decomp).vector)
+    return simcore.hubbard.term_data(decomp, simcore.hubbard.ground_state(decomp).vector)
 
 
 def test_prepare_ground_state_is_valid_pure_state():
@@ -422,7 +423,7 @@ def test_simulate_report_quick_run():
     report = simulate_report(SPEC, NOISE, n_shots=30_000, seed=7, batch=300)
     assert report["kernel"] == active_kernel()
     assert set(report["checks"]) == {
-        "pec_unbiased", "raw_bias_matches", "variance_bounded",
+        "pec_unbiased", "raw_bias_matches", "raw_variance_matches", "variance_bounded",
         "gamma_within_3se", "batch_means_normal"}
     assert all(report["checks"].values())
     assert report["single_shot_variance"] <= 1.1 * report["single_shot_variance_bound"]
@@ -458,6 +459,31 @@ def test_variance_gate_is_the_exact_law():
     report = simulate_report(spec, noise, n_shots=20_000, seed=7, batch=200)
     assert report["checks"]["variance_bounded"]
     assert report["single_shot_variance"] > 1.1 * report["single_shot_variance_bound"]
+
+
+@pytest.mark.parametrize("p_layer, layers", [(0.05, 2), (0.3, 3), (0.0, 2)])
+def test_raw_variance_law_matches_every_outcome(p_layer, layers):
+    # 9 terms, as many as the real non-identity 2-qubit Paulis: 2^9 joint outcomes
+    rng = np.random.default_rng(layers)
+    coeffs, expect0 = rng.normal(size=9), rng.uniform(-1.0, 1.0, 9)
+    noise = NoiseCircuitSpec(layers=layers, p_layer=p_layer, qubits=2)
+    reference = raw_variance_reference(coeffs.tolist(), expect0.tolist(),
+                                       (1.0 - p_layer) ** layers)
+    assert simcore.raw_variance_law(coeffs, expect0, noise) == pytest.approx(
+        reference, rel=1e-12)
+
+
+def test_raw_variance_gate_is_the_exact_law():
+    # 2x2 open: the raw single-shot variance lies within a fraction of a
+    # standard error of the exact law (z = -0.14); a law that forgets the
+    # noise decay keep^2 is 10.9 standard errors off, so the gate sees it
+    spec = HubbardSpec(2, 2, "open", 1.0, 4.0, 1.0)
+    noise = NoiseCircuitSpec(layers=4, p_layer=0.05, qubits=8)
+    report = simulate_report(spec, noise, n_shots=20_000, seed=7, batch=200)
+    assert report["checks"]["raw_variance_matches"]
+    solved = simcore.hubbard.solve(spec)
+    undecayed = float(solved.coeffs**2 @ (1.0 - solved.expect0**2))
+    assert abs(report["raw_variance"] - undecayed) > 10.0 * report["raw_variance_se"]
 
 
 def test_gamma_check_is_three_standard_errors():
