@@ -11,8 +11,8 @@ a basis-state index.  Qubit m carries X when only its x bit is set, Z when
 only its z bit is set and Y when both are.  The term is
 P = i^ny X^x Z^z with ny = popcount(x & z), so P|b> = i^ny (-1)^{|b & z|}
 |b XOR x>; a Hubbard term has an even Y count, so its matrix is real.
-Letter strings over {I, X, Y, Z} exist only for display and for the
-simulator's term order (pauli_string).
+Qubit m's base-4 digit is (x ^ z) | z << 1 of its bits (I0 X1 Y2 Z3): the
+digit that twirl draws and display letters (pauli_string) both read.
 
 ground_state is the package's only eigensolver, and it never forms the
 2^n x 2^n matrix: H conserves N_up and N_dn, so it diagonalizes the
@@ -63,7 +63,7 @@ ZERO_RTOL = 1e-10
 SKIP_RTOL = 1e-6
 MAX_MASK_BYTES = 2**30  # cap on the Pauli masks of one decomposition
 
-_LETTERS = "IXZY"  # display letter of a qubit's x_bit | z_bit << 1
+_LETTERS = "IXYZ"  # display letter of a qubit's base-4 digit (x_bit ^ z_bit) | z_bit << 1
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,14 @@ class PauliDecomposition:
 def pauli_string(key: tuple[int, int], n: int) -> str:
     """Display letters of an (x, z) key, qubit 0 leftmost."""
     x, z = key
-    return "".join(_LETTERS[(x >> bit) & 1 | ((z >> bit) & 1) << 1]
+    return "".join(_LETTERS[((x ^ z) >> bit) & 1 | ((z >> bit) & 1) << 1]
                    for bit in range(n - 1, -1, -1))
+
+
+def _pauli_index(key: tuple[int, int]) -> int:
+    """Base-4 index of an (x, z) key: a mask's bits read in base 4 put bit b at 2b."""
+    x, z = key
+    return int(format(x ^ z, "b"), 4) | int(format(z, "b"), 4) << 1
 
 
 def parity(values):
@@ -435,11 +441,11 @@ def _exceeds(block: np.ndarray, bound: float) -> bool:
 def term_data(decomp: PauliDecomposition, v: np.ndarray):
     """(coeffs, x masks, z masks, <P_j>_0) of the non-identity terms.
 
-    The terms are in the sorted order of their display strings; each
+    The terms are in ascending base-4 index (display-string order); each
     term's position picks its u_outcome column in the simulator.
     <P_j>_0 = sum_b s_j(b) v[b] v[b ^ x_j] on the real ground vector v.
     """
-    keys = sorted(decomp.terms, key=lambda key: pauli_string(key, decomp.n))
+    keys = sorted(decomp.terms, key=_pauli_index)
     coeffs = np.array([decomp.terms[key] for key in keys])
     term_x = np.array([x for x, _ in keys], dtype=np.int64)
     term_z = np.array([z for _, z in keys], dtype=np.int64)

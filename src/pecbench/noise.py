@@ -1,11 +1,11 @@
-"""Analytic cost model for layered global depolarizing noise.
+"""Every closed-form law of layered global depolarizing noise.
 
-Covers the optimal per-layer negativity of the inverse channel, the total
-sampling overhead of probabilistic error cancellation (PEC), best-case
-estimator widths with and without mitigation, the biased mean of the
-unmitigated estimator, the noise level at which that mean crosses the upper
-energy bound, and the conversion from two-qubit gate error to a layerwise
-depolarizing probability.
+Each layer maps rho -> (1-P) rho + P I/d, so every non-identity expectation
+decays by keep = (1-P)^D.  Covers keep, the biased raw mean and the P at
+which it crosses the upper energy bound, P from two-qubit gate error, the
+quasi-probability decomposition (QPD) of the inverse layer that PEC samples
+(Temme, Bravyi & Gambetta, PRL 119, 180509 (2017)), its overhead, and the
+exact single-shot variance laws of the PEC and raw estimators.
 
 The beta factor of the shot bound is 1 for depolarizing noise; it is kept
 as an explicit field so other channels can plug in their own value.
@@ -69,8 +69,6 @@ def gamma_layer(noise: NoiseCircuitSpec) -> float:
     the 2/d^2 correction underflows to zero in double precision; the value
     then equals (1 + P)/(1 - P), which is the documented behaviour.
     """
-    if noise.p_layer >= 1.0:
-        raise NumericDomainError("gamma diverges at P = 1")
     two_over_d2 = math.ldexp(2.0, -2 * noise.qubits)  # 2 / 4^n, underflows cleanly
     p = noise.p_layer
     return (1.0 + (1.0 - two_over_d2) * p) / (1.0 - p)
@@ -85,18 +83,16 @@ def gamma_total(noise: NoiseCircuitSpec) -> float:
         return math.inf
 
 
-def pec_sigma(noise: NoiseCircuitSpec, ham: HamiltonianSummary, n_shots: float) -> float:
-    """Best-case standard deviation of the PEC energy estimate."""
-    if n_shots < 1:
-        raise ValidationError(f"n_shots must be >= 1, got {n_shots}")
-    return ham.norm2 * gamma_total(noise) * math.sqrt(noise.beta / n_shots)
-
-
 def raw_sigma(ham: HamiltonianSummary, n_shots: float) -> float:
     """Best-case standard deviation of the unmitigated energy estimate."""
     if n_shots < 1:
         raise ValidationError(f"n_shots must be >= 1, got {n_shots}")
     return ham.norm2 / math.sqrt(n_shots)
+
+
+def keep(noise: NoiseCircuitSpec) -> float:
+    """Decay (1-P)^D of every non-identity expectation after the D layers."""
+    return (1.0 - noise.p_layer) ** noise.layers
 
 
 def noisy_mean(noise: NoiseCircuitSpec, ham: HamiltonianSummary) -> float:
@@ -105,7 +101,7 @@ def noisy_mean(noise: NoiseCircuitSpec, ham: HamiltonianSummary) -> float:
     (1-P)^D e0 + (1 - (1-P)^D) Tr[H]/d; the D layers compose into a single
     depolarizing channel with probability 1 - (1-P)^D.
     """
-    survival = (1.0 - noise.p_layer) ** noise.layers
+    survival = keep(noise)
     return survival * ham.e0_proxy + (1.0 - survival) * ham.trace_over_d
 
 
@@ -137,12 +133,67 @@ def p_layer_from_gate_error(p_2q: float, gates_per_layer: int) -> float:
     return -math.expm1(gates_per_layer * math.log1p(-p_2q))
 
 
-def shots_required(noise: NoiseCircuitSpec, ham: HamiltonianSummary, target_sigma: float):
-    """Minimal shot count for a target_sigma estimate; +inf on overflow."""
-    if target_sigma <= 0:
-        raise ValidationError(f"target_sigma must be positive, got {target_sigma}")
-    gt = gamma_total(noise)
-    value = (ham.norm2 * gt / target_sigma) ** 2 * noise.beta
-    if math.isinf(value):
-        return math.inf
-    return max(1, math.ceil(value))
+@dataclass(frozen=True)
+class QuasiProbDecomposition:
+    """Signed two-branch decomposition of the inverse depolarizing layer.
+
+    q[0] weighs the identity branch, q[1] the uniform average over all
+    non-identity Pauli conjugations; gamma = sum |q_i|.  A layer takes the
+    twirl with probability p_twirl = |q[1]| / gamma; a shot weighs gamma^D.
+    """
+
+    q: tuple
+    gamma: float
+    p_twirl: float
+    weight: float
+
+
+def build_qpd(noise: NoiseCircuitSpec) -> QuasiProbDecomposition:
+    """Optimal-negativity inverse of one global depolarizing layer.
+
+    q_id = (1 - P/d^2)/(1 - P) on the identity, q_twirl = -(P/(1-P)) *
+    (d^2 - 1)/d^2 on the uniform non-identity Pauli twirl; the pair
+    composes with the noise layer to the exact identity map and gamma
+    matches the analytic per-layer negativity.
+    """
+    p = noise.p_layer
+    inv_d2 = math.ldexp(1.0, -2 * noise.qubits)  # 1/d^2, underflows cleanly
+    q_id = (1.0 - p * inv_d2) / (1.0 - p)
+    q_twirl = -(p / (1.0 - p)) * (1.0 - inv_d2)
+    gamma = q_id + abs(q_twirl)
+    return QuasiProbDecomposition(q=(q_id, q_twirl), gamma=gamma,
+                                  p_twirl=abs(q_twirl) / gamma, weight=gamma**noise.layers)
+
+
+def single_shot_variance_law(coeffs, expect0, noise: NoiseCircuitSpec) -> float:
+    """Exact single-shot variance of the PEC estimator on terms a_j, <P_j>_0 = e_j.
+
+    A shot is c + s W sum_j a_j o_j with W = gamma_layer^D, s = +/-1 the
+    twirl-parity sign and o_j = +/-1.  Given the net twirl Q the o_j are
+    independent with mean keep sigma_j(Q) e_j, keep = (1-P)^D and
+    sigma_j(Q) = +/-1 the commutation sign.  One layer gives
+    E[sigma(Q_l, R)] = lambda = 1 - p_twirl d^2/(d^2 - 1) for every
+    non-identity R, and P_j P_k is such an R for every j != k, so with
+    kappa = keep^2 lambda^D and m = sum_j a_j e_j
+
+        Var = W^2 [sum_j a_j^2 (1 - kappa e_j^2) + kappa m^2] - m^2.
+
+    The paper's norm2^2 gamma_tot^2 leaves out (W^2 kappa - 1) m^2, the
+    variance of the sign on a nonzero traceless mean.
+    """
+    qpd = build_qpd(noise)
+    lam = 1.0 - qpd.p_twirl / (1.0 - math.ldexp(1.0, -2 * noise.qubits))
+    kappa = (1.0 - noise.p_layer) ** (2 * noise.layers) * lam**noise.layers
+    m = float(coeffs @ expect0)
+    second = float(coeffs**2 @ (1.0 - kappa * expect0**2)) + kappa * m * m
+    return qpd.gamma ** (2 * noise.layers) * second - m * m
+
+
+def raw_variance_law(coeffs, expect0, noise: NoiseCircuitSpec) -> float:
+    """Exact single-shot variance of the raw estimator on terms a_j, <P_j>_0 = e_j.
+
+    A raw shot is c + sum_j a_j o_j with independent o_j = +/-1 of mean
+    keep e_j, keep = (1-P)^D, so Var = sum_j a_j^2 (1 - keep^2 e_j^2).
+    """
+    keep2 = (1.0 - noise.p_layer) ** (2 * noise.layers)
+    return float(coeffs**2 @ (1.0 - keep2 * expect0**2))

@@ -53,6 +53,7 @@ COLOR_RAMP = (
 
 REGIME_COLORS = {LABEL_PEC: "#2a788e", LABEL_RAW: "#7ad151", LABEL_NONE: "#440154"}
 _NO_COLOR = "#bbbbbb"
+SVG_CELL = 8  # side of a grid cell's rect, in SVG pixels
 
 _token = "{:.11e}".format
 _RAMP_STOPS = np.array([stop for stop, _ in COLOR_RAMP])
@@ -160,7 +161,7 @@ def _table(tokens: list, choice=None) -> tuple:
     return lengths, put
 
 
-def _cells_of(values) -> tuple:
+def _cells_of(values, what: str = "cells") -> tuple:
     """(values, digits) of an axis or column: its cells as one flat array, and their _Decimal.
 
     Strings stay strings and integers (numpy's too) Python ints, with digits
@@ -169,7 +170,7 @@ def _cells_of(values) -> tuple:
     |exponent - 11| <= 22 both k and 10^|exponent - 11| are exact doubles, so
     one IEEE multiply or divide gives the correctly rounded value float()
     would (Clinger's fast path); other cells are formatted and parsed one by
-    one.  A pinned cell pins to itself, bit for bit.
+    one.  A pinned cell pins to itself; mixed kinds raise ValidationError.
     """
     # a sequence's own objects: a numpy string array is as wide as its
     # longest string in every cell
@@ -181,7 +182,10 @@ def _cells_of(values) -> tuple:
         if all(issubclass(k, str) for k in kinds) or all(
                 issubclass(k, (int, np.integer)) for k in kinds):
             return array, None
-    array = array.astype(float, copy=False)
+    try:
+        array = array.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} mixes kinds: {exc}") from None
     digits = _decimal(array)
     m = digits.exponent - 11
     exact = digits.fast & (np.abs(m) <= _EXACT_POW10)
@@ -308,8 +312,10 @@ class GridArtifact:
             if (len(grid), *widths) != shape:
                 raise ValidationError(f"column {name!r} has {len(grid)} rows of lengths "
                                       f"{sorted(widths)}, expected shape {shape}")
-        rows, cols = _cells_of(self.row_values), _cells_of(self.col_values)
-        columns = {name: _cells_of(grid) for name, grid in self.columns.items()}
+        rows = _cells_of(self.row_values, "the row axis")
+        cols = _cells_of(self.col_values, "the col axis")
+        columns = {name: _cells_of(grid, f"column {name!r}")
+                   for name, grid in self.columns.items()}
         store = partial(object.__setattr__, self)
         store("row_values", tuple(rows[0].tolist()))
         store("col_values", tuple(cols[0].tolist()))
@@ -397,7 +403,11 @@ def parse_grid_csv(text: str) -> GridArtifact:
         raise ValidationError(f"CSV grid rows must have {len(header)} fields")
     kind = meta.pop("kind", "grid")
     if "seed" in meta:
-        meta["seed"] = int(meta["seed"])
+        try:
+            meta["seed"] = int(meta["seed"])
+        except ValueError:
+            raise ValidationError(f"CSV grid line '# seed={meta['seed']}' is not an "
+                                  "integer seed") from None
     row_name, col_name, *names = header
     row_cells, col_cells, *cells = _parse_columns(rows, len(header))
     del lines, body, rows  # the text's lines, before construction pins the cells
@@ -458,16 +468,25 @@ def grid_to_json(artifact: GridArtifact) -> str:
     return doc + "\n"
 
 
+def _member(doc, *path):
+    """doc[path[0]][path[1]]...; ValidationError naming the key that is missing."""
+    for depth, key in enumerate(path):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValidationError(f"JSON grid has no {'.'.join(path[:depth + 1])!r} key")
+        doc = doc[key]
+    return doc
+
+
 def parse_grid_json(text: str) -> GridArtifact:
     doc = json.loads(text)
     return GridArtifact(
-        kind=doc["kind"],
-        row_name=doc["axes"]["row"]["name"],
-        row_values=doc["axes"]["row"]["values"],
-        col_name=doc["axes"]["col"]["name"],
-        col_values=doc["axes"]["col"]["values"],
-        columns=doc["columns"],
-        provenance=doc["provenance"],
+        kind=_member(doc, "kind"),
+        row_name=_member(doc, "axes", "row", "name"),
+        row_values=_member(doc, "axes", "row", "values"),
+        col_name=_member(doc, "axes", "col", "name"),
+        col_values=_member(doc, "axes", "col", "values"),
+        columns=_member(doc, "columns"),
+        provenance=_member(doc, "provenance"),
     )
 
 
@@ -495,7 +514,7 @@ def _hex_colors(name: str, values: np.ndarray) -> np.ndarray:
     return nibble + np.uint8(_ZERO) + (nibble > 9) * np.uint8(ord("a") - ord("9") - 1)
 
 
-def _rects(xs: list, ys: list, cell: int, hexes: np.ndarray) -> list:
+def _rects(xs: list, ys: list, hexes: np.ndarray) -> list:
     """A panel's rect lines from its x and y tokens and (rows, cols x 6) hex digits.
 
     Rows whose y token has one length share a byte layout, so each band of
@@ -506,7 +525,7 @@ def _rects(xs: list, ys: list, cell: int, hexes: np.ndarray) -> list:
     for size, band in groupby(range(len(ys)), key=lambda i: len(ys[i])):
         band = list(band)
         template = np.frombuffer("".join(  # \x01 marks the y digits, \x02 the color's
-            f'<rect x="{x}" y="{chr(1) * size}" width="{cell}" height="{cell}" '
+            f'<rect x="{x}" y="{chr(1) * size}" width="{SVG_CELL}" height="{SVG_CELL}" '
             f'fill="#{chr(2) * 6}"/>\n' for x in xs).encode(), dtype=np.uint8)
         rows = np.tile(template, (len(band), 1))
         y = np.frombuffer("".join(ys[i] for i in band).encode(), dtype=np.uint8)
@@ -516,7 +535,7 @@ def _rects(xs: list, ys: list, cell: int, hexes: np.ndarray) -> list:
     return bands
 
 
-def grid_to_svg(artifact: GridArtifact, cell: int = 8) -> str:
+def grid_to_svg(artifact: GridArtifact) -> str:
     """One panel per column, drawn as a grid of colored rects.
 
     Deterministic: depends only on the artifact contents; the provenance
@@ -527,7 +546,7 @@ def grid_to_svg(artifact: GridArtifact, cell: int = 8) -> str:
     n_rows, n_cols = len(artifact.row_values), len(artifact.col_values)
     row_tokens, col_tokens = (_tokens(c, [0, len(c[0]) - 1]) for c in (rows, cols))
     margin, gap, title_h = 40, 30, 18
-    panel_w, panel_h = n_cols * cell, n_rows * cell
+    panel_w, panel_h = n_cols * SVG_CELL, n_rows * SVG_CELL
     width = margin * 2 + len(names) * panel_w + (len(names) - 1) * gap
     height = margin * 2 + panel_h + title_h
 
@@ -540,14 +559,14 @@ def grid_to_svg(artifact: GridArtifact, cell: int = 8) -> str:
     ]
     y0 = margin + title_h
     # row 0 at the bottom so both axes increase up/right
-    ys = [str(y0 + (n_rows - 1 - i) * cell) for i in range(n_rows)]
+    ys = [str(y0 + (n_rows - 1 - i) * SVG_CELL) for i in range(n_rows)]
     for k, name in enumerate(names):
         x0 = margin + k * (panel_w + gap)
         parts.append(
             f'<text x="{x0}" y="{margin + 12}" font-family="monospace" '
             f'font-size="12">{name}</text>\n')
         hexes = _hex_colors(name, columns[name][0]).reshape(n_rows, -1)
-        parts += _rects([str(x0 + j * cell) for j in range(n_cols)], ys, cell, hexes)
+        parts += _rects([str(x0 + j * SVG_CELL) for j in range(n_cols)], ys, hexes)
         parts.append(
             f'<text x="{x0}" y="{y0 + panel_h + 14}" font-family="monospace" '
             f'font-size="10">{artifact.col_name}: {col_tokens[0]}'

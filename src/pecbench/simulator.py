@@ -25,11 +25,11 @@ twirls too, but a local one changes each term's decay, to (1-p)^{wt(P_j)}
 per layer, which this kernel does not model; non-Pauli noise, or gates
 between the layers, would break the identity.
 
-The <P_j>_0 come once from the ground vector (hubbard.term_data).  Per shot
-the kernel XORs the twirls' base-4 indices and, only when that frame is not
-the identity, looks every term's anticommutation up in byte tables that the
-mitigated estimator builds once per call; raw shots never twirl and build
-none.
+The noise formulas come from pecbench.noise, the <P_j>_0 once from the
+ground vector (hubbard.term_data).  Per shot the kernel XORs the twirls'
+base-4 indices and, only when that frame is not the identity, looks every
+term's anticommutation up in byte tables that the mitigated estimator
+builds once per call; raw shots never twirl: one comparison a term, no table.
 
 Randomness is counter-based (Salmon et al., SC'11): shots are grouped in
 fixed blocks of SHOT_BLOCK = 4,096, and each block draws from one Philox
@@ -51,8 +51,9 @@ from functools import reduce
 import numpy as np
 
 from . import hubbard
-from .errors import CapacityError, NumericDomainError, ValidationError, gib
-from .noise import HamiltonianSummary, NoiseCircuitSpec, gamma_layer, gamma_total, noisy_mean
+from .errors import CapacityError, ValidationError, gib
+from .noise import (HamiltonianSummary, NoiseCircuitSpec, build_qpd, gamma_layer, gamma_total,
+                    keep, noisy_mean, raw_variance_law, single_shot_variance_law)
 from .stats import erf
 
 
@@ -70,18 +71,6 @@ def active_kernel() -> str:
 class DensityMatrix:
     n: int
     entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class QuasiProbDecomposition:
-    """Signed two-branch decomposition of the inverse depolarizing layer.
-
-    q[0] weighs the identity branch, q[1] the uniform average over all
-    non-identity Pauli conjugations; gamma = sum |q_i|.
-    """
-
-    q: tuple
-    gamma: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,23 +92,6 @@ def prepare_ground_state(spec: hubbard.HubbardSpec) -> DensityMatrix:
                             f"{MAX_DENSE_QUBITS} qubits, got n={spec.qubits}")
     v = hubbard.ground_state(hubbard.build_hubbard_pauli(spec)).vector
     return DensityMatrix(n=spec.qubits, entries=np.outer(v, v))
-
-
-def build_qpd(noise: NoiseCircuitSpec) -> QuasiProbDecomposition:
-    """Optimal-negativity inverse of one global depolarizing layer.
-
-    q_id = (1 - P/d^2)/(1 - P) on the identity, q_twirl = -(P/(1-P)) *
-    (d^2 - 1)/d^2 on the uniform non-identity Pauli twirl; the pair
-    composes with the noise layer to the exact identity map and gamma
-    matches the analytic per-layer negativity.
-    """
-    p = noise.p_layer
-    if p >= 1.0:
-        raise NumericDomainError("the inverse channel diverges at P = 1")
-    inv_d2 = math.ldexp(1.0, -2 * noise.qubits)  # 1/d^2, underflows cleanly
-    q_id = (1.0 - p * inv_d2) / (1.0 - p)
-    q_twirl = -(p / (1.0 - p)) * (1.0 - inv_d2)
-    return QuasiProbDecomposition(q=(q_id, q_twirl), gamma=q_id + abs(q_twirl))
 
 
 # --- Monte Carlo estimators -------------------------------------------------
@@ -181,37 +153,42 @@ def byte_tables(term_x, term_z, n_qubits: int) -> np.ndarray:
     return (bits & 1).astype(bool)
 
 
+def raw_shots(expect0, keep, u_outcome):
+    """+/-1 term outcomes of identity-frame (unmitigated) shots: term j reads +1
+    when its uniform lies below (1 + e_j)/2, e_j = keep * expect0_j clipped to [-1, 1].
+    """
+    term_outcomes = np.less(u_outcome, 0.5 * (1.0 + np.clip(keep * expect0, -1.0, 1.0)),
+                            out=np.empty(u_outcome.shape, dtype=np.int8))
+    term_outcomes *= 2  # {0, 1} -> {-1, +1}
+    term_outcomes -= 1
+    return term_outcomes
+
+
 def run_shots(expect0, tables, keep, p_twirl, u_branch, twirl_idx, u_outcome):
     """Sample every shot's twirls, sign and term outcomes in the Pauli frame.
 
     Per layer the pre-drawn uniform picks the twirl branch with probability
     p_twirl; the branch then conjugates by the pre-drawn non-identity Pauli
     and flips the shot sign.  keep = (1-P)^D scales every expectation, and
-    each term is measured once as an independent +/-1 sample with
-    P(+1) = (1 + e_j)/2, e_j clipped to [-1, 1].  Every term is first
-    compared with its identity-frame threshold.  Only shots whose frame is
-    not the identity look up `tables` (byte_tables of the terms):
-    anticommutation is linear over GF(2) in the frame index, so each of its
-    bytes picks one row of a (256, terms) table and the rows XOR, and the
-    anticommuting terms are compared again with the flipped threshold.
-    At p_twirl = 0 no frame moves, so `tables` may be empty.  A shot's
-    outputs depend only on its own draws, so on a prefix of the draws (see
-    _shot_draws) they are a prefix of the outputs.  Blocks of SHOT_BLOCK
-    shots keep memory O(SHOT_BLOCK x terms).
+    each term is measured once as an independent +/-1 sample: first as in
+    the identity frame (raw_shots).  Only shots whose frame is not the
+    identity look up `tables` (byte_tables of the terms): anticommutation is
+    linear over GF(2) in the frame index, so each of its bytes picks one row
+    of a (256, terms) table and the rows XOR, and an anticommuting term,
+    whose expectation flips sign, reads raw_shots of -expect0 on the same
+    uniform.  A shot's outputs depend only on its own draws, so on a
+    prefix of the draws (see _shot_draws) they are a prefix of the outputs.
+    Blocks of SHOT_BLOCK shots keep memory O(SHOT_BLOCK x terms).
     Returns (sign, branch, term_outcomes), all discrete.
     """
-    identity_threshold, flipped_threshold = (0.5 * (1.0 + np.clip(keep * e, -1.0, 1.0))
-                                             for e in (expect0, -expect0))
     sign = np.empty(len(u_branch), dtype=np.int8)
     branch = np.empty_like(twirl_idx)
-    term_outcomes = np.empty(u_outcome.shape, dtype=np.int8)
+    term_outcomes = raw_shots(expect0, keep, u_outcome)
     for start in range(0, len(u_branch), SHOT_BLOCK):
         rows = slice(start, start + SHOT_BLOCK)
         twirled = u_branch[rows] < p_twirl
         branch[rows] = np.where(twirled, twirl_idx[rows], 0)
         sign[rows] = np.where(reduce(np.bitwise_xor, twirled.T), -1, 1)
-        block = term_outcomes[rows]
-        np.less(u_outcome[rows], identity_threshold, out=block)
         # Up to phase, a product's base-4 digits are the XOR of its factors'
         # digits, and the identity branch is index 0.
         frame = reduce(np.bitwise_xor, branch[rows].T)
@@ -219,15 +196,14 @@ def run_shots(expect0, tables, keep, p_twirl, u_branch, twirl_idx, u_outcome):
         if moved.size:
             anti = reduce(np.bitwise_xor, (table.take((frame[moved] >> 8 * k) & 255, axis=0)
                                            for k, table in enumerate(tables)))
-            block[moved] = np.where(anti, u_outcome[rows][moved] < flipped_threshold,
+            block = term_outcomes[rows]
+            block[moved] = np.where(anti, raw_shots(-expect0, keep, u_outcome[rows][moved]),
                                     block[moved])
-    term_outcomes *= 2  # {0, 1} -> {-1, +1}
-    term_outcomes -= 1
     return sign, branch, term_outcomes
 
 
-def _validate_run(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int,
-                  seed: int):
+def _prepare(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int, seed: int):
+    """(hubbard.solve's record, shot draws) of one run, once its inputs are checked."""
     hubbard.check_sector_capacity(
         spec.sites, f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols)")
     if noise.qubits != spec.qubits:
@@ -237,40 +213,38 @@ def _validate_run(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: i
         raise ValidationError(f"n_shots must be >= 1, got {n_shots}")
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must lie in [0, 2^64), got {seed}")
-
-
-def _prepare(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int, seed: int):
-    """(hubbard.solve's record, shot draws) of one run."""
-    _validate_run(spec, noise, n_shots, seed)
     solved = hubbard.solve(spec)
     draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(solved.coeffs))
     return solved, draws
 
 
-def _estimate(solved: hubbard.SolvedInstance, noise, draws, mitigated):
-    """Per-shot outcomes, signs and branches of one estimator.
-
-    The raw estimator samples no twirl and weighs 1, so it builds no tables.
-    """
-    if mitigated:
-        qpd = build_qpd(noise)
-        p_twirl, weight = abs(qpd.q[1]) / qpd.gamma, qpd.gamma**noise.layers
-        tables = byte_tables(solved.term_x, solved.term_z, noise.qubits)
-    else:
-        p_twirl, weight, tables = 0.0, 1.0, ()
-    keep = (1.0 - noise.p_layer) ** noise.layers
-    sign, branch, term_outcomes = run_shots(solved.expect0, tables, keep, p_twirl, *draws)
-    outcomes = (sign.astype(float) * weight * (term_outcomes @ solved.coeffs)
+def _estimate(solved: hubbard.SolvedInstance, noise, draws):
+    """Per-shot outcomes, signs and branches of the PEC estimator."""
+    qpd = build_qpd(noise)
+    tables = byte_tables(solved.term_x, solved.term_z, noise.qubits)
+    sign, branch, term_outcomes = run_shots(solved.expect0, tables, keep(noise), qpd.p_twirl,
+                                            *draws)
+    outcomes = (sign.astype(float) * qpd.weight * (term_outcomes @ solved.coeffs)
                 + solved.identity)
     return outcomes, sign, branch
 
 
-def _run_estimate(spec, noise, n_shots, seed, mitigated):
-    """(mean, variance, (outcomes, sign, branch)) of one estimator."""
-    solved, draws = _prepare(spec, noise, n_shots, seed)
-    outcomes, sign, branch = _estimate(solved, noise, draws, mitigated)
+def _raw_outcomes(solved: hubbard.SolvedInstance, noise, draws):
+    """Per-shot outcomes of the raw estimator; it reads only the term uniforms."""
+    return raw_shots(solved.expect0, keep(noise), draws[2]) @ solved.coeffs + solved.identity
+
+
+def _moments(outcomes):
+    """(mean, variance, SE of the mean, SE(s^2) = sqrt((mu_4 - s^4)/N)); one shot: s^2 = 0.
+
+    Squaring twice gives mu_4 without numpy's per-element pow (0.8 ms at 10,000 shots).
+    """
+    n_shots, mean = len(outcomes), float(np.mean(outcomes))
     variance = float(np.var(outcomes, ddof=1)) if n_shots > 1 else 0.0
-    return float(np.mean(outcomes)), variance, (outcomes, sign, branch)
+    squares = np.square(outcomes - mean)
+    mu4 = float(np.mean(squares * squares))
+    return (mean, variance, math.sqrt(variance / n_shots),
+            math.sqrt(max(mu4 - variance**2, 0.0) / n_shots))
 
 
 def run_pec_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
@@ -279,8 +253,9 @@ def run_pec_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
 
     `workers` is accepted for compatibility and ignored; shots run serially.
     """
-    mean, variance, (outcomes, sign, branch) = _run_estimate(spec, noise, n_shots, seed,
-                                                             mitigated=True)
+    solved, draws = _prepare(spec, noise, n_shots, seed)
+    outcomes, sign, branch = _estimate(solved, noise, draws)
+    mean, variance = _moments(outcomes)[:2]
     return mean, variance, [
         ShotRecord(tuple(ops), s, outcome)
         for ops, s, outcome in zip(branch.tolist(), sign.tolist(), outcomes.tolist())]
@@ -292,53 +267,8 @@ def run_raw_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
 
     `workers` is accepted for compatibility and ignored; shots run serially.
     """
-    return _run_estimate(spec, noise, n_shots, seed, mitigated=False)[:2]
-
-
-def single_shot_variance_law(coeffs, expect0, noise: NoiseCircuitSpec) -> float:
-    """Exact single-shot variance of the PEC estimator on terms a_j, <P_j>_0 = e_j.
-
-    A shot is c + s W sum_j a_j o_j with W = gamma_layer^D, s = +/-1 the
-    twirl-parity sign and o_j = +/-1.  Given the net twirl Q the o_j are
-    independent with mean keep sigma_j(Q) e_j, keep = (1-P)^D and
-    sigma_j(Q) = +/-1 the commutation sign.  One layer gives
-    E[sigma(Q_l, R)] = lambda = 1 - p_twirl d^2/(d^2 - 1) for every
-    non-identity R, and P_j P_k is such an R for every j != k, so with
-    kappa = keep^2 lambda^D and m = sum_j a_j e_j
-
-        Var = W^2 [sum_j a_j^2 (1 - kappa e_j^2) + kappa m^2] - m^2.
-
-    The paper's norm2^2 gamma_tot^2 leaves out (W^2 kappa - 1) m^2, the
-    variance of the sign on a nonzero traceless mean.
-    """
-    qpd = build_qpd(noise)
-    p_twirl = abs(qpd.q[1]) / qpd.gamma
-    lam = 1.0 - p_twirl / (1.0 - math.ldexp(1.0, -2 * noise.qubits))
-    kappa = (1.0 - noise.p_layer) ** (2 * noise.layers) * lam**noise.layers
-    m = float(coeffs @ expect0)
-    second = float(coeffs**2 @ (1.0 - kappa * expect0**2)) + kappa * m * m
-    return qpd.gamma ** (2 * noise.layers) * second - m * m
-
-
-def raw_variance_law(coeffs, expect0, noise: NoiseCircuitSpec) -> float:
-    """Exact single-shot variance of the raw estimator on terms a_j, <P_j>_0 = e_j.
-
-    A raw shot is c + sum_j a_j o_j with independent o_j = +/-1 of mean
-    keep e_j, keep = (1-P)^D, so Var = sum_j a_j^2 (1 - keep^2 e_j^2).
-    """
-    keep2 = (1.0 - noise.p_layer) ** (2 * noise.layers)
-    return float(coeffs**2 @ (1.0 - keep2 * expect0**2))
-
-
-def _variance_se(outcomes, mean: float, variance: float) -> float:
-    """Standard error of the sample variance, sqrt((mu_4 - s^4)/N).
-
-    mu_4 is the fourth central moment; squaring twice avoids numpy's
-    per-element pow, which costs 0.8 ms at 10,000 shots.
-    """
-    squares = np.square(outcomes - mean)
-    mu4 = float(np.mean(squares * squares))
-    return math.sqrt(max(mu4 - variance**2, 0.0) / len(outcomes))
+    solved, draws = _prepare(spec, noise, n_shots, seed)
+    return _moments(_raw_outcomes(solved, noise, draws))[:2]
 
 
 # --- normality of batch means ----------------------------------------------
@@ -413,21 +343,14 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
                                    trace_over_d=solved.identity, e0_proxy=e0)
     gt = gamma_total(noise)
 
-    pec_outcomes, sign, _ = _estimate(solved, noise, draws, mitigated=True)
-    raw_outcomes, _, _ = _estimate(solved, noise, draws, mitigated=False)
-
-    pec_mean = float(np.mean(pec_outcomes))
-    pec_var = float(np.var(pec_outcomes, ddof=1))
-    raw_mean = float(np.mean(raw_outcomes))
-    raw_var = float(np.var(raw_outcomes, ddof=1))
-    pec_se = math.sqrt(pec_var / n_shots)
-    raw_se = math.sqrt(raw_var / n_shots)
+    pec_outcomes, sign, _ = _estimate(solved, noise, draws)
+    raw_outcomes = _raw_outcomes(solved, noise, draws)
+    pec_mean, pec_var, pec_se, variance_se = _moments(pec_outcomes)
+    raw_mean, raw_var, raw_se, raw_variance_se = _moments(raw_outcomes)
 
     variance_bound = norm2sq * gt**2
     variance_law = single_shot_variance_law(solved.coeffs, solved.expect0, noise)
-    variance_se = _variance_se(pec_outcomes, pec_mean, pec_var)
     raw_law = raw_variance_law(solved.coeffs, solved.expect0, noise)
-    raw_variance_se = _variance_se(raw_outcomes, raw_mean, raw_var)
 
     mean_sign = float(np.mean(sign.astype(float)))
     gamma_empirical = math.inf if mean_sign == 0 else 1.0 / mean_sign

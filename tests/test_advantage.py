@@ -19,7 +19,7 @@ from pecbench.advantage import (
 )
 from pecbench.config import load_config
 from pecbench.errors import ValidationError
-from pecbench.noise import HamiltonianSummary, NoiseCircuitSpec, gamma_total, pec_sigma
+from pecbench.noise import HamiltonianSummary, NoiseCircuitSpec, gamma_total
 from pecbench.stats import NormalSpec, interval_probability
 
 REFERENCE_CFG = str(Path(__file__).resolve().parent.parent
@@ -56,7 +56,7 @@ def test_proxy_matches_exact_at_midpoint():
         proxy = pec_success_proxy(prob, n, p=p)
         noise = dataclasses.replace(prob.noise, p_layer=p)
         exact = interval_probability(
-            NormalSpec(prob.midpoint, pec_sigma(noise, prob.ham, n)),
+            NormalSpec(prob.midpoint, prob.ham.norm2 * gamma_total(noise) / math.sqrt(n)),
             prob.e_minus, prob.e_plus)
         assert proxy == pytest.approx(exact, abs=1e-12)
 
@@ -179,6 +179,21 @@ def test_sweep_matches_cellwise_reference():
                 assert grid.pec_success[i, j] == pec, (p, n)
                 assert grid.raw_success[i, j] == raw, (p, n)
                 assert grid.label[i, j] == label, (p, n)
+
+
+def test_beta_divides_the_pec_shot_count(tmp_path):
+    # the PEC width carries sqrt(beta), so beta = 4 at N shots is beta = 1 at N/4;
+    # the raw estimator does not see beta
+    text = Path(REFERENCE_CFG).read_text().replace("p_layer = 4e-3", "p_layer = 4e-3\nbeta = 4")
+    (tmp_path / "beta4.cfg").write_text(text)
+    wide = load_config(str(tmp_path / "beta4.cfg")).advantage_problem()
+    prob = load_config(REFERENCE_CFG).advantage_problem()
+    assert (wide.noise.beta, prob.noise.beta) == (4.0, 1.0)
+    p_axis, shots = _default_axes()
+    quartered, single = sweep(wide, p_axis, 4.0 * shots), sweep(prob, p_axis, shots)
+    assert np.abs(quartered.pec_success - single.pec_success).max() <= 1e-12
+    assert 0.0 < single.pec_success.min() and single.pec_success.max() == 1.0
+    assert np.array_equal(sweep(wide, p_axis, shots).raw_success, single.raw_success)
 
 
 def test_default_axes():

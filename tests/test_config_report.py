@@ -240,6 +240,34 @@ def test_phase_artifact_round_trips_json():
         parse_grid_json(json.dumps(ragged))
 
 
+def test_parse_grid_json_names_a_missing_key():
+    doc = json.loads(grid_to_json(_small_artifact()))
+    del doc["kind"]
+    with pytest.raises(ValidationError, match="JSON grid has no 'kind' key"):
+        parse_grid_json(json.dumps(doc))
+    del doc["axes"]["row"]["values"]
+    with pytest.raises(ValidationError, match="no 'axes.row.values' key"):
+        parse_grid_json(json.dumps({**doc, "kind": "phase-diagram"}))
+
+
+def test_parse_grid_json_refuses_a_top_level_list():
+    with pytest.raises(ValidationError, match="JSON grid has no 'kind' key"):
+        parse_grid_json(json.dumps([grid_to_json(_small_artifact())]))
+
+
+def test_parse_grid_json_names_a_column_of_mixed_kinds():
+    doc = json.loads(grid_to_json(_small_artifact()))
+    doc["columns"]["pec_success"][0][1] = "x"
+    with pytest.raises(ValidationError, match="column 'pec_success' mixes kinds"):
+        parse_grid_json(json.dumps(doc))
+
+
+def test_parse_grid_csv_names_a_malformed_seed_line():
+    text = grid_to_csv(_small_artifact()).replace("# seed=7", "# seed=abc")
+    with pytest.raises(ValidationError, match="line '# seed=abc'"):
+        parse_grid_csv(text)
+
+
 def test_csv_values_have_12_significant_digits():
     text = grid_to_csv(_small_artifact())
     row = [line for line in text.splitlines() if not line.startswith(("#", "p,"))][0]

@@ -14,6 +14,7 @@ from oracles import (
     dense_ground_state,
     fermionic_hubbard_matrix,
     lattice_edges_reference,
+    pauli_masks,
     pauli_sum_apply_reference,
     pauli_sum_matrix_reference,
     reconstruct_matrix,
@@ -193,6 +194,17 @@ def test_display_strings_round_trip():
                                        decomp.identity_coefficient)
     assert again == decomp
     assert list(again.terms) == list(decomp.terms)
+
+
+def test_pauli_index_is_the_twirl_draw_index():
+    # one digit convention: a key's index is the twirl index that names it
+    for q in (1, 2, 3, 4):
+        assert [hb._pauli_index(pauli_masks(i, q)) for i in range(4**q)] == list(range(4**q))
+    # Python ints, so any n: the index order is the display-string order
+    decomp = hb.build_hubbard_pauli(hb.HubbardSpec(40, 40, "periodic", 1.0, 8.0, 3.75))
+    keys = list(decomp.terms)[::50]
+    assert sorted(keys, key=hb._pauli_index) == sorted(
+        keys, key=lambda key: hb.pauli_string(key, decomp.n))
 
 
 def test_large_periodic_build():

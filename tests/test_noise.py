@@ -10,9 +10,7 @@ from pecbench.noise import (
     gamma_total,
     noisy_mean,
     p_layer_from_gate_error,
-    pec_sigma,
     raw_sigma,
-    shots_required,
     threshold_p,
 )
 
@@ -39,15 +37,10 @@ def test_gamma_total_composes():
 
 
 def test_sigma_laws():
-    noise = NoiseCircuitSpec(layers=3, p_layer=0.02, qubits=4)
     ham = _ham()
-    n = 400.0
-    assert raw_sigma(ham, n) == pytest.approx(ham.norm2 / 20.0, rel=1e-14)
-    assert pec_sigma(noise, ham, n) == pytest.approx(
-        gamma_total(noise) * raw_sigma(ham, n), rel=1e-12)
-    wide = NoiseCircuitSpec(layers=3, p_layer=0.02, qubits=4, beta=4.0)
-    assert pec_sigma(wide, ham, n) == pytest.approx(
-        2.0 * pec_sigma(noise, ham, n), rel=1e-12)
+    assert raw_sigma(ham, 400.0) == pytest.approx(ham.norm2 / 20.0, rel=1e-14)
+    with pytest.raises(ValidationError):
+        raw_sigma(ham, 0.5)
 
 
 def test_noisy_mean_endpoints():
@@ -87,17 +80,6 @@ def test_p_layer_from_gate_error():
         p_layer_from_gate_error(-0.1, 10)
     with pytest.raises(ValidationError):
         p_layer_from_gate_error(0.1, 0)
-
-
-def test_shots_required():
-    noise = NoiseCircuitSpec(layers=2, p_layer=0.01, qubits=4)
-    ham = _ham()
-    target = 0.05
-    n = shots_required(noise, ham, target)
-    assert n == math.ceil(noise.beta * (gamma_total(noise) * ham.norm2 / target) ** 2)
-    assert pec_sigma(noise, ham, n) <= target
-    deep = NoiseCircuitSpec(layers=10**6, p_layer=0.5, qubits=4)
-    assert shots_required(deep, ham, target) == math.inf
 
 
 def test_noise_spec_validation():

@@ -12,11 +12,11 @@ from pecbench.hubbard import (
     exact_ground_energy,
     pauli_string,
 )
-from pecbench.noise import NoiseCircuitSpec, gamma_layer, noisy_mean
+from pecbench import noise as noise_model
+from pecbench.noise import NoiseCircuitSpec, build_qpd, gamma_layer, noisy_mean
 from pecbench.simulator import (
     active_kernel,
     batch_means,
-    build_qpd,
     lilliefors_critical,
     normality_check,
     prepare_ground_state,
@@ -93,6 +93,10 @@ def test_build_qpd_matches_analytics():
     assert qpd.gamma == pytest.approx(gamma_layer(one_qubit), rel=1e-12)
     assert qpd.q[0] + qpd.q[1] == pytest.approx(1.0, abs=1e-12)  # trace preserving
     assert qpd.q[1] < 0
+    # the sampled twirl rate and the D-layer shot weight
+    deep = NoiseCircuitSpec(layers=5, p_layer=0.1, qubits=1)
+    assert build_qpd(deep).p_twirl == -qpd.q[1] / qpd.gamma
+    assert build_qpd(deep).weight == pytest.approx(qpd.gamma**5, rel=1e-15)
 
 
 def test_qpd_composition_residual():
@@ -190,6 +194,22 @@ def test_byte_tables_match_the_symplectic_product(spec):
     for k in range(len(reference)):
         for v in range(256):
             assert np.array_equal(ours[k, v], reference[k, v]), (k, v)
+
+
+@pytest.mark.parametrize("n_shots", [1, 4_097])
+@pytest.mark.parametrize("spec", [SPEC, FRAME_LATTICES["1x5-periodic"],
+                                  FRAME_LATTICES["2x3-open"]],
+                         ids=["1x2-open", "1x5-periodic", "2x3-open"])
+def test_raw_shots_are_the_kernel_at_zero_twirl_rate(spec, n_shots):
+    # the raw pass is one comparison per term; the reference scans frames,
+    # signs and branches at p_twirl = 0 and must give the same outcomes
+    expect0, term_x, term_z, draws = _frame_inputs(spec, 4, n_shots)
+    keep = noise_model.keep(NoiseCircuitSpec(layers=4, p_layer=0.05, qubits=spec.qubits))
+    ours = simcore.raw_shots(expect0, keep, draws[2])
+    sign, branch, reference = frame_shots_reference(expect0, term_x, term_z, keep, 0.0,
+                                                    *draws, spec.qubits)
+    assert ours.dtype == reference.dtype and np.array_equal(ours, reference)
+    assert not branch.any() and (sign == 1).all()
 
 
 def test_run_shots_memory_is_bounded_by_the_shot_block():
@@ -362,7 +382,7 @@ def test_raw_equals_pec_at_zero_noise():
 def test_raw_mean_matches_analytic_bias():
     raw_mean, raw_var = run_raw_estimate(SPEC, NOISE, 40_000, seed=13)
     decomp = build_hubbard_pauli(SPEC)
-    ham = simcore.HamiltonianSummary(
+    ham = noise_model.HamiltonianSummary(
         norm2=math.sqrt(simcore.hubbard.norm2_squared(decomp)),
         trace_over_d=decomp.identity_coefficient,
         e0_proxy=exact_ground_energy(SPEC))
@@ -445,7 +465,7 @@ def test_variance_law_matches_every_branch_sequence(p_layer, layers):
     reference = pec_variance_reference(
         coeffs.tolist(), expect0.tolist(), term_x.tolist(), term_z.tolist(), 2,
         (1.0 - p_layer) ** layers, abs(qpd.q[1]) / qpd.gamma, qpd.gamma**layers, layers)
-    assert simcore.single_shot_variance_law(coeffs, expect0, noise) == pytest.approx(
+    assert noise_model.single_shot_variance_law(coeffs, expect0, noise) == pytest.approx(
         reference, rel=1e-12)
 
 
@@ -469,7 +489,7 @@ def test_raw_variance_law_matches_every_outcome(p_layer, layers):
     noise = NoiseCircuitSpec(layers=layers, p_layer=p_layer, qubits=2)
     reference = raw_variance_reference(coeffs.tolist(), expect0.tolist(),
                                        (1.0 - p_layer) ** layers)
-    assert simcore.raw_variance_law(coeffs, expect0, noise) == pytest.approx(
+    assert noise_model.raw_variance_law(coeffs, expect0, noise) == pytest.approx(
         reference, rel=1e-12)
 
 
