@@ -161,8 +161,22 @@ def build_qpd(noise: NoiseCircuitSpec) -> QuasiProbDecomposition:
     q_id = (1.0 - p * inv_d2) / (1.0 - p)
     q_twirl = -(p / (1.0 - p)) * (1.0 - inv_d2)
     gamma = q_id + abs(q_twirl)
-    return QuasiProbDecomposition(q=(q_id, q_twirl), gamma=gamma,
-                                  p_twirl=abs(q_twirl) / gamma, weight=gamma**noise.layers)
+    return QuasiProbDecomposition(q=(q_id, q_twirl), gamma=gamma, p_twirl=abs(q_twirl) / gamma,
+                                  weight=_pec_power(gamma, noise.layers))
+
+
+def _pec_power(gamma: float, exponent: int) -> float:
+    """gamma^exponent, a shot's weight (exponent D) or its square (2D).
+
+    Raises NumericDomainError when it overflows a float: the PEC estimator's
+    outcomes and variance are then out of range.
+    """
+    try:
+        return gamma**exponent
+    except OverflowError:
+        raise NumericDomainError(
+            f"the PEC overhead gamma^{exponent} = {gamma!r}^{exponent} overflows a float; "
+            "lower [noise] p_layer or [circuit] layers") from None
 
 
 def single_shot_variance_law(coeffs, expect0, noise: NoiseCircuitSpec) -> float:
@@ -186,7 +200,7 @@ def single_shot_variance_law(coeffs, expect0, noise: NoiseCircuitSpec) -> float:
     kappa = (1.0 - noise.p_layer) ** (2 * noise.layers) * lam**noise.layers
     m = float(coeffs @ expect0)
     second = float(coeffs**2 @ (1.0 - kappa * expect0**2)) + kappa * m * m
-    return qpd.gamma ** (2 * noise.layers) * second - m * m
+    return _pec_power(qpd.gamma, 2 * noise.layers) * second - m * m
 
 
 def raw_variance_law(coeffs, expect0, noise: NoiseCircuitSpec) -> float:

@@ -14,15 +14,22 @@ value is one IEEE multiply or divide of k by an exact power of ten
 [1e-297, 1e308), or within the scaling error of a half-way decimal) are
 formatted and parsed one by one.
 
-CSV lines and JSON cells go through one byte writer.  It sums each record's
-token lengths: a fast float's from its sign, digit count and exponent, the
-others' from tables of distinct tokens (ints, strings, the separators).  A
-CSV line joins the row, column and cell tokens with "," and ends in a new
-line; a JSON cell is followed by "," or its row's "],", then a new line.
-Records sit at the exclusive prefix sum of the lengths in one exact-size
-buffer, each byte position is one vectorized write, and slow cells' Python
-tokens are copied in.  CSV cells are '.11e' of the pinned values, JSON cells
-their repr: the digits without trailing zeros, fixed for exponents -4 .. 15.
+Construction keeps those cells as arrays; the row_values, col_values and
+columns tuples are built when a caller first reads them, and no emitter
+does.
+
+CSV records are the columns of one (slots x records) byte matrix.  Each
+field is a block of slots with its tokens in columns: a fast float's sign,
+12 digits, ".", "e", exponent sign and digits from numpy arithmetic, ints
+and strings from a table of distinct tokens, slow cells' Python tokens
+copied in.  Unused slots hold 0xFF, a byte UTF-8 never uses, so the matrix
+is transposed once and the padding dropped once.  JSON cells go through a
+byte writer that sums each record's token lengths (a fast float's from its
+sign, digit count and exponent, the others' from tables of distinct
+tokens) and writes each cell and the "," or "]," after it at the exclusive
+prefix sum of those lengths, one vectorized write per byte position.  CSV
+cells are '.11e' of the pinned values, JSON cells their repr: the digits
+without trailing zeros, fixed for exponents -4 .. 15.
 SVG cells take a fixed ramp (clipped to [0, 1], channels rounded half to even,
 non-finite grey); a panel's rect lines are 2-D arrays filled from templates.
 """
@@ -32,7 +39,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress, groupby, repeat
 
 import numpy as np
@@ -65,12 +71,13 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # exact up to m = 22
 _POW10 = np.array([float(10 ** m) for m in range(309)])
 _EXACT_POW10 = 22
-_ZERO, _DOT, _MINUS, _PLUS, _E = b"0.-+e"
+_ZERO, _DOT, _MINUS, _PLUS, _E, _COMMA, _NEWLINE = b"0.-+e,\n"
 # exact digits need the scaled cell's distance to a half-integer to beat
 # its scaling error, <= 2 roundings x 2^-53 x 1e12 = 2.3e-4
 _TIE_MARGIN = 1e-3
 # bytes past the writer's output, where slow cells' digit writes land
 _SINK = 32
+_PAD = 0xFF  # a byte UTF-8 never uses: marks the slots a token leaves empty
 _EXPONENT_DIGITS = (np.arange(309) // np.array([[100], [10], [1]]) % 10 + _ZERO).astype(np.uint8)
 _PLACES = np.arange(1, 13, dtype=np.uint8)[:, None]
 
@@ -120,7 +127,15 @@ def _digits(k: np.ndarray) -> np.ndarray:
     return digits
 
 
-# --- the byte writer ----------------------------------------------------
+def _padded(tokens: list, width=None) -> np.ndarray:
+    """(len(tokens), width) bytes: each token's UTF-8, then 0xFF; width is the longest's."""
+    data = [token.encode() for token in tokens]
+    width = max(map(len, data), default=0) if width is None else width
+    data = b"".join(d.ljust(width, b"\xff") for d in data)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(tokens), width)
+
+
+# --- JSON's byte writer -------------------------------------------------
 
 def _written(n: int, fields: list) -> str:
     """n records, each its fields' tokens back to back, as one str.
@@ -144,11 +159,10 @@ def _written(n: int, fields: list) -> str:
 
 def _table(tokens: list, choice=None) -> tuple:
     """The field of tokens[choice[r]] in record r, or of tokens[0] in all."""
-    data = [token.encode() for token in tokens]
-    width, keep = max(map(len, data), default=0), 0 if choice is None else choice
-    lengths = np.array(list(map(len, data)))[keep]
-    columns = np.frombuffer(b"".join(d.ljust(width) for d in data), dtype=np.uint8)
-    columns = columns.reshape(len(data), width).T.copy()  # byte b of each token
+    table = _padded(tokens)
+    width, keep = table.shape[1], 0 if choice is None else choice
+    lengths = np.count_nonzero(table != _PAD, axis=1)[keep]
+    columns = table.T.copy()  # byte b of each token
 
     def put(buf, start):
         shortest = int(np.min(lengths))
@@ -196,32 +210,88 @@ def _cells_of(values, what: str = "cells") -> tuple:
     return pinned, digits
 
 
-def _float_field(values: np.ndarray, digits: _Decimal, take, as_json: bool) -> tuple:
-    """The field of pinned float cells' tokens: cell take[r] in record r.
+def _distinct(values: np.ndarray, as_json: bool) -> tuple:
+    """(tokens, choice) of int or string cells: the distinct tokens, and each cell's index."""
+    values = values.tolist()
+    distinct = list(dict.fromkeys(values))
+    index = {value: i for i, value in enumerate(distinct)}
+    choice = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    tokens = ([str(int(v)) for v in distinct] if not isinstance(distinct[0], str)
+              else list(map(json.dumps, distinct)) if as_json else distinct)
+    return tokens, choice
 
-    A fast cell is written from its sign, 12 digits and exponent: '{:.11e}',
-    or in JSON the digits without trailing zeros after "0." and -e - 1 zeros
-    (e = -4 .. -1), with a "." after place e and at least one place after it
-    (e = 0 .. 15), else as d.ddde-XX.  Place p lands at start + sign + shift
-    + p, one further past the ".".  Slow cells' digits go to the sink.
+
+# --- CSV tokens: a block of byte slots per field ------------------------
+
+# a '.11e' token's slots: sign, digit 0, ".", digits 1-11, "e", exponent sign,
+# hundreds, tens, ones; no finite double's, nan's or inf's token is longer
+_FLOAT_SLOTS = 19
+
+
+def _csv_block(cells: tuple) -> np.ndarray:
+    """(slots, cells) bytes: column c holds cell c's CSV token, padded with 0xFF."""
+    values, digits = cells
+    if digits is None:
+        if not values.size:
+            return np.empty((0, 0), dtype=np.uint8)
+        tokens, choice = _distinct(values, as_json=False)
+        return _padded(tokens)[choice].T
+    negative, k, e, fast = digits
+    block = np.empty((_FLOAT_SLOTS, fast.size), dtype=np.uint8)
+    block[0] = np.where(negative, np.uint8(_MINUS), np.uint8(_PAD))
+    places = _digits(k)
+    block[1], block[2], block[3:14], block[14] = places[0], _DOT, places[1:], _E
+    block[15] = np.where(e < 0, np.uint8(_MINUS), np.uint8(_PLUS))
+    magnitude = np.abs(e)
+    block[16] = np.where(magnitude >= 100, _EXPONENT_DIGITS[0][magnitude], np.uint8(_PAD))
+    block[17:] = _EXPONENT_DIGITS[1:, magnitude]
+    slow = np.flatnonzero(~fast)
+    block[:, slow] = _padded(list(map(_token, values[slow].tolist())), _FLOAT_SLOTS).T
+    return block
+
+
+def _unpadded(block: np.ndarray) -> str:
+    """The block's tokens, record after record, with the padding dropped."""
+    flat = block.T.ravel()
+    return str(flat[flat != _PAD], "utf-8")
+
+
+def _tokens(cells: tuple, take=None) -> list:
+    """Each cell's CSV token, or cell take[r]'s as token r; "" for a cell of no axis."""
+    values, digits = cells
+    if take is not None and values.size:
+        cells = values[take], None if digits is None else _Decimal(*(a[take] for a in digits))
+    block = _csv_block(cells)
+    if not block.size:
+        return [""] * len(cells[0] if take is None else take)
+    ends = np.cumsum(np.count_nonzero(block != _PAD, axis=0)).tolist()
+    data = _unpadded(block).encode()
+    return [data[a:b].decode() for a, b in zip([0] + ends[:-1], ends)]
+
+
+# --- JSON tokens ---------------------------------------------------------
+
+def _float_field(values: np.ndarray, digits: _Decimal) -> tuple:
+    """The field of pinned float cells' JSON tokens, one per record.
+
+    A fast cell is written from its sign and 12 digits: without trailing
+    zeros after "0." and -e - 1 zeros (e = -4 .. -1), with a "." after
+    place e and at least one place after it (e = 0 .. 15), else as
+    d.ddde-XX.  Place p lands at start + sign + shift + p, one further
+    past the ".".  Slow cells' digits go to the sink.
     """
     negative, k, e, fast = digits
-    cell = np.arange(fast.size) if take is None else np.asarray(take)
-    negative, e, fast, digits = negative[cell], e[cell], fast[cell], _digits(k[cell])
+    digits = _digits(k)
     sign, three = negative.astype(np.int64), np.abs(e) >= 100
-    if as_json:
-        count = np.maximum(((digits != _ZERO) * _PLACES).max(axis=0), 1).astype(np.int64)
-        small, large = (e >= -4) & (e < 0), (e >= 0) & (e <= 15)
-        places = np.where(large, np.maximum(count, e + 2), count)
-        shift = np.where(small, 1 - e, 0)
-        dot = np.where(large, e, np.where(small, 16, 0))  # the place "." follows
-        has_dot, sci = ~small & (places > dot + 1), ~(small | large)
-    else:
-        places, shift, dot, has_dot, sci = 12, 0, 0, True, True
+    count = np.maximum(((digits != _ZERO) * _PLACES).max(axis=0), 1).astype(np.int64)
+    small, large = (e >= -4) & (e < 0), (e >= 0) & (e <= 15)
+    places = np.where(large, np.maximum(count, e + 2), count)
+    shift = np.where(small, 1 - e, 0)
+    dot = np.where(large, e, np.where(small, 16, 0))  # the place "." follows
+    has_dot, sci = ~small & (places > dot + 1), ~(small | large)
     lengths = sign + shift + places + has_dot + sci * (4 + three)
     slow = np.flatnonzero(~fast)
-    tokens = list(map(float.__repr__ if as_json else _token, values[cell[slow]].tolist()))
-    tokens = [_JSON_NONFINITE.get(t, t) for t in tokens] if as_json else tokens
+    tokens = [_JSON_NONFINITE.get(t, t) for t in map(float.__repr__, values[slow].tolist())]
     lengths[slow] = size = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
     offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # in its token
 
@@ -231,20 +301,17 @@ def _float_field(values: np.ndarray, digits: _Decimal, take, as_json: bool) -> t
         start = np.where(fast, start, buf.size - _SINK)
         buf[start[np.flatnonzero(negative)]] = _MINUS
         first = start + sign + shift
-        if as_json:
-            lead = np.flatnonzero(small)
-            at, prefix = first[lead] - shift[lead], shift[lead]  # "0." and -e - 1 zeros
-            for q, byte in enumerate(b"0.000"):  # past the prefix: on digit 0, written below
-                buf[at + np.minimum(q, prefix)] = byte
-            point = np.flatnonzero(has_dot)
-            buf[first[point] + dot[point] + 1] = _DOT
-        else:
-            buf[first + 1] = _DOT
+        lead = np.flatnonzero(small)
+        at, prefix = first[lead] - shift[lead], shift[lead]  # "0." and -e - 1 zeros
+        for q, byte in enumerate(b"0.000"):  # past the prefix: on digit 0, written below
+            buf[at + np.minimum(q, prefix)] = byte
+        point = np.flatnonzero(has_dot)
+        buf[first[point] + dot[point] + 1] = _DOT
         top = places - 1
         for p in range(int(np.max(places)) - 1, -1, -1):  # a place past the last
             c = np.minimum(p, top)  # lands on the last, which is written after it
             buf[first + (c + (c > dot))] = digits[p] if p < 12 else _ZERO
-        exp = np.flatnonzero(sci) if as_json else slice(None)
+        exp = np.flatnonzero(sci)
         at, power, wide = (first + (places + has_dot))[exp], e[exp], three[exp]
         magnitude = np.abs(power)
         buf[at], buf[at + 1] = _E, np.where(power < 0, np.uint8(_MINUS), np.uint8(_PLUS))
@@ -255,32 +322,26 @@ def _float_field(values: np.ndarray, digits: _Decimal, take, as_json: bool) -> t
     return lengths, put
 
 
-def _field(cells: tuple, take=None, as_json: bool = False) -> tuple:
-    """The field of each cell's CSV (or JSON) token, or of cell take[r] in record r."""
+def _field(cells: tuple) -> tuple:
+    """The field of each cell's JSON token, one per record."""
     values, digits = cells
     if not values.size:
         return _table([""])
     if digits is not None:
-        return _float_field(values, digits, take, as_json)
-    values = values.tolist()
-    distinct = list(dict.fromkeys(values))
-    index = {value: i for i, value in enumerate(distinct)}
-    choice = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
-    tokens = ([str(int(v)) for v in distinct] if not isinstance(distinct[0], str)
-              else list(map(json.dumps, distinct)) if as_json else distinct)
-    return _table(tokens, choice if take is None else choice[take])
+        return _float_field(values, digits)
+    return _table(*_distinct(values, as_json=True))
 
 
-def _tokens(cells: tuple, take=None, as_json: bool = False) -> list:
-    """Each cell's CSV (or JSON) token, cut from the writer's output."""
-    lengths, _ = field = _field(cells, take, as_json)
-    n = len(cells[0] if take is None else take)
+def _json_tokens(cells: tuple) -> list:
+    """What json.dumps writes for each cell, cut from the writer's output."""
+    lengths, _ = field = _field(cells)
+    n = len(cells[0])
     ends = np.cumsum(np.broadcast_to(lengths, (n,))).tolist()
     data = _written(n, [field]).encode()
     return [data[a:b].decode() for a, b in zip([0] + ends[:-1], ends)]
 
 
-_json_tokens = partial(_tokens, as_json=True)  # what json.dumps writes for each cell
+_VIEWS = ("row_values", "col_values", "columns")
 
 
 @dataclass(frozen=True)
@@ -290,8 +351,10 @@ class GridArtifact:
     columns maps a column name to a row-major grid.  Construction pins the
     float cells of every axis and column to emission precision, whoever
     builds the artifact (the builders, the parsers, a caller with raw
-    arrays), and stores them as tuples: row_values and col_values flat,
-    each column a tuple of row tuples of floats, ints or strings.
+    arrays), and keeps them as flat arrays, which the emitters read.  The
+    first read of row_values, col_values or columns builds it as tuples:
+    the axes flat, each column a tuple of row tuples of floats, ints or
+    strings.
     """
 
     kind: str
@@ -316,13 +379,23 @@ class GridArtifact:
         cols = _cells_of(self.col_values, "the col axis")
         columns = {name: _cells_of(grid, f"column {name!r}")
                    for name, grid in self.columns.items()}
-        store = partial(object.__setattr__, self)
-        store("row_values", tuple(rows[0].tolist()))
-        store("col_values", tuple(cols[0].tolist()))
-        store("columns", {name: tuple(map(tuple, values.reshape(shape).tolist()))
-                          for name, (values, _) in columns.items()})
         # not a field: (rows, cols, {name: cells}) from _cells_of, which the emitters read
-        store("_flat", (rows, cols, columns))
+        object.__setattr__(self, "_flat", (rows, cols, columns))
+        for name in _VIEWS:  # __getattr__ builds them from _flat when first read
+            object.__delattr__(self, name)
+
+    def __getattr__(self, name: str):
+        if name not in _VIEWS or "_flat" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows, cols, columns = self._flat
+        if name == "columns":
+            shape = (rows[0].size, cols[0].size)
+            view = {column: tuple(map(tuple, values.reshape(shape).tolist()))
+                    for column, (values, _) in columns.items()}
+        else:
+            view = tuple((rows if name == "row_values" else cols)[0].tolist())
+        object.__setattr__(self, name, view)
+        return view
 
 
 def make_provenance(config_hash: str, seed: int) -> dict:
@@ -351,18 +424,32 @@ def centering_artifact(shift_axis, width_axis, true_grid, proxy_grid, error_grid
 # --- CSV ---------------------------------------------------------------
 
 def grid_to_csv(artifact: GridArtifact) -> str:
+    """One line per cell: its row and column tokens, then one token per column."""
     rows, cols, columns = artifact._flat
     lines = [f"# kind={artifact.kind}"]
     for key in sorted(artifact.provenance):
         lines.append(f"# {key}={artifact.provenance[key]}")
-    names = list(artifact.columns)
-    lines.append(",".join([artifact.row_name, artifact.col_name] + names))
-    n_rows, n_cols = len(artifact.row_values), len(artifact.col_values)
-    i, j = np.divmod(np.arange(n_rows * n_cols), max(n_cols, 1))
-    fields = [_table(_tokens(rows), i), _table([","]), _table(_tokens(cols), j)]
-    for name in names:
-        fields += [_table([","]), _field(columns[name])]
-    return "\n".join(lines) + "\n" + _written(i.size, fields + [_table(["\n"])])
+    lines.append(",".join([artifact.row_name, artifact.col_name, *columns]))
+    head = "\n".join(lines) + "\n"
+    n_rows, n_cols = rows[0].size, cols[0].size
+    if not n_rows * n_cols:
+        return head
+    blocks = [_csv_block(cells) for cells in (rows, cols, *columns.values())]
+    # each block, then a "," after it, or the "\n" that ends the line
+    matrix = np.empty((sum(map(len, blocks)) + len(blocks), n_rows * n_cols), dtype=np.uint8)
+    at = 0
+    for field, block in enumerate(blocks):
+        slots = matrix[at:at + len(block)]
+        if field < 2:  # an axis token: the row's in n_cols lines, each column's once a row
+            grid = slots.reshape(len(block), n_rows, n_cols)
+            grid[...] = block[:, :, None] if field == 0 else block[:, None, :]
+        else:
+            slots[...] = block
+        at += len(block)
+        matrix[at] = _COMMA
+        at += 1
+    matrix[-1] = _NEWLINE
+    return head + _unpadded(matrix)
 
 
 _KINDS = (int, float, str)
@@ -439,7 +526,7 @@ def _json_member(key: str, rendered: str) -> str:
 def grid_to_json(artifact: GridArtifact) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) of the artifact, written by hand."""
     rows, cols, columns = artifact._flat
-    n_rows, n_cols = len(artifact.row_values), len(artifact.col_values)
+    n_rows, n_cols = rows[0].size, cols[0].size
 
     def axis(name: str, cells: tuple) -> str:
         return _json_block([_json_member("name", json.dumps(name)),
@@ -451,7 +538,7 @@ def grid_to_json(artifact: GridArtifact) -> str:
             return _json_block(["[]"] * n_rows, 2)
         row_end = (np.arange(1, n_rows * n_cols + 1) % n_cols == 0).astype(np.intp)
         row_sep = "\n      ],\n      ["  # between rows; a cell ends with a new line
-        body = _written(row_end.size, [_field(cells, as_json=True),
+        body = _written(row_end.size, [_field(cells),
                                        _table([",", row_sep], row_end), _table(["\n        "])])
         return "[\n      [\n        " + body[:-len(row_sep) - 9] + "\n      ]\n    ]"
 
@@ -468,25 +555,43 @@ def grid_to_json(artifact: GridArtifact) -> str:
     return doc + "\n"
 
 
-def _member(doc, *path):
-    """doc[path[0]][path[1]]...; ValidationError naming the key that is missing."""
+_JSON_KINDS = {list: "list", dict: "object"}
+
+
+def _member(doc, *path, kind=object):
+    """doc[path[0]][path[1]]...; ValidationError naming a key that is missing or not a kind."""
     for depth, key in enumerate(path):
         if not isinstance(doc, dict) or key not in doc:
             raise ValidationError(f"JSON grid has no {'.'.join(path[:depth + 1])!r} key")
         doc = doc[key]
+    if not isinstance(doc, kind):
+        raise ValidationError(f"JSON grid key {'.'.join(path)!r} is not a JSON "
+                              f"{_JSON_KINDS[kind]}")
     return doc
 
 
+def _json_columns(doc) -> dict:
+    """doc's columns; ValidationError naming one that is not a list of row lists."""
+    columns = _member(doc, "columns", kind=dict)
+    for name, grid in columns.items():
+        if not (isinstance(grid, list) and all(isinstance(row, list) for row in grid)):
+            raise ValidationError(f"JSON grid key 'columns.{name}' is not a list of row lists")
+    return columns
+
+
 def parse_grid_json(text: str) -> GridArtifact:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"JSON grid is not JSON: {exc}") from None
     return GridArtifact(
         kind=_member(doc, "kind"),
         row_name=_member(doc, "axes", "row", "name"),
-        row_values=_member(doc, "axes", "row", "values"),
+        row_values=_member(doc, "axes", "row", "values", kind=list),
         col_name=_member(doc, "axes", "col", "name"),
-        col_values=_member(doc, "axes", "col", "values"),
-        columns=_member(doc, "columns"),
-        provenance=_member(doc, "provenance"),
+        col_values=_member(doc, "axes", "col", "values", kind=list),
+        columns=_json_columns(doc),
+        provenance=_member(doc, "provenance", kind=dict),
     )
 
 
@@ -542,8 +647,8 @@ def grid_to_svg(artifact: GridArtifact) -> str:
     block is embedded as a <metadata> element.
     """
     rows, cols, columns = artifact._flat
-    names = list(artifact.columns)
-    n_rows, n_cols = len(artifact.row_values), len(artifact.col_values)
+    names = list(columns)
+    n_rows, n_cols = rows[0].size, cols[0].size
     row_tokens, col_tokens = (_tokens(c, [0, len(c[0]) - 1]) for c in (rows, cols))
     margin, gap, title_h = 40, 30, 18
     panel_w, panel_h = n_cols * SVG_CELL, n_rows * SVG_CELL

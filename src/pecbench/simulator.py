@@ -342,6 +342,8 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     ham_exact = HamiltonianSummary(norm2=math.sqrt(norm2sq),
                                    trace_over_d=solved.identity, e0_proxy=e0)
     gt = gamma_total(noise)
+    # before any shot: the law raises NumericDomainError when gamma^2D overflows
+    variance_law = single_shot_variance_law(solved.coeffs, solved.expect0, noise)
 
     pec_outcomes, sign, _ = _estimate(solved, noise, draws)
     raw_outcomes = _raw_outcomes(solved, noise, draws)
@@ -349,7 +351,6 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     raw_mean, raw_var, raw_se, raw_variance_se = _moments(raw_outcomes)
 
     variance_bound = norm2sq * gt**2
-    variance_law = single_shot_variance_law(solved.coeffs, solved.expect0, noise)
     raw_law = raw_variance_law(solved.coeffs, solved.expect0, noise)
 
     mean_sign = float(np.mean(sign.astype(float)))

@@ -2,9 +2,13 @@
 
 The error function is delegated to the platform libm (documented accuracy
 well below 1e-12 over the real line) through math.erf, mapped over the
-cells as one list; odd symmetry is enforced exactly by evaluating on |x|
-and restoring the sign with np.copysign.  All probabilities are clamped to
-[0, 1] to keep round-off from leaking out of the invariant.
+cells with |x| < 6 as one list.  Cells with |x| >= 6 (inf included) are
+written as 1 without a call: that is what libm returns there, since
+1 - erf(6) = erfc(6) ~ 2e-17 is under half an ulp of 1 (fdlibm's |x| >= 6
+branch returns one - tiny, which rounds to 1).  Odd symmetry is enforced
+exactly by evaluating on |x| and restoring the sign with np.copysign.  All
+probabilities are clamped to [0, 1] to keep round-off from leaking out of
+the invariant.
 
 Every function takes floats or broadcastable arrays, applies the scalar
 law elementwise, and returns a float for scalar input.
@@ -20,6 +24,7 @@ import numpy as np
 from .errors import ValidationError
 
 _SQRT2 = math.sqrt(2.0)
+_SATURATED = 6.0  # math.erf is exactly 1.0 from here on
 
 
 @dataclass(frozen=True)
@@ -40,11 +45,14 @@ def _float_if_scalar(values):
 
 
 def erf(x):
-    """Error function, exactly odd: erf(-x) == -erf(x)."""
+    """Error function, exactly odd: erf(-x) == -erf(x), bitwise copysign(math.erf(|x|), x)."""
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValidationError("erf argument must not be NaN")
-    magnitude = np.fromiter(map(math.erf, np.abs(x).ravel().tolist()), float, x.size)
+    a = np.abs(x).ravel()
+    live = np.flatnonzero(a < _SATURATED)
+    magnitude = np.ones(x.size)
+    magnitude[live] = np.fromiter(map(math.erf, a[live].tolist()), float, live.size)
     return _float_if_scalar(np.copysign(magnitude.reshape(x.shape), x))
 
 

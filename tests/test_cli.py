@@ -288,6 +288,23 @@ def test_simulate_seed_override(tmp_path, capsys):
     assert report["seed"] == 99 and report["provenance"]["seed"] == 99
 
 
+def test_simulate_exits_4_when_the_pec_weight_overflows(tmp_path, capsys):
+    # gamma = 18.93 at P = 0.9: gamma^2000 overflows, and at 200 layers
+    # gamma^200 = 1e255 is finite but the variance law's gamma^400 is not
+    for layers, power in ((2000, 2000), (200, 400)):
+        cfg = tmp_path / f"overflow{layers}.cfg"
+        cfg.write_text(Path(SIM_CFG).read_text()
+                       .replace("layers = 4", f"layers = {layers}")
+                       .replace("p_layer = 0.05", "p_layer = 0.9")
+                       .replace("shots = 200000", "shots = 5000")
+                       .replace("batch = 500", "batch = 100"))
+        assert main(["simulate", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric-domain error: ")
+        assert f"gamma^{power} = 18.929687500000004^{power} overflows a float" in err
+        assert "[noise] p_layer" in err and "[circuit] layers" in err
+
+
 def test_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["norm", "--config", missing]) == 2

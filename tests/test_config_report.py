@@ -262,6 +262,28 @@ def test_parse_grid_json_names_a_column_of_mixed_kinds():
         parse_grid_json(json.dumps(doc))
 
 
+def test_parse_grid_json_names_columns_that_are_a_list():
+    doc = json.loads(grid_to_json(_small_artifact()))
+    doc["columns"] = list(doc["columns"].values())
+    with pytest.raises(ValidationError, match="JSON grid key 'columns' is not a JSON object"):
+        parse_grid_json(json.dumps(doc))
+
+
+def test_parse_grid_json_names_a_column_of_numbers_not_rows():
+    doc = json.loads(grid_to_json(_small_artifact()))
+    doc["columns"] = {"v": [0.5]}
+    with pytest.raises(ValidationError, match="JSON grid key 'columns.v' is not a list of row"):
+        parse_grid_json(json.dumps(doc))
+
+
+def test_parse_grid_json_refuses_text_that_is_not_json():
+    text = grid_to_json(_small_artifact())
+    with pytest.raises(ValidationError, match="JSON grid is not JSON: Expecting ',' delimiter"):
+        parse_grid_json(text[:-3])  # drops the closing brace
+    with pytest.raises(ValidationError, match="JSON grid is not JSON"):
+        parse_grid_json("kind=phase-diagram\n")
+
+
 def test_parse_grid_csv_names_a_malformed_seed_line():
     text = grid_to_csv(_small_artifact()).replace("# seed=7", "# seed=abc")
     with pytest.raises(ValidationError, match="line '# seed=abc'"):
@@ -453,6 +475,74 @@ def test_writer_matches_oracles_on_ints_and_strings():
     for emit, render in ((grid_to_csv, grid_csv_reference), (grid_to_json, grid_json_reference)):
         assert emit(artifact) == render(artifact)
         assert emit(empty) == render(empty)
+
+
+_CSV_EDGES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300,
+              0.9999999999995,  # just under the tie: 9.99999999999e-01
+              1e16, 1e100, -1e100, 1e-100, -1e-100,
+              0.9999999999996]  # .11e carries into the exponent: 1.00000000000e+00
+
+
+def test_csv_writer_matches_the_oracle_on_edge_cells():
+    # float cells at every CSV layout edge; int axes of mixed width; string
+    # cells with multi-byte UTF-8 and an embedded U+0000, which the 0xFF
+    # padding must keep
+    provenance = make_provenance("ed9e000000000000", 17)
+    cells = np.array(_CSV_EDGES * 5)[:60].reshape(6, 10)
+    strings = ["", "é", "日本", "a\x00b", "\U0001f600", "x"]
+    labels = [[strings[(i + j) % 6] for j in range(10)] for i in range(6)]
+    artifacts = [
+        GridArtifact(kind="grid", row_name="n", row_values=(0, 7, -12, 10**20, 123, -1),
+                     col_name="v", col_values=_CSV_EDGES[:10],
+                     columns={"f": cells, "s": labels, "g": cells[::-1]},
+                     provenance=provenance),
+        GridArtifact(kind="grid", row_name="f", row_values=_CSV_EDGES, col_name="n",
+                     col_values=(1, -22, 333_333, 0),
+                     columns={"i": [[i * j - 5 for j in range(4)] for i in range(13)]},
+                     provenance=provenance),
+        GridArtifact(kind="grid", row_name="r", row_values=(), col_name="c", col_values=(),
+                     columns={"v": ()}, provenance=provenance),
+        GridArtifact(kind="grid", row_name="r", row_values=(0.9999999999996,), col_name="c",
+                     col_values=("\x00",), columns={"v": [[-0.0]], "w": [["é"]]},
+                     provenance=provenance),
+    ]
+    for artifact in artifacts:
+        assert grid_to_csv(artifact) == grid_csv_reference(artifact)
+    first, one = grid_to_csv(artifacts[0]), grid_to_csv(artifacts[-1])
+    assert "a\x00b" in first and "\U0001f600" in first
+    assert one.endswith("\nr,c,v,w\n1.00000000000e+00,\x00,-0.00000000000e+00,é\n")
+    assert grid_to_csv(artifacts[2]).endswith("\nr,c,v\n")
+
+
+def test_views_are_lazy_tuples_with_the_same_equality():
+    shift = np.array([-0.0, 0.25, 1e-300, 3.0])
+    width = [0.5, 1e16, 5e-324]
+    grids = [np.outer(shift + k, width) for k in range(3)]
+    provenance = make_provenance("1a2y000000000000", 19)
+    artifact = centering_artifact(shift, width, *grids, provenance)
+    for emit in (grid_to_csv, grid_to_json, grid_to_svg):
+        emit(artifact)
+    assert not {"row_values", "col_values", "columns"} & set(vars(artifact))  # never built
+    reference = centering_artifact_reference(shift, width, *grids, provenance)
+    assert type(artifact.row_values) is tuple and artifact.row_values == reference.row_values
+    assert type(artifact.col_values) is tuple and artifact.col_values == reference.col_values
+    assert artifact.columns == reference.columns
+    assert all(type(grid) is tuple and all(type(row) is tuple for row in grid)
+               for grid in artifact.columns.values())
+    assert artifact.columns is artifact.columns  # built once
+    twin = centering_artifact(shift, width, *grids, provenance)
+    assert twin == artifact and artifact == twin  # one side built, the other not yet
+    assert centering_artifact(shift, width, grids[0], grids[1], -grids[2],
+                              provenance) != artifact
+    for emit, parse in ((grid_to_csv, parse_grid_csv), (grid_to_json, parse_grid_json)):
+        fresh = centering_artifact(shift, width, *grids, provenance)
+        assert parse(emit(fresh)) == fresh
+    with_nan = centering_artifact(shift, width, grids[0], grids[1], grids[2] * math.nan,
+                                  provenance)  # nan != nan, as for any tuple of floats
+    assert with_nan != centering_artifact(shift, width, grids[0], grids[1],
+                                          grids[2] * math.nan, provenance)
+    with pytest.raises(AttributeError, match="no attribute 'rows'"):
+        artifact.rows
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

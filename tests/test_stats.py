@@ -127,3 +127,15 @@ def test_erf_is_bitwise_the_odd_libm_erf():
     grid = xs[:40_000].reshape(200, 200)
     assert np.array_equal(erf(grid).view(np.int64), want[:40_000].reshape(200, 200).view(np.int64))
     assert math.copysign(1.0, erf(-0.0)) == -1.0
+
+
+def test_erf_is_bitwise_libm_erf_where_it_saturates():
+    # erf writes 1 for |x| >= 6 without calling libm: that must be what
+    # libm returns on either side of the cut
+    edge = [np.nextafter(6.0, 0.0), 6.0, np.nextafter(6.0, math.inf)]
+    xs = np.concatenate([edge, np.linspace(5.9, 6.1, 20_001)])
+    xs = np.concatenate([xs, -xs])
+    want = np.array([math.copysign(math.erf(abs(x)), x) for x in xs.tolist()])
+    assert np.array_equal(erf(xs).view(np.int64), want.view(np.int64))
+    for x in edge:
+        assert erf(float(x)) == math.erf(float(x)) and erf(-float(x)) == math.erf(-float(x))
