@@ -166,7 +166,7 @@ def build_qpd(noise: NoiseCircuitSpec) -> QuasiProbDecomposition:
 
 
 def _pec_power(gamma: float, exponent: int) -> float:
-    """gamma^exponent, a shot's weight (exponent D) or its square (2D).
+    """gamma^exponent: a shot's weight (exponent D), its square (2D) or fourth power (4D).
 
     Raises NumericDomainError when it overflows a float: the PEC estimator's
     outcomes and variance are then out of range.

@@ -18,18 +18,19 @@ Construction keeps those cells as arrays; the row_values, col_values and
 columns tuples are built when a caller first reads them, and no emitter
 does.
 
-CSV records are the columns of one (slots x records) byte matrix.  Each
-field is a block of slots with its tokens in columns: a fast float's sign,
-12 digits, ".", "e", exponent sign and digits from numpy arithmetic, ints
-and strings from a table of distinct tokens, slow cells' Python tokens
-copied in.  Unused slots hold 0xFF, a byte UTF-8 never uses, so the matrix
-is transposed once and the padding dropped once.  JSON cells go through a
-byte writer that sums each record's token lengths (a fast float's from its
-sign, digit count and exponent, the others' from tables of distinct
-tokens) and writes each cell and the "," or "]," after it at the exclusive
-prefix sum of those lengths, one vectorized write per byte position.  CSV
-cells are '.11e' of the pinned values, JSON cells their repr: the digits
-without trailing zeros, fixed for exponents -4 .. 15.
+CSV lines and JSON grid bodies are the columns of one (slots x cells) byte
+matrix.  Each field is a block of slots with its tokens in columns: a fast
+float's sign, digits, ".", "e", exponent sign and digits from numpy
+arithmetic, ints and strings from a table of distinct tokens, slow cells'
+Python tokens copied in.  Unused slots hold 0xFF, a byte UTF-8 never uses,
+so the matrix is transposed once and the padding dropped once.  A CSV line
+is the blocks of its fields with "," rows between them and a newline row
+last.  A JSON grid is its column's block over one row of marks, 0xFE after
+a cell and 0xFD after a row's last (bytes UTF-8 never uses either), which
+two bytes.replace calls turn into the separators.  CSV cells are '.11e' of
+the pinned values, JSON cells their repr: the digits without trailing
+zeros, fixed for exponents -4 .. 15, where a JSON digit slot holds digit r
+before the "." and digit r - 1 past it.
 SVG cells take a fixed ramp (clipped to [0, 1], channels rounded half to even,
 non-finite grey); a panel's rect lines are 2-D arrays filled from templates.
 """
@@ -75,11 +76,10 @@ _ZERO, _DOT, _MINUS, _PLUS, _E, _COMMA, _NEWLINE = b"0.-+e,\n"
 # exact digits need the scaled cell's distance to a half-integer to beat
 # its scaling error, <= 2 roundings x 2^-53 x 1e12 = 2.3e-4
 _TIE_MARGIN = 1e-3
-# bytes past the writer's output, where slow cells' digit writes land
-_SINK = 32
 _PAD = 0xFF  # a byte UTF-8 never uses: marks the slots a token leaves empty
+# bytes UTF-8 never uses either: a JSON grid's marks after a cell and after a row's last
+_CELL_END, _ROW_END = 0xFE, 0xFD
 _EXPONENT_DIGITS = (np.arange(309) // np.array([[100], [10], [1]]) % 10 + _ZERO).astype(np.uint8)
-_PLACES = np.arange(1, 13, dtype=np.uint8)[:, None]
 
 
 # .11e's rounding of flat float cells: (-1)^negative k 10^(exponent - 11), k in [1e11, 1e12) or 0
@@ -135,46 +135,6 @@ def _padded(tokens: list, width=None) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(len(tokens), width)
 
 
-# --- JSON's byte writer -------------------------------------------------
-
-def _written(n: int, fields: list) -> str:
-    """n records, each its fields' tokens back to back, as one str.
-
-    A field is (lengths, put): its tokens' byte counts (an int when all
-    match) and put(buf, start), which writes each token at its offset and
-    nowhere else.  Records sit at the exclusive prefix sum of their lengths,
-    a field at its record's offset plus the lengths of the fields before it
-    (Blelloch, "Prefix sums and their applications", CMU-CS-90-190).
-    """
-    if not n:
-        return ""
-    width = sum(lengths for lengths, _ in fields)
-    ends = np.cumsum(np.broadcast_to(width, (n,)))
-    buf, start = np.empty(int(ends[-1]) + _SINK, dtype=np.uint8), ends - width
-    for lengths, put in fields:
-        put(buf, start)
-        start = start + lengths
-    return str(buf[:-_SINK], "utf-8")
-
-
-def _table(tokens: list, choice=None) -> tuple:
-    """The field of tokens[choice[r]] in record r, or of tokens[0] in all."""
-    table = _padded(tokens)
-    width, keep = table.shape[1], 0 if choice is None else choice
-    lengths = np.count_nonzero(table != _PAD, axis=1)[keep]
-    columns = table.T.copy()  # byte b of each token
-
-    def put(buf, start):
-        shortest = int(np.min(lengths))
-        for b in range(shortest):
-            buf[start + b] = columns[b][keep]
-        longer = np.flatnonzero(lengths > shortest)
-        for b in range(shortest, width):  # the tokens that have a byte b
-            longer = longer[lengths[longer] > b]
-            buf[start[longer] + b] = columns[b][keep[longer]]
-    return lengths, put
-
-
 def _cells_of(values, what: str = "cells") -> tuple:
     """(values, digits) of an axis or column: its cells as one flat array, and their _Decimal.
 
@@ -210,15 +170,30 @@ def _cells_of(values, what: str = "cells") -> tuple:
     return pinned, digits
 
 
-def _distinct(values: np.ndarray, as_json: bool) -> tuple:
-    """(tokens, choice) of int or string cells: the distinct tokens, and each cell's index."""
+def _table_block(values: np.ndarray, as_json: bool) -> np.ndarray:
+    """(slots, cells) bytes of int or string cells, from a table of their distinct tokens."""
+    if not values.size:
+        return np.empty((0, 0), dtype=np.uint8)
     values = values.tolist()
     distinct = list(dict.fromkeys(values))
     index = {value: i for i, value in enumerate(distinct)}
     choice = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
     tokens = ([str(int(v)) for v in distinct] if not isinstance(distinct[0], str)
               else list(map(json.dumps, distinct)) if as_json else distinct)
-    return tokens, choice
+    return _padded(tokens)[choice].T
+
+
+def _unpadded(block: np.ndarray) -> bytes:
+    """The block's tokens, column after column, with the padding dropped."""
+    flat = block.T.ravel()
+    return flat[flat != _PAD].tobytes()
+
+
+def _cut(block: np.ndarray) -> list:
+    """Each column's token of a padded block, as a str."""
+    ends = np.cumsum(np.count_nonzero(block != _PAD, axis=0)).tolist()
+    data = _unpadded(block)
+    return [data[a:b].decode() for a, b in zip([0] + ends[:-1], ends)]
 
 
 # --- CSV tokens: a block of byte slots per field ------------------------
@@ -228,117 +203,92 @@ def _distinct(values: np.ndarray, as_json: bool) -> tuple:
 _FLOAT_SLOTS = 19
 
 
+def _exponent(e: np.ndarray) -> np.ndarray:
+    """(4, cells) bytes: each exponent's sign, hundreds (0xFF under 100), tens and ones."""
+    magnitude = np.abs(e)
+    slots = np.empty((4, e.size), dtype=np.uint8)
+    slots[0] = np.where(e < 0, np.uint8(_MINUS), np.uint8(_PLUS))
+    slots[1] = np.where(magnitude >= 100, _EXPONENT_DIGITS[0][magnitude], np.uint8(_PAD))
+    slots[2:] = _EXPONENT_DIGITS[1:, magnitude]
+    return slots
+
+
 def _csv_block(cells: tuple) -> np.ndarray:
     """(slots, cells) bytes: column c holds cell c's CSV token, padded with 0xFF."""
     values, digits = cells
     if digits is None:
-        if not values.size:
-            return np.empty((0, 0), dtype=np.uint8)
-        tokens, choice = _distinct(values, as_json=False)
-        return _padded(tokens)[choice].T
+        return _table_block(values, as_json=False)
     negative, k, e, fast = digits
     block = np.empty((_FLOAT_SLOTS, fast.size), dtype=np.uint8)
     block[0] = np.where(negative, np.uint8(_MINUS), np.uint8(_PAD))
     places = _digits(k)
     block[1], block[2], block[3:14], block[14] = places[0], _DOT, places[1:], _E
-    block[15] = np.where(e < 0, np.uint8(_MINUS), np.uint8(_PLUS))
-    magnitude = np.abs(e)
-    block[16] = np.where(magnitude >= 100, _EXPONENT_DIGITS[0][magnitude], np.uint8(_PAD))
-    block[17:] = _EXPONENT_DIGITS[1:, magnitude]
+    block[15:] = _exponent(e)
     slow = np.flatnonzero(~fast)
     block[:, slow] = _padded(list(map(_token, values[slow].tolist())), _FLOAT_SLOTS).T
     return block
 
 
-def _unpadded(block: np.ndarray) -> str:
-    """The block's tokens, record after record, with the padding dropped."""
-    flat = block.T.ravel()
-    return str(flat[flat != _PAD], "utf-8")
-
-
 def _tokens(cells: tuple, take=None) -> list:
     """Each cell's CSV token, or cell take[r]'s as token r; "" for a cell of no axis."""
     values, digits = cells
-    if take is not None and values.size:
+    if take is not None:
+        if not values.size:
+            return [""] * len(take)
         cells = values[take], None if digits is None else _Decimal(*(a[take] for a in digits))
-    block = _csv_block(cells)
-    if not block.size:
-        return [""] * len(cells[0] if take is None else take)
-    ends = np.cumsum(np.count_nonzero(block != _PAD, axis=0)).tolist()
-    data = _unpadded(block).encode()
-    return [data[a:b].decode() for a, b in zip([0] + ends[:-1], ends)]
+    return _cut(_csv_block(cells))
 
 
-# --- JSON tokens ---------------------------------------------------------
+# --- JSON tokens: the same blocks in repr's layout ----------------------
 
-def _float_field(values: np.ndarray, digits: _Decimal) -> tuple:
-    """The field of pinned float cells' JSON tokens, one per record.
+# a JSON float token's slots: sign; "0." and up to three zeros (e = -4 .. -1);
+# 18 for its digits and "." (1000000000000000.0 at e = 15 fills them); "e",
+# exponent sign and two or three digits.  No double's repr is longer.
+_JSON_SLOTS = 29
+_NO_DOT = 18  # past the digit slots: a token with no "."
+_DIGIT_ROWS = np.arange(_NO_DOT, dtype=np.int8)[:, None]
+_ZERO_PREFIX = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
 
-    A fast cell is written from its sign and 12 digits: without trailing
-    zeros after "0." and -e - 1 zeros (e = -4 .. -1), with a "." after
-    place e and at least one place after it (e = 0 .. 15), else as
-    d.ddde-XX.  Place p lands at start + sign + shift + p, one further
-    past the ".".  Slow cells' digits go to the sink.
+
+def _json_block(cells: tuple) -> np.ndarray:
+    """(slots, cells) bytes: column c holds json.dumps of cell c, padded with 0xFF.
+
+    A fast float is repr of its sign and 12 digits, without trailing
+    zeros: after "0." and -e - 1 zeros (e = -4 .. -1); with a "." after
+    digit e and at least one digit after it (e = 0 .. 15); else as
+    d.ddde-XX, with no "." for one digit.  Digit slot r holds digit r
+    before the "." and digit r - 1 past it.
     """
+    values, digits = cells
+    if digits is None:
+        return _table_block(values, as_json=True)
     negative, k, e, fast = digits
-    digits = _digits(k)
-    sign, three = negative.astype(np.int64), np.abs(e) >= 100
-    count = np.maximum(((digits != _ZERO) * _PLACES).max(axis=0), 1).astype(np.int64)
+    places = _digits(k)
+    count = np.maximum(((places != _ZERO) * _DIGIT_ROWS[1:13]).max(axis=0), 1)
     small, large = (e >= -4) & (e < 0), (e >= 0) & (e <= 15)
-    places = np.where(large, np.maximum(count, e + 2), count)
-    shift = np.where(small, 1 - e, 0)
-    dot = np.where(large, e, np.where(small, 16, 0))  # the place "." follows
-    has_dot, sci = ~small & (places > dot + 1), ~(small | large)
-    lengths = sign + shift + places + has_dot + sci * (4 + three)
+    sci = np.flatnonzero(~(small | large))
+    dot = np.where(large, e + 1, _NO_DOT).astype(np.int8)
+    dot[sci[count[sci] > 1]] = 1
+    length = (np.where(large, np.maximum(count, e + 2), count) + (dot < _NO_DOT)).astype(np.int8)
+    block = np.full((_JSON_SLOTS, fast.size), _PAD, dtype=np.uint8)
+    block[0, negative] = _MINUS
+    np.copyto(block[1:6], _ZERO_PREFIX, where=_DIGIT_ROWS[:5] < np.where(small, 1 - e, 0))
+    region = block[6:24]
+    region[:12], region[12:] = places, _ZERO  # digits past the 12th are zeros
+    np.copyto(region[1:13], places, where=_DIGIT_ROWS[1:13] > dot)
+    point = np.flatnonzero(dot < _NO_DOT)
+    region[dot[point], point] = _DOT
+    np.copyto(region, _PAD, where=_DIGIT_ROWS >= length)
+    block[24, sci], block[25:, sci] = _E, _exponent(e[sci])
     slow = np.flatnonzero(~fast)
     tokens = [_JSON_NONFINITE.get(t, t) for t in map(float.__repr__, values[slow].tolist())]
-    lengths[slow] = size = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # in its token
-
-    def put(buf, start):
-        buf[np.repeat(start[slow], size) + offset] = np.frombuffer(
-            "".join(tokens).encode(), dtype=np.uint8)
-        start = np.where(fast, start, buf.size - _SINK)
-        buf[start[np.flatnonzero(negative)]] = _MINUS
-        first = start + sign + shift
-        lead = np.flatnonzero(small)
-        at, prefix = first[lead] - shift[lead], shift[lead]  # "0." and -e - 1 zeros
-        for q, byte in enumerate(b"0.000"):  # past the prefix: on digit 0, written below
-            buf[at + np.minimum(q, prefix)] = byte
-        point = np.flatnonzero(has_dot)
-        buf[first[point] + dot[point] + 1] = _DOT
-        top = places - 1
-        for p in range(int(np.max(places)) - 1, -1, -1):  # a place past the last
-            c = np.minimum(p, top)  # lands on the last, which is written after it
-            buf[first + (c + (c > dot))] = digits[p] if p < 12 else _ZERO
-        exp = np.flatnonzero(sci)
-        at, power, wide = (first + (places + has_dot))[exp], e[exp], three[exp]
-        magnitude = np.abs(power)
-        buf[at], buf[at + 1] = _E, np.where(power < 0, np.uint8(_MINUS), np.uint8(_PLUS))
-        buf[at[wide] + 2] = _EXPONENT_DIGITS[0][magnitude[wide]]
-        at = at + wide  # a two-digit exponent starts with its tens
-        buf[at + 2] = _EXPONENT_DIGITS[1][magnitude]
-        buf[at + 3] = _EXPONENT_DIGITS[2][magnitude]
-    return lengths, put
-
-
-def _field(cells: tuple) -> tuple:
-    """The field of each cell's JSON token, one per record."""
-    values, digits = cells
-    if not values.size:
-        return _table([""])
-    if digits is not None:
-        return _float_field(values, digits)
-    return _table(*_distinct(values, as_json=True))
+    block[:, slow] = _padded(tokens, _JSON_SLOTS).T
+    return block
 
 
 def _json_tokens(cells: tuple) -> list:
-    """What json.dumps writes for each cell, cut from the writer's output."""
-    lengths, _ = field = _field(cells)
-    n = len(cells[0])
-    ends = np.cumsum(np.broadcast_to(lengths, (n,))).tolist()
-    data = _written(n, [field]).encode()
-    return [data[a:b].decode() for a, b in zip([0] + ends[:-1], ends)]
+    """What json.dumps writes for each cell."""
+    return _cut(_json_block(cells))
 
 
 _VIEWS = ("row_values", "col_values", "columns")
@@ -449,7 +399,7 @@ def grid_to_csv(artifact: GridArtifact) -> str:
         matrix[at] = _COMMA
         at += 1
     matrix[-1] = _NEWLINE
-    return head + _unpadded(matrix)
+    return head + _unpadded(matrix).decode()
 
 
 _KINDS = (int, float, str)
@@ -496,12 +446,25 @@ def parse_grid_csv(text: str) -> GridArtifact:
             raise ValidationError(f"CSV grid line '# seed={meta['seed']}' is not an "
                                   "integer seed") from None
     row_name, col_name, *names = header
+    # the axes from the line layout, by token: equal floats such as 0.0 and
+    # -0.0 are distinct axis cells.  A row's lines run through the column
+    # axis, so the leading lines up to the first new row token hold it.
+    first = rows[0].partition(",")[0] + ","
+    width = next((i for i, line in enumerate(rows) if not line.startswith(first)), len(rows))
+    height = len(rows) // width
+    row_tokens = [line.partition(",")[0] for line in rows[::width]]
+    col_tokens = [line.split(",", 2)[1] for line in rows[:width]]
+    # a run that repeats a shorter one could also be several rows of that one
+    if any(col_tokens == col_tokens[:p] * (width // p) for p in range(1, width) if width % p == 0):
+        raise ValidationError("CSV grid axes are ambiguous: the column tokens of the first "
+                              "row token repeat")
+    end, match = (",", str.startswith) if names else ("", str.__eq__)
+    heads = (f"{r},{c}{end}" for r in row_tokens for c in col_tokens)
+    if height * width != len(rows) or not all(map(match, rows, heads)):
+        raise ValidationError("CSV grid is ragged or out of order")
     row_cells, col_cells, *cells = _parse_columns(rows, len(header))
     del lines, body, rows  # the text's lines, before construction pins the cells
-    row_values, col_values = tuple(dict.fromkeys(row_cells)), tuple(dict.fromkeys(col_cells))
-    height, width = len(row_values), len(col_values)
-    if height * width != len(row_cells):
-        raise ValidationError("CSV grid is ragged or out of order")
+    row_values, col_values = tuple(row_cells[::width]), tuple(col_cells[:width])
     columns = {name: [values[i * width:(i + 1) * width] for i in range(height)]
                for name, values in zip(names, cells)}
     return GridArtifact(kind=kind, row_name=row_name, row_values=row_values,
@@ -511,7 +474,7 @@ def parse_grid_csv(text: str) -> GridArtifact:
 
 # --- JSON --------------------------------------------------------------
 
-def _json_block(items, depth: int, brackets: str = "[]") -> str:
+def _json_container(items, depth: int, brackets: str = "[]") -> str:
     """A container of rendered items as json.dumps(indent=2) lays it out at depth."""
     if not items:
         return brackets
@@ -529,25 +492,27 @@ def grid_to_json(artifact: GridArtifact) -> str:
     n_rows, n_cols = rows[0].size, cols[0].size
 
     def axis(name: str, cells: tuple) -> str:
-        return _json_block([_json_member("name", json.dumps(name)),
-                            _json_member("values", _json_block(_json_tokens(cells), 3))],
-                           2, "{}")
+        return _json_container([_json_member("name", json.dumps(name)),
+                                _json_member("values", _json_container(_json_tokens(cells), 3))],
+                               2, "{}")
 
     def grid(cells: tuple) -> str:
         if not n_rows * n_cols:
-            return _json_block(["[]"] * n_rows, 2)
-        row_end = (np.arange(1, n_rows * n_cols + 1) % n_cols == 0).astype(np.intp)
-        row_sep = "\n      ],\n      ["  # between rows; a cell ends with a new line
-        body = _written(row_end.size, [_field(cells),
-                                       _table([",", row_sep], row_end), _table(["\n        "])])
-        return "[\n      [\n        " + body[:-len(row_sep) - 9] + "\n      ]\n    ]"
+            return _json_container(["[]"] * n_rows, 2)
+        block = _json_block(cells)
+        marks = np.full((1, block.shape[1]), _CELL_END, dtype=np.uint8)
+        marks[0, n_cols - 1::n_cols] = _ROW_END
+        body = _unpadded(np.vstack([block, marks]))[:-1]  # no mark after the last cell
+        body = body.replace(bytes([_CELL_END]), b",\n        ")
+        body = body.replace(bytes([_ROW_END]), b"\n      ],\n      [\n        ")
+        return "[\n      [\n        " + body.decode() + "\n      ]\n    ]"
 
     provenance = json.dumps(artifact.provenance, sort_keys=True, indent=2)
-    doc = _json_block([
-        _json_member("axes", _json_block([
+    doc = _json_container([
+        _json_member("axes", _json_container([
             _json_member("col", axis(artifact.col_name, cols)),
             _json_member("row", axis(artifact.row_name, rows))], 1, "{}")),
-        _json_member("columns", _json_block(
+        _json_member("columns", _json_container(
             [_json_member(name, grid(columns[name])) for name in sorted(columns)], 1, "{}")),
         _json_member("kind", json.dumps(artifact.kind)),
         _json_member("provenance", provenance.replace("\n", "\n  ")),

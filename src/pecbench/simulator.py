@@ -52,8 +52,8 @@ import numpy as np
 
 from . import hubbard
 from .errors import CapacityError, ValidationError, gib
-from .noise import (HamiltonianSummary, NoiseCircuitSpec, build_qpd, gamma_layer, gamma_total,
-                    keep, noisy_mean, raw_variance_law, single_shot_variance_law)
+from .noise import (HamiltonianSummary, NoiseCircuitSpec, _pec_power, build_qpd, gamma_layer,
+                    gamma_total, keep, noisy_mean, raw_variance_law, single_shot_variance_law)
 from .stats import erf
 
 
@@ -342,8 +342,10 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     ham_exact = HamiltonianSummary(norm2=math.sqrt(norm2sq),
                                    trace_over_d=solved.identity, e0_proxy=e0)
     gt = gamma_total(noise)
-    # before any shot: the law raises NumericDomainError when gamma^2D overflows
+    # before any shot: NumericDomainError when gamma^2D, the law's, overflows,
+    # or gamma^4D, the scale of the PEC variance's standard error
     variance_law = single_shot_variance_law(solved.coeffs, solved.expect0, noise)
+    _pec_power(build_qpd(noise).gamma, 4 * noise.layers)
 
     pec_outcomes, sign, _ = _estimate(solved, noise, draws)
     raw_outcomes = _raw_outcomes(solved, noise, draws)

@@ -290,8 +290,9 @@ def test_simulate_seed_override(tmp_path, capsys):
 
 def test_simulate_exits_4_when_the_pec_weight_overflows(tmp_path, capsys):
     # gamma = 18.93 at P = 0.9: gamma^2000 overflows, and at 200 layers
-    # gamma^200 = 1e255 is finite but the variance law's gamma^400 is not
-    for layers, power in ((2000, 2000), (200, 400)):
+    # gamma^200 = 1e255 is finite but the variance law's gamma^400 is not;
+    # at 100 layers the law is finite but its standard error's gamma^400 is not
+    for layers, power in ((2000, 2000), (200, 400), (100, 400)):
         cfg = tmp_path / f"overflow{layers}.cfg"
         cfg.write_text(Path(SIM_CFG).read_text()
                        .replace("layers = 4", f"layers = {layers}")

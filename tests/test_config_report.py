@@ -481,14 +481,17 @@ _CSV_EDGES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300,
               0.9999999999995,  # just under the tie: 9.99999999999e-01
               1e16, 1e100, -1e100, 1e-100, -1e-100,
               0.9999999999996]  # .11e carries into the exponent: 1.00000000000e+00
+# JSON's: the longest fixed token (999999999999999.0 carries into it), a
+# ".0" tail, the "0.000" prefix's last exponent and the first scientific ones
+_JSON_EDGES = [1e15, 999999999999999.0, 123456789012.0, 1e-4, 1e-5, 0.001234, 1.5e16]
 
 
 def test_csv_writer_matches_the_oracle_on_edge_cells():
-    # float cells at every CSV layout edge; int axes of mixed width; string
-    # cells with multi-byte UTF-8 and an embedded U+0000, which the 0xFF
-    # padding must keep
+    # float cells at every CSV and JSON layout edge; int axes of mixed
+    # width; string cells with multi-byte UTF-8 and an embedded U+0000,
+    # which the 0xFF padding must keep
     provenance = make_provenance("ed9e000000000000", 17)
-    cells = np.array(_CSV_EDGES * 5)[:60].reshape(6, 10)
+    cells = np.array((_CSV_EDGES + _JSON_EDGES) * 3)[:60].reshape(6, 10)
     strings = ["", "é", "日本", "a\x00b", "\U0001f600", "x"]
     labels = [[strings[(i + j) % 6] for j in range(10)] for i in range(6)]
     artifacts = [
@@ -496,9 +499,9 @@ def test_csv_writer_matches_the_oracle_on_edge_cells():
                      col_name="v", col_values=_CSV_EDGES[:10],
                      columns={"f": cells, "s": labels, "g": cells[::-1]},
                      provenance=provenance),
-        GridArtifact(kind="grid", row_name="f", row_values=_CSV_EDGES, col_name="n",
-                     col_values=(1, -22, 333_333, 0),
-                     columns={"i": [[i * j - 5 for j in range(4)] for i in range(13)]},
+        GridArtifact(kind="grid", row_name="f", row_values=_CSV_EDGES + _JSON_EDGES,
+                     col_name="n", col_values=(1, -22, 333_333, 0),
+                     columns={"i": [[i * j - 5 for j in range(4)] for i in range(20)]},
                      provenance=provenance),
         GridArtifact(kind="grid", row_name="r", row_values=(), col_name="c", col_values=(),
                      columns={"v": ()}, provenance=provenance),
@@ -508,8 +511,11 @@ def test_csv_writer_matches_the_oracle_on_edge_cells():
     ]
     for artifact in artifacts:
         assert grid_to_csv(artifact) == grid_csv_reference(artifact)
+        assert grid_to_json(artifact) == grid_json_reference(artifact)
     first, one = grid_to_csv(artifacts[0]), grid_to_csv(artifacts[-1])
     assert "a\x00b" in first and "\U0001f600" in first
+    assert {"1000000000000000.0", "123456789012.0", "0.0001", "1e-05", "0.001234",
+            "1.5e+16"} <= set(_json_tokens(artifacts[1]._flat[0]))
     assert one.endswith("\nr,c,v,w\n1.00000000000e+00,\x00,-0.00000000000e+00,é\n")
     assert grid_to_csv(artifacts[2]).endswith("\nr,c,v\n")
 
@@ -535,8 +541,10 @@ def test_views_are_lazy_tuples_with_the_same_equality():
     assert centering_artifact(shift, width, grids[0], grids[1], -grids[2],
                               provenance) != artifact
     for emit, parse in ((grid_to_csv, parse_grid_csv), (grid_to_json, parse_grid_json)):
-        fresh = centering_artifact(shift, width, *grids, provenance)
-        assert parse(emit(fresh)) == fresh
+        for axis in (shift, [0.0, -0.0, 0.25, 1e-300]):  # equal floats on one axis
+            fresh = centering_artifact(axis, width, *grids, provenance)
+            assert parse(emit(fresh)) == fresh
+            assert emit(parse(emit(fresh))) == emit(fresh)
     with_nan = centering_artifact(shift, width, grids[0], grids[1], grids[2] * math.nan,
                                   provenance)  # nan != nan, as for any tuple of floats
     assert with_nan != centering_artifact(shift, width, grids[0], grids[1],
@@ -638,6 +646,14 @@ def test_parse_grid_csv_200x200_and_ragged_rows():
         tracemalloc.stop()
     assert peak < 5 * len(text)
     lines = text.splitlines()
+    swapped = list(lines)
+    swapped[-1], swapped[-201] = swapped[-201], swapped[-1]  # two rows trade one line
+    with pytest.raises(ValidationError, match="ragged or out of order"):
+        parse_grid_csv("\n".join(swapped) + "\n")
+    twice = centering_artifact([0.5, 0.5], [0.25, 1.0], *[[[0.0, 1.0]] * 2] * 3,
+                               make_provenance("c0ffee0000000000", 1))  # or 1 row of 4
+    with pytest.raises(ValidationError, match="axes are ambiguous"):
+        parse_grid_csv(grid_to_csv(twice))
     lines[-1] = lines[-1].rsplit(",", 1)[0]
     with pytest.raises(ValidationError, match="must have 5 fields"):
         parse_grid_csv("\n".join(lines) + "\n")
