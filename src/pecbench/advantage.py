@@ -82,25 +82,6 @@ class RegimeGrid:
                 raise ValidationError(f"{name} contains values outside [0, 1]")
 
 
-def per_site_summary(norm2_squared: float, trace_over_d: float, e0_proxy: float,
-                     sites: int) -> HamiltonianSummary:
-    """Intensive summary: per-site energies with norm sqrt(norm2_squared / L)."""
-    if sites < 1:
-        raise ValidationError(f"sites must be >= 1, got {sites}")
-    return HamiltonianSummary(
-        norm2=math.sqrt(norm2_squared / sites),
-        trace_over_d=trace_over_d / sites,
-        e0_proxy=e0_proxy / sites,
-    )
-
-
-def _check_shots(n_shots) -> float:
-    n = float(n_shots)
-    if not 1 <= n < math.inf:
-        raise ValidationError(f"n_shots must be finite and >= 1, got {n_shots}")
-    return n
-
-
 # Half-way decimal cells within this of a half-milli take the builtin round
 _HALF_MILLI_BAND = 1e-6
 
@@ -157,9 +138,8 @@ def _evaluate(prob: AdvantageProblem, p_values, shot_values: np.ndarray):
 
 
 def _cell(prob: AdvantageProblem, n_shots, p: float | None):
-    p = prob.noise.p_layer if p is None else p
-    pec, raw, label = _evaluate(prob, [p], np.array([_check_shots(n_shots)]))
-    return float(pec[0, 0]), float(raw[0, 0]), str(label[0, 0])
+    grid = sweep(prob, [prob.noise.p_layer if p is None else p], [n_shots])
+    return float(grid.pec_success[0, 0]), float(grid.raw_success[0, 0]), str(grid.label[0, 0])
 
 
 def pec_success_proxy(prob: AdvantageProblem, n_shots, p: float | None = None) -> float:
@@ -204,8 +184,8 @@ def worker_count() -> int:
 def sweep(prob: AdvantageProblem, p_axis, shot_axis, workers: int | None = None) -> RegimeGrid:
     """Fill the full (P, N_shots) grid in one vectorized pass.
 
-    Each cell equals pec_success_proxy / raw_success / classify at that
-    point.  `workers` is accepted and ignored; it is kept only while
+    pec_success_proxy, raw_success and classify read its one cell at a
+    single point.  `workers` is accepted and ignored; it is kept only while
     perfbench still passes it.
     """
     p_arr = _validate_axis(p_axis, "p_axis")

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import centering, hubbard
+from . import centering
 from .advantage import sweep
 from .config import RunConfig, check_value, config_hash, load_config
 from .errors import CapacityError, ConfigError, NumericDomainError, ValidationError
@@ -44,21 +44,13 @@ def _seeded(config: RunConfig, override: int | None) -> int:
 
 
 def cmd_norm(config: RunConfig, args) -> str:
-    spec = config.hubbard_spec()
-    if spec is None:
-        norm2sq, trace_over_d = config._norm_quantities()
-        report = {"norm2_squared": norm2sq, "trace_over_d": trace_over_d,
-                  "term_count": None, "source": "explicit"}
+    norm2sq, trace_over_d, term_count = config.norm_summary()
+    report = {"norm2_squared": norm2sq, "trace_over_d": trace_over_d,
+              "term_count": term_count, "config_hash": config_hash(config)}
+    if term_count is None:
+        report["source"] = "explicit"
     else:
-        norm2sq, trace_over_d, term_count = hubbard.norm_summary(spec)
-        report = {
-            "norm2_squared": norm2sq,
-            "trace_over_d": trace_over_d,
-            "term_count": term_count,
-            "qubits": spec.qubits,
-            "source": "model",
-        }
-    report["config_hash"] = config_hash(config)
+        report.update(qubits=config.hubbard_spec().qubits, source="model")
     return report_to_json(report)
 
 
@@ -116,7 +108,7 @@ def cmd_simulate(config: RunConfig, args) -> str:
     if shots < 50 * batch:
         raise ConfigError(f"[simulate] shots must be >= 50 x [simulate] batch = "
                           f"{50 * batch}, got {shots}")
-    config.estimated_norm_quantities()  # refuses zero couplings by key
+    config.hamiltonian_summary()  # refuses zero couplings by key
     seed = _seeded(config, args.seed)
     report = simulate_report(spec, config.noise_spec(), n_shots=shots, seed=seed,
                              batch=batch)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hubbard
-from .advantage import AdvantageProblem, per_site_summary
+from .advantage import AdvantageProblem
 from .errors import CapacityError, ConfigError
 from .noise import HamiltonianSummary, NoiseCircuitSpec, p_layer_from_gate_error
 
@@ -146,28 +146,15 @@ class RunConfig:
         return NoiseCircuitSpec(layers=self.layers(), p_layer=self.p_layer(),
                                 qubits=self.qubits(), beta=self._get("noise", "beta"))
 
-    def _norm_quantities(self) -> tuple[float, float]:
-        """(norm2_squared, trace_over_d), absolute units."""
+    def norm_summary(self) -> tuple[float, float, int | None]:
+        """(norm2_squared, trace_over_d, term count) in absolute units.
+
+        An explicit [hamiltonian] lists no terms, so its count is None.
+        """
         explicit = self.data.get("hamiltonian")
         if explicit is not None:
-            return explicit["norm2_squared"], explicit["trace_over_d"]
-        norm2sq, trace_over_d, _ = hubbard.norm_summary(self.hubbard_spec())
-        return norm2sq, trace_over_d
-
-    def estimated_norm_quantities(self) -> tuple[float, float]:
-        """_norm_quantities of a Hamiltonian that has something to estimate.
-
-        Zero couplings leave no non-identity Pauli weight: `norm` reports
-        them, but the analytic laws and the simulator need norm2 > 0.  Only a
-        [model] can get here with norm2_squared = 0 (the schema wants an
-        explicit norm2_squared > 0).
-        """
-        norm2sq, trace_over_d = self._norm_quantities()
-        if norm2sq == 0.0:
-            raise ConfigError("[model] t, U and mu give a Hamiltonian whose non-identity "
-                              "Pauli weights square to 0 (norm2_squared = 0); there is "
-                              "nothing to estimate")
-        return norm2sq, trace_over_d
+            return explicit["norm2_squared"], explicit["trace_over_d"], None
+        return hubbard.norm_summary(self.hubbard_spec())
 
     def bounds(self) -> tuple[float, float, bool]:
         """(e_minus, e_plus, per_site) in the units the engine will use."""
@@ -177,14 +164,23 @@ class RunConfig:
         return bounds["e_minus"], bounds["e_plus"], False
 
     def hamiltonian_summary(self) -> HamiltonianSummary:
-        norm2sq, trace_over_d = self.estimated_norm_quantities()
+        """The engine's summary: per-site bounds divide the norm and trace by L.
+
+        e0_proxy is the midpoint of the bounds.  Zero couplings leave no
+        non-identity Pauli weight: `norm` reports them, but the analytic laws
+        and the simulator need norm2 > 0.  Only a [model] can get here with
+        norm2_squared = 0 (the schema wants an explicit norm2_squared > 0).
+        """
+        norm2sq, trace_over_d, _ = self.norm_summary()
+        if norm2sq == 0.0:
+            raise ConfigError("[model] t, U and mu give a Hamiltonian whose non-identity "
+                              "Pauli weights square to 0 (norm2_squared = 0); there is "
+                              "nothing to estimate")
         e_minus, e_plus, per_site = self.bounds()
-        midpoint = 0.5 * (e_minus + e_plus)
-        if per_site:
-            sites = self.sites()
-            return per_site_summary(norm2sq, trace_over_d, midpoint * sites, sites)
-        return HamiltonianSummary(norm2=math.sqrt(norm2sq),
-                                  trace_over_d=trace_over_d, e0_proxy=midpoint)
+        sites = self.sites() if per_site else 1
+        return HamiltonianSummary(norm2=math.sqrt(norm2sq / sites),
+                                  trace_over_d=trace_over_d / sites,
+                                  e0_proxy=0.5 * (e_minus + e_plus))
 
     def advantage_problem(self) -> AdvantageProblem:
         e_minus, e_plus, _ = self.bounds()

@@ -22,7 +22,8 @@ their ground-state expectations for the simulator.
 
 The decomposition has O(L) terms, each with two masks of up to n = 2L bits,
 so its masks take O(L^2) bytes; a lattice whose masks could exceed
-MAX_MASK_BYTES is refused before any mask is built.
+MAX_MASK_BYTES is refused before any mask is built.  norm_summary builds no
+mask, and its own cap, MAX_NORM_SITES, bounds the terms it sums.
 
 hubbard_terms yields the terms one by one and build_hubbard_pauli collects
 them into a dict.  The dict is super-linear at large n: Python hashes an int
@@ -62,6 +63,9 @@ ZERO_RTOL = 1e-10
 # dim^2 * eps = 3e-10 of the scale at MAX_SECTOR_DIM, and eigvalsh's error.
 SKIP_RTOL = 1e-6
 MAX_MASK_BYTES = 2**30  # cap on the Pauli masks of one decomposition
+# norm_summary's cap: a 3000x3000 lattice, up to 11 terms a site (9.9e7 on a
+# periodic one), whose squares one builtin sum adds in about 0.7 s
+MAX_NORM_SITES = 3000 * 3000
 
 _LETTERS = "IXYZ"  # display letter of a qubit's base-4 digit (x_bit ^ z_bit) | z_bit << 1
 
@@ -201,19 +205,6 @@ def bond_count(rows: int, cols: int, boundary: str) -> int:
             + cols * (rows - 1 + (periodic and rows > 2)))
 
 
-def _check_mask_capacity(spec: HubbardSpec) -> None:
-    """Refuse a lattice whose Pauli masks could exceed MAX_MASK_BYTES."""
-    L = spec.sites
-    # at most 2L edges of 4 hopping terms each, plus 3L Z-type terms, each
-    # term holding two masks of up to n bits
-    size = (4 * 2 * L + 3 * L) * 2 * spec.qubits // 8
-    if size > MAX_MASK_BYTES:
-        raise CapacityError(
-            f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols) needs up to "
-            f"{gib(size)} GiB of Pauli masks, over the "
-            f"{MAX_MASK_BYTES / 2**30:.0f} GiB cap")
-
-
 def _bit(n: int, mode: int) -> int:
     return 1 << (n - 1 - mode)
 
@@ -225,11 +216,19 @@ def hubbard_terms(spec: HubbardSpec):
     coefficient -t/2.  Per site: a ZZ term with +U/4 on the paired up/down
     modes.  Per mode: a single Z with mu/2 - U/4.  They come in that order,
     and a term whose coefficient is 0.0 is left out.  No two terms share a
-    key.  The identity weight is identity_coefficient_closed_form.
+    key.  The identity weight is identity_coefficient_closed_form.  A
+    lattice whose masks could exceed MAX_MASK_BYTES is refused first.
     """
-    _check_mask_capacity(spec)
     L = spec.sites
     n = spec.qubits
+    # at most 2L edges of 4 hopping terms each, plus 3L Z-type terms, each
+    # term holding two masks of up to n bits
+    size = (4 * 2 * L + 3 * L) * 2 * n // 8
+    if size > MAX_MASK_BYTES:
+        raise CapacityError(
+            f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols) needs up to "
+            f"{gib(size)} GiB of Pauli masks, over the "
+            f"{MAX_MASK_BYTES / 2**30:.0f} GiB cap")
     hop = -spec.t / 2.0
     if hop != 0.0:
         for a, b in lattice_edges(spec.rows, spec.cols, spec.boundary):
@@ -262,11 +261,14 @@ def norm_summary(spec: HubbardSpec) -> tuple[float, float, int]:
     -t/2, L at U/4 and 2L at mu/2 - U/4, a run at 0.0 left out.  Their
     squares are summed in that order by the same builtin sum, so the figures
     are bitwise those of the decomposition.  No mask, term or edge list is
-    built: the cost is linear in the term count.  A lattice that
-    hubbard_terms refuses is refused here too.
+    built: the cost is linear in the term count, and a lattice of more than
+    MAX_NORM_SITES sites is refused before any sum.
     """
-    _check_mask_capacity(spec)
     L = spec.sites
+    if L > MAX_NORM_SITES:
+        raise CapacityError(
+            f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols) has {L} "
+            f"sites, over the norm summary's cap of {MAX_NORM_SITES}")
     runs = [(count, coeff) for count, coeff in (
         (4 * bond_count(spec.rows, spec.cols, spec.boundary), -spec.t / 2.0),
         (L, spec.U / 4.0),

@@ -234,13 +234,19 @@ def _raw_outcomes(solved: hubbard.SolvedInstance, noise, draws):
     return raw_shots(solved.expect0, keep(noise), draws[2]) @ solved.coeffs + solved.identity
 
 
+def _mean_variance(outcomes):
+    """(mean, ddof=1 variance s^2) of the shot outcomes; one shot: s^2 = 0."""
+    variance = float(np.var(outcomes, ddof=1)) if len(outcomes) > 1 else 0.0
+    return float(np.mean(outcomes)), variance
+
+
 def _moments(outcomes):
-    """(mean, variance, SE of the mean, SE(s^2) = sqrt((mu_4 - s^4)/N)); one shot: s^2 = 0.
+    """_mean_variance, then SE of the mean and SE(s^2) = sqrt((mu_4 - s^4)/N).
 
     Squaring twice gives mu_4 without numpy's per-element pow (0.8 ms at 10,000 shots).
     """
-    n_shots, mean = len(outcomes), float(np.mean(outcomes))
-    variance = float(np.var(outcomes, ddof=1)) if n_shots > 1 else 0.0
+    n_shots = len(outcomes)
+    mean, variance = _mean_variance(outcomes)
     squares = np.square(outcomes - mean)
     mu4 = float(np.mean(squares * squares))
     return (mean, variance, math.sqrt(variance / n_shots),
@@ -255,7 +261,7 @@ def run_pec_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     """
     solved, draws = _prepare(spec, noise, n_shots, seed)
     outcomes, sign, branch = _estimate(solved, noise, draws)
-    mean, variance = _moments(outcomes)[:2]
+    mean, variance = _mean_variance(outcomes)
     return mean, variance, [
         ShotRecord(tuple(ops), s, outcome)
         for ops, s, outcome in zip(branch.tolist(), sign.tolist(), outcomes.tolist())]
@@ -268,7 +274,7 @@ def run_raw_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     `workers` is accepted for compatibility and ignored; shots run serially.
     """
     solved, draws = _prepare(spec, noise, n_shots, seed)
-    return _moments(_raw_outcomes(solved, noise, draws))[:2]
+    return _mean_variance(_raw_outcomes(solved, noise, draws))
 
 
 # --- normality of batch means ----------------------------------------------

@@ -13,7 +13,6 @@ from pecbench.advantage import (
     _winner,
     classify,
     pec_success_proxy,
-    per_site_summary,
     raw_success,
     sweep,
 )
@@ -30,15 +29,6 @@ def _default_axes():
     """The reference config's sweep axes: it sets no [sweep], so the defaults."""
     config = load_config(REFERENCE_CFG)
     return config.p_axis(), config.shot_axis()
-
-
-def test_per_site_summary_scales_down():
-    summary = per_site_summary(386.0, -112.0, -268.0, 64)
-    assert summary.norm2 == pytest.approx(np.sqrt(386.0 / 64.0), rel=1e-14)
-    assert summary.trace_over_d == pytest.approx(-1.75, rel=1e-14)
-    assert summary.e0_proxy == pytest.approx(-268.0 / 64.0, rel=1e-14)
-    with pytest.raises(ValidationError):
-        per_site_summary(1.0, 0.0, 0.0, 0)
 
 
 def test_reference_problem_shape():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pecbench import hubbard
 from pecbench.cli import main
-from pecbench.config import _SCHEMA
+from pecbench.config import _SCHEMA, config_hash, load_config
 from pecbench.report import parse_grid_csv, parse_grid_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -240,6 +240,39 @@ def test_scale_lattice_artifacts_are_pinned(tmp_path, command):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCALE_PINNED_ARTIFACTS[command]
 
 
+def test_explicit_hamiltonian_matches_the_reference_lattice(tmp_path, capsys):
+    """The reference's summary as [hamiltonian] keys gives the lattice's artifacts."""
+    text = Path(REFERENCE_CFG).read_text()
+    model = text[text.index("[model]"):text.index("[bounds]")]
+    path = tmp_path / "explicit.cfg"
+    path.write_text(text.replace(model, "[hamiltonian]\nnorm2_squared = 386.0\n"
+                                        "trace_over_d = -112.0\nsites = 64\n\n"))
+    explicit, reference = load_config(str(path)), load_config(REFERENCE_CFG)
+    summary = explicit.hamiltonian_summary()
+    assert summary.norm2 == math.sqrt(386.0 / 64)
+    assert summary.trace_over_d == -1.75
+    assert summary.e0_proxy == explicit.advantage_problem().midpoint
+    assert summary == reference.hamiltonian_summary()
+
+    # every analytic artifact is the lattice's, apart from the config hash
+    old_hash, new_hash = config_hash(reference), config_hash(explicit)
+    for command, fmt in (("success", "json"), ("phase-diagram", "csv"),
+                         ("phase-diagram", "json"), ("phase-diagram", "svg")):
+        outputs = []
+        for cfg in (REFERENCE_CFG, str(path)):
+            assert main([command, "--config", cfg, "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert old_hash in outputs[0]
+        assert outputs[1] == outputs[0].replace(old_hash, new_hash)
+
+    assert main(["norm", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "norm2_squared": 386.0, "trace_over_d": -112.0, "term_count": None,
+        "source": "explicit", "config_hash": new_hash}
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "simulate requires a [model] section" in capsys.readouterr().err
+
+
 def test_norm_and_success_build_no_decomposition(tmp_path, capsys, monkeypatch):
     """norm and success need three scalars, not the dict or the masks of 100x100."""
     def refuse(self):
@@ -408,11 +441,12 @@ def test_exit_codes(tmp_path, capsys):
     # simulating the 128-qubit instance exceeds simulator capacity
     assert main(["simulate", "--config", REFERENCE_CFG]) == 3
 
-    # a 1x200000 chain's Pauli masks would take tens of GB: refused up front
+    # a chain one site over MAX_NORM_SITES is refused before its squares are summed
+    sites = hubbard.MAX_NORM_SITES + 1
     huge = tmp_path / "huge.cfg"
     huge.write_text(Path(REFERENCE_CFG).read_text()
-                    .replace("rows = 8", "rows = 1").replace("cols = 8", "cols = 200000")
-                    .replace("layers = 64\nqubits = 128", "layers = 64\nqubits = 400000"))
+                    .replace("rows = 8", "rows = 1").replace("cols = 8", f"cols = {sites}")
+                    .replace("layers = 64\nqubits = 128", f"layers = 64\nqubits = {2 * sites}"))
     for command in ("norm", "success", "phase-diagram"):
         start = time.perf_counter()
         assert main([command, "--config", str(huge)]) == 3

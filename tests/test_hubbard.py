@@ -335,13 +335,17 @@ def test_sector_solver_refusals():
 
 def test_mask_capacity_message_exceeds_the_cap():
     # a 119x119 lattice needs 1.03 GiB of masks, a figure that must read over the 1 GiB cap
+    spec = hb.HubbardSpec(119, 119, "periodic")
     with pytest.raises(CapacityError) as raised:
-        hb.norm_summary(hb.HubbardSpec(119, 119, "periodic"))
+        hb.build_hubbard_pauli(spec)
     message = str(raised.value)
     figure = float(re.search(r"needs up to ([0-9.]+) GiB", message).group(1))
     cap = hb.MAX_MASK_BYTES / 2**30
     assert figure > cap and figure == 1.03
     assert "[model] rows x [model] cols" in message and f"the {cap:.0f} GiB cap" in message
+    # norm_summary builds no mask, so only its site cap applies: 4 hopping
+    # terms on each of the 2L bonds, U = mu = 0 adding none
+    assert hb.norm_summary(spec)[2] == 8 * spec.sites
     # the rule: round up at two decimals, so one byte over a cap reads over it
     assert (gib(2**30), gib(2**30 + 1), gib(2**31 - 1)) == ("1.00", "1.01", "2.00")
 

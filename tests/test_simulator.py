@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,20 @@ def test_seed_determinism_and_worker_invariance():
     assert records_a == records_b
     mean_c, _, _ = run_pec_estimate(SPEC, NOISE, 4_000, seed=43, workers=1)
     assert mean_c != mean_a
+
+
+def test_estimators_return_finite_moments_where_the_fourth_moment_overflows():
+    # at D = 100, P = 0.9 the PEC shot weight gamma^D is about 1e127: the mean
+    # and the ddof=1 variance are finite, the fourth moment of SE(s^2) is not
+    noise = NoiseCircuitSpec(layers=100, p_layer=0.9, qubits=SPEC.qubits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, variance, records = run_pec_estimate(SPEC, noise, 200, seed=7)
+        raw_mean, raw_var = run_raw_estimate(SPEC, noise, 200, seed=7)
+    assert all(map(math.isfinite, (mean, variance, raw_mean, raw_var)))
+    outcomes = np.array([record.outcome for record in records])
+    assert (mean, variance) == (float(np.mean(outcomes)), float(np.var(outcomes, ddof=1)))
+    assert variance > 1e250
 
 
 def test_shot_records_structure():
