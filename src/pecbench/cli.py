@@ -33,8 +33,11 @@ _EMITTERS = {"csv": grid_to_csv, "json": grid_to_json, "svg": grid_to_svg}
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -304,12 +304,12 @@ def parse_config_dict(sections: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse an INI config, or a JSON document if the file ends in .json."""
+    """Parse a UTF-8 INI config, or a JSON document if the file ends in .json."""
     if path.endswith(".json"):
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 sections = json.load(handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
@@ -321,9 +321,9 @@ def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (U vs u)
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc

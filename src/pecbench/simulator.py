@@ -33,13 +33,15 @@ builds once per call; raw shots never twirl: one comparison a term, no table.
 
 Randomness is counter-based (Salmon et al., SC'11): shots are grouped in
 fixed blocks of SHOT_BLOCK = 4,096, and each block draws from one Philox
-stream keyed by (seed, block index).  A block's draws sit at fixed stream
-positions whatever the shot count: the uniforms are drawn only for the rows
-a run keeps, the twirl indices start from a counter advanced past the
-block's branch uniforms, and the indices are drawn in full, so the term
-uniforms after them start where they would.  A shot's draws therefore
-depend only on the seed and its index: a shorter run is a prefix of a
-longer one, and results are reproducible bit for bit.
+stream keyed by (seed, block index).  A run walks its blocks once, and
+consumes each block's draws as it makes them: only the per-shot outputs
+span the run, and MAX_DRAW_BYTES caps the draws it makes.  A block's draws
+sit at fixed stream positions whatever the shot count: the uniforms are
+drawn only for the rows a run keeps, the twirl indices start from a counter
+advanced past the block's branch uniforms, and the indices are drawn in
+full, so the term uniforms after them start where they would.  A shot's
+draws therefore depend only on the seed and its index: a shorter run is a
+prefix of a longer one, and results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .stats import erf
 
 
 SHOT_BLOCK = 4096  # shots per Philox stream; fixed, so streams never depend on n_shots
-MAX_DRAW_BYTES = 2 * 2**30  # cap on the three per-shot draw arrays together
+MAX_DRAW_BYTES = 2 * 2**30  # cap on the per-shot draws of a run, all blocks together
 MAX_DENSE_QUBITS = 12  # cap on prepare_ground_state's d x d outer product
 
 
@@ -96,37 +98,21 @@ def prepare_ground_state(spec: hubbard.HubbardSpec) -> DensityMatrix:
 
 # --- Monte Carlo estimators -------------------------------------------------
 
-def _shot_draws(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
-    """(u_branch, twirl_idx, u_outcome) of shots 0 .. n_shots-1.
+def _block_draws(seed: int, block: int, rows: int, layers: int, d2: int, n_terms: int):
+    """(u_branch, twirl_idx, u_outcome) of the leading `rows` shots of one block.
 
-    Block b covers shots [b*SHOT_BLOCK, (b+1)*SHOT_BLOCK) and draws, from
-    Philox(key=(seed, b)), a full block of branch uniforms, then of twirl
-    indices in [1, d2), then of term uniforms; a partial last block keeps
-    its leading rows, so a shorter run is a prefix of a longer one.  Of the
-    uniforms only the kept rows are drawn.  The twirl indices start from a
-    fresh Philox advanced past the block's SHOT_BLOCK * layers branch
-    doubles (one counter step per 4 doubles), and they are drawn in full,
-    because bounded sampling consumes a data-dependent count; the term
-    uniforms then start where a full block's would.
+    Philox(key=(seed, block)) gives a full block of branch uniforms, then of
+    twirl indices in [1, d2), then of term uniforms.  Of the uniforms only
+    the kept rows are drawn.  The twirl indices start from a Philox advanced
+    past the SHOT_BLOCK * layers branch doubles (4 a counter step) and are
+    drawn in full, because bounded sampling consumes a data-dependent count,
+    so the term uniforms start where a full block's would.
     """
-    size = n_shots * (2 * layers + n_terms) * 8
-    if size > MAX_DRAW_BYTES:
-        raise CapacityError(
-            f"[simulate] shots = {n_shots} at [circuit] layers = {layers} need "
-            f"{gib(size)} GiB of random draws, over the "
-            f"{MAX_DRAW_BYTES / 2**30:.0f} GiB cap")
-    u_branch = np.empty((n_shots, layers))
-    twirl_idx = np.empty((n_shots, layers), dtype=np.int64)
-    u_outcome = np.empty((n_shots, n_terms))
-    for block, start in enumerate(range(0, n_shots, SHOT_BLOCK)):
-        rows = min(SHOT_BLOCK, n_shots - start)
-        key = np.array([seed, block], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        gen.random(out=u_branch[start:start + rows])
-        gen = np.random.Generator(np.random.Philox(key=key).advance(SHOT_BLOCK * layers // 4))
-        twirl_idx[start:start + rows] = gen.integers(1, d2, size=(SHOT_BLOCK, layers))[:rows]
-        gen.random(out=u_outcome[start:start + rows])
-    return u_branch, twirl_idx, u_outcome
+    key = np.array([seed, block], dtype=np.uint64)
+    u_branch = np.random.Generator(np.random.Philox(key=key)).random((rows, layers))
+    gen = np.random.Generator(np.random.Philox(key=key).advance(SHOT_BLOCK * layers // 4))
+    twirl_idx = gen.integers(1, d2, size=(SHOT_BLOCK, layers))[:rows]
+    return u_branch, twirl_idx, gen.random((rows, n_terms))
 
 
 def byte_tables(term_x, term_z, n_qubits: int) -> np.ndarray:
@@ -164,46 +150,38 @@ def raw_shots(expect0, keep, u_outcome):
     return term_outcomes
 
 
-def run_shots(expect0, tables, keep, p_twirl, u_branch, twirl_idx, u_outcome):
-    """Sample every shot's twirls, sign and term outcomes in the Pauli frame.
+def run_shots(expect0, tables, keep, p_twirl, u_branch, twirl_idx, u_outcome, term_outcomes):
+    """Sample one block's twirls, sign and term outcomes in the Pauli frame.
 
     Per layer the pre-drawn uniform picks the twirl branch with probability
     p_twirl; the branch then conjugates by the pre-drawn non-identity Pauli
     and flips the shot sign.  keep = (1-P)^D scales every expectation, and
-    each term is measured once as an independent +/-1 sample: first as in
-    the identity frame (raw_shots).  Only shots whose frame is not the
-    identity look up `tables` (byte_tables of the terms): anticommutation is
-    linear over GF(2) in the frame index, so each of its bytes picks one row
-    of a (256, terms) table and the rows XOR, and an anticommuting term,
-    whose expectation flips sign, reads raw_shots of -expect0 on the same
-    uniform.  A shot's outputs depend only on its own draws, so on a
-    prefix of the draws (see _shot_draws) they are a prefix of the outputs.
-    Blocks of SHOT_BLOCK shots keep memory O(SHOT_BLOCK x terms).
+    each term is measured once as an independent +/-1 sample: term_outcomes,
+    the block's raw_shots, holds the identity frame's and is overwritten in
+    place.  Only shots whose frame is not the identity look up `tables`
+    (byte_tables of the terms): anticommutation is linear over GF(2) in the
+    frame index, so each of its bytes picks one row of a (256, terms) table
+    and the rows XOR, and an anticommuting term, whose expectation flips
+    sign, reads raw_shots of -expect0 on the same uniform.  One block of
+    draws (_block_draws) keeps the temporaries O(SHOT_BLOCK x terms).
     Returns (sign, branch, term_outcomes), all discrete.
     """
-    sign = np.empty(len(u_branch), dtype=np.int8)
-    branch = np.empty_like(twirl_idx)
-    term_outcomes = raw_shots(expect0, keep, u_outcome)
-    for start in range(0, len(u_branch), SHOT_BLOCK):
-        rows = slice(start, start + SHOT_BLOCK)
-        twirled = u_branch[rows] < p_twirl
-        branch[rows] = np.where(twirled, twirl_idx[rows], 0)
-        sign[rows] = np.where(reduce(np.bitwise_xor, twirled.T), -1, 1)
-        # Up to phase, a product's base-4 digits are the XOR of its factors'
-        # digits, and the identity branch is index 0.
-        frame = reduce(np.bitwise_xor, branch[rows].T)
-        moved = np.flatnonzero(frame)
-        if moved.size:
-            anti = reduce(np.bitwise_xor, (table.take((frame[moved] >> 8 * k) & 255, axis=0)
-                                           for k, table in enumerate(tables)))
-            block = term_outcomes[rows]
-            block[moved] = np.where(anti, raw_shots(-expect0, keep, u_outcome[rows][moved]),
-                                    block[moved])
+    twirled = u_branch < p_twirl
+    branch = np.where(twirled, twirl_idx, 0)
+    sign = np.where(reduce(np.bitwise_xor, twirled.T), -1, 1).astype(np.int8)
+    # Up to phase, a product's base-4 digits are the XOR of its factors'
+    # digits, and the identity branch is index 0.
+    frame = reduce(np.bitwise_xor, branch.T)
+    moved = np.flatnonzero(frame)
+    anti = reduce(np.bitwise_xor, (table.take((frame[moved] >> 8 * k) & 255, axis=0)
+                                   for k, table in enumerate(tables)))
+    term_outcomes[moved] = np.where(anti, raw_shots(-expect0, keep, u_outcome[moved]),
+                                    term_outcomes[moved])
     return sign, branch, term_outcomes
 
 
-def _prepare(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int, seed: int):
-    """(hubbard.solve's record, shot draws) of one run, once its inputs are checked."""
+def _solve(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int, seed: int):
+    """hubbard.solve's record of one run, once its inputs and its draws are checked."""
     hubbard.check_sector_capacity(
         spec.sites, f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols)")
     if noise.qubits != spec.qubits:
@@ -214,24 +192,37 @@ def _prepare(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec, n_shots: int, s
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must lie in [0, 2^64), got {seed}")
     solved = hubbard.solve(spec)
-    draws = _shot_draws(seed, n_shots, noise.layers, 4**noise.qubits, len(solved.coeffs))
-    return solved, draws
+    size = n_shots * (2 * noise.layers + len(solved.coeffs)) * 8
+    if size > MAX_DRAW_BYTES:
+        raise CapacityError(
+            f"[simulate] shots = {n_shots} at [circuit] layers = {noise.layers} need "
+            f"{gib(size)} GiB of random draws, over the "
+            f"{MAX_DRAW_BYTES / 2**30:.0f} GiB cap")
+    return solved
 
 
-def _estimate(solved: hubbard.SolvedInstance, noise, draws):
-    """Per-shot outcomes, signs and branches of the PEC estimator."""
-    qpd = build_qpd(noise)
-    tables = byte_tables(solved.term_x, solved.term_z, noise.qubits)
-    sign, branch, term_outcomes = run_shots(solved.expect0, tables, keep(noise), qpd.p_twirl,
-                                            *draws)
-    outcomes = (sign.astype(float) * qpd.weight * (term_outcomes @ solved.coeffs)
-                + solved.identity)
-    return outcomes, sign, branch
-
-
-def _raw_outcomes(solved: hubbard.SolvedInstance, noise, draws):
-    """Per-shot outcomes of the raw estimator; it reads only the term uniforms."""
-    return raw_shots(solved.expect0, keep(noise), draws[2]) @ solved.coeffs + solved.identity
+def _blocks(solved: hubbard.SolvedInstance, noise, n_shots: int, seed: int,
+            mitigated: bool = True):
+    """Draw and consume a run one block at a time: per block, the raw outcomes,
+    then, if `mitigated`, the PEC outcomes, signs and branches.  Both read the
+    block's raw term outcomes, computed once; the raw estimator builds no tables.
+    """
+    k, d2, n_terms = keep(noise), 4**noise.qubits, len(solved.coeffs)
+    if mitigated:
+        qpd = build_qpd(noise)
+        tables = byte_tables(solved.term_x, solved.term_z, noise.qubits)
+    for block, start in enumerate(range(0, n_shots, SHOT_BLOCK)):
+        u_branch, twirl_idx, u_outcome = _block_draws(
+            seed, block, min(SHOT_BLOCK, n_shots - start), noise.layers, d2, n_terms)
+        terms = raw_shots(solved.expect0, k, u_outcome)
+        raw = terms @ solved.coeffs + solved.identity
+        if not mitigated:
+            yield (raw,)
+            continue
+        sign, branch, terms = run_shots(solved.expect0, tables, k, qpd.p_twirl, u_branch,
+                                        twirl_idx, u_outcome, terms)
+        yield (raw, sign.astype(float) * qpd.weight * (terms @ solved.coeffs) + solved.identity,
+               sign, branch)
 
 
 def _mean_variance(outcomes):
@@ -259,8 +250,9 @@ def run_pec_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
 
     `workers` is accepted for compatibility and ignored; shots run serially.
     """
-    solved, draws = _prepare(spec, noise, n_shots, seed)
-    outcomes, sign, branch = _estimate(solved, noise, draws)
+    solved = _solve(spec, noise, n_shots, seed)
+    outcomes, sign, branch = map(np.concatenate, zip(
+        *(block[1:] for block in _blocks(solved, noise, n_shots, seed))))
     mean, variance = _mean_variance(outcomes)
     return mean, variance, [
         ShotRecord(tuple(ops), s, outcome)
@@ -273,8 +265,9 @@ def run_raw_estimate(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
 
     `workers` is accepted for compatibility and ignored; shots run serially.
     """
-    solved, draws = _prepare(spec, noise, n_shots, seed)
-    return _mean_variance(_raw_outcomes(solved, noise, draws))
+    solved = _solve(spec, noise, n_shots, seed)
+    return _mean_variance(np.concatenate(
+        [raw for raw, in _blocks(solved, noise, n_shots, seed, mitigated=False)]))
 
 
 # --- normality of batch means ----------------------------------------------
@@ -330,7 +323,7 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     """Run both estimators and package every validation statistic.
 
     hubbard.solve's record gives the exact ground energy and the term
-    expectations; both estimators share it and one set of per-shot draws.
+    expectations; both estimators share it and each block's draws.
     The report carries the ground level's diagnostics: its (N_up, N_dn)
     sector, the gap above it and its degeneracy.  Flags: pec_unbiased /
     raw_bias_matches (3 standard errors), variance_bounded (the PEC
@@ -342,7 +335,7 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     the paper's norm2^2 gamma_tot^2, a one-sided figure that the variance
     may exceed.
     """
-    solved, draws = _prepare(spec, noise, n_shots, seed)
+    solved = _solve(spec, noise, n_shots, seed)
     norm2sq, ground = solved.norm2_squared, solved.ground
     e0 = ground.energy
     ham_exact = HamiltonianSummary(norm2=math.sqrt(norm2sq),
@@ -353,8 +346,13 @@ def simulate_report(spec: hubbard.HubbardSpec, noise: NoiseCircuitSpec,
     variance_law = single_shot_variance_law(solved.coeffs, solved.expect0, noise)
     _pec_power(build_qpd(noise).gamma, 4 * noise.layers)
 
-    pec_outcomes, sign, _ = _estimate(solved, noise, draws)
-    raw_outcomes = _raw_outcomes(solved, noise, draws)
+    raw_outcomes, pec_outcomes, sign = map(np.concatenate, zip(
+        *(block[:3] for block in _blocks(solved, noise, n_shots, seed))))
+    # no twirl and certain term outcomes (P = 0, or P too small to twirl in
+    # this run, on a lattice without hopping) leave the batch means no spread
+    if pec_outcomes.min() == pec_outcomes.max():
+        raise ValidationError(f"[noise] p_layer = {noise.p_layer} leaves no shot noise: every "
+                              f"one of the {n_shots} shots reads the same energy")
     pec_mean, pec_var, pec_se, variance_se = _moments(pec_outcomes)
     raw_mean, raw_var, raw_se, raw_variance_se = _moments(raw_outcomes)
 

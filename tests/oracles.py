@@ -311,7 +311,8 @@ def frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, u_branch, twir
                           u_outcome, n_qubits):
     """Pauli-frame shots with one anticommutation parity per term.
 
-    Same contract as simulator.run_shots.  Per layer the pre-drawn
+    Same outputs as simulator.run_shots on the same draws, but it
+    samples every term from its uniform itself.  Per layer the pre-drawn
     uniform picks the twirl branch with probability p_twirl; the branch
     conjugates by the pre-drawn non-identity Pauli and flips the shot sign.
     The frame's (x, z) masks are built once for all shots, and each term's
@@ -377,10 +378,11 @@ def raw_variance_reference(coeffs, expect0, keep) -> float:
 def shot_draws_reference(seed: int, n_shots: int, layers: int, d2: int, n_terms: int):
     """(u_branch, twirl_idx, u_outcome) with every block drawn in full.
 
-    Same contract as simulator._shot_draws, without its cap: block b
-    draws from Philox(key=(seed, b)) a full SHOT_BLOCK rows of branch
-    uniforms, of twirl indices in [1, d2) and of term uniforms, in that
-    order, one stream position after another, and keeps the leading rows.
+    The draws of simulator._block_draws, block after block, in one array
+    each, without the cap: block b draws from Philox(key=(seed, b)) a full
+    SHOT_BLOCK rows of branch uniforms, of twirl indices in [1, d2) and of
+    term uniforms, in that order, one stream position after another, and
+    keeps the leading rows.
     """
     from pecbench.simulator import SHOT_BLOCK
 

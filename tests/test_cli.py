@@ -339,6 +339,52 @@ def test_simulate_exits_4_when_the_pec_weight_overflows(tmp_path, capsys):
         assert "[noise] p_layer" in err and "[circuit] layers" in err
 
 
+@pytest.mark.parametrize("p_layer, edits", [
+    ("0.0", (("cols = 2", "cols = 1"), ("qubits = 4", "qubits = 2"))),
+    ("0.0", (("t = 1.0", "t = 0.0"),)),
+    ("1e-12", (("cols = 2", "cols = 1"), ("qubits = 4", "qubits = 2"))),
+], ids=["1x1", "no-hopping", "1x1-P1e-12"])
+def test_simulate_names_p_layer_when_every_shot_reads_the_same_energy(tmp_path, capsys,
+                                                                       p_layer, edits):
+    # at P = 0 nothing twirls (at P = 1e-12 no shot of 5,000 does), and
+    # without hopping the ground state is a basis state: every term reads
+    # +/-1 with certainty, so there is no shot noise for the batch-means check
+    text = (Path(SIM_CFG).read_text().replace("p_layer = 0.05", f"p_layer = {p_layer}")
+            .replace("shots = 200000", "shots = 5000").replace("batch = 500", "batch = 100"))
+    for old, new in edits:
+        text = text.replace(old, new)
+    cfg = tmp_path / "certain.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [noise] p_layer = {float(p_layer)} ")
+    assert "every one of the 5000 shots reads the same energy" in err
+    # a little noise, or hopping, gives the shots their spread back
+    for old, new in ((f"p_layer = {p_layer}", "p_layer = 0.05"), ("t = 0.0", "t = 1.0")):
+        if old in text:
+            cfg.write_text(text.replace(old, new))
+            assert main(["simulate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+
+
+def test_io_errors_exit_2_and_name_their_path(tmp_path, capsys):
+    # an --output in a missing directory: the artifact cannot be written
+    missing = tmp_path / "missing" / "x.json"
+    for command in ("norm", "simulate"):
+        config = REFERENCE_CFG if command == "norm" else _fast_sim_cfg(tmp_path)
+        assert main([command, "--config", config, "--output", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write --output {missing}: ")
+    # a config that is not UTF-8, INI or JSON
+    for name, data in (("latin.cfg", b"[model]\nrows = 1\xff\n"),
+                       ("latin.json", b'{"model": {"rows": "\xff"}}')):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["norm", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ") and "utf-8" in err
+
+
 def test_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["norm", "--config", missing]) == 2

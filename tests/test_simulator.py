@@ -126,9 +126,10 @@ def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers, n_sho
     _, term_x, term_z, expect0 = _frame_terms(spec)
     qpd = build_qpd(noise)
     p_twirl = abs(qpd.q[1]) / qpd.gamma
-    draws = simcore._shot_draws(21, n_shots, layers, 4**spec.qubits, len(strings))
+    keep = (1.0 - p_layer) ** layers
+    draws = shot_draws_reference(21, n_shots, layers, 4**spec.qubits, len(strings))
     frame = simcore.run_shots(expect0, simcore.byte_tables(term_x, term_z, spec.qubits),
-                              (1.0 - p_layer) ** layers, p_twirl, *draws)
+                              keep, p_twirl, *draws, simcore.raw_shots(expect0, keep, draws[2]))
     oracle = density_matrix_shots_reference(
         prepare_ground_state(spec).entries, p_layer, p_twirl, *draws, strings,
         spec.qubits)
@@ -159,7 +160,7 @@ def _frame_inputs(spec, layers, n_shots):
     term_z = np.array([z for _, z in keys], dtype=np.int64)
     expect0 = np.random.default_rng(spec.sites).uniform(-1.0, 1.0, len(keys))
     expect0[:5] = (1.0, -1.0, 0.0, 1.25, -1.25)
-    draws = simcore._shot_draws(11, n_shots, layers, 4**spec.qubits, len(keys))
+    draws = shot_draws_reference(11, n_shots, layers, 4**spec.qubits, len(keys))
     return expect0, term_x, term_z, draws
 
 
@@ -172,7 +173,7 @@ def test_table_kernel_matches_the_per_term_kernel(spec, n_shots):
     expect0, term_x, term_z, draws = _frame_inputs(spec, noise.layers, n_shots)
     for p_twirl in (0.0, abs(qpd.q[1]) / qpd.gamma, 0.9):
         ours = simcore.run_shots(expect0, simcore.byte_tables(term_x, term_z, spec.qubits),
-                                 keep, p_twirl, *draws)
+                                 keep, p_twirl, *draws, simcore.raw_shots(expect0, keep, draws[2]))
         reference = frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, *draws,
                                           spec.qubits)
         for a, b in zip(ours, reference):
@@ -213,33 +214,33 @@ def test_raw_shots_are_the_kernel_at_zero_twirl_rate(spec, n_shots):
     assert not branch.any() and (sign == 1).all()
 
 
-def test_run_shots_memory_is_bounded_by_the_shot_block():
-    spec, layers, n_shots = FRAME_LATTICES["1x5-periodic"], 7, 20_000
-    expect0, term_x, term_z, draws = _frame_inputs(spec, layers, n_shots)
+def test_simulate_report_memory_is_one_block_plus_its_outputs():
+    # configs/small_sim.cfg: 200,000 shots in 49 blocks, 10 terms, 4 layers
+    n_shots, n_terms, layers = 200_000, len(simcore.hubbard.solve(SPEC).coeffs), NOISE.layers
     tracemalloc.start()
     try:
-        outputs = simcore.run_shots(expect0, simcore.byte_tables(term_x, term_z, spec.qubits),
-                                    0.5, 0.3, *draws)
+        simulate_report(SPEC, NOISE, n_shots=n_shots, seed=7, batch=500)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # What the kernel holds besides its outputs, as if every temporary were
-    # live at once.  Per shot of a block: a float64 threshold and a bool
-    # anticommutation flag for each term (9 bytes a term; the XOR of table
-    # rows holds 3 bool rows, fewer), a twirl flag and an int64 branch entry
-    # for each layer before it is stored (9 bytes a layer), and four int64
-    # vectors (frame, shifted frame, byte index, sign).  Once: the byte
-    # tables, 256 bool rows per byte of the frame index, and numpy's
+    # What the run holds, as if every temporary were live at once.  Per shot
+    # of the run: the reported raw and PEC outcomes (float64) and signs
+    # (int8), once in the blocks and once joined, and two float64
+    # temporaries of a moment.  Per shot of one block: for each term, the
+    # uniform, its gather on the twirled rows and the float64 cast of the
+    # outcomes in their sum (3 float64s), and up to 8 int8 or bool columns
+    # (outcomes, anticommutation rows and their XOR, selections); for each
+    # layer, its uniform, its twirl index in the fully drawn block, its
+    # branch and twirl flag (25 bytes, rounded to 32); and eight int64
+    # vectors (frame and its bytes, moved rows, signs, outcomes).  Once: the
+    # byte tables, 256 bool rows per byte of the frame index, and numpy's
     # iterator buffers, np.getbufsize() float64s for each of two operands.
-    # The table build's temporaries, at most two uint8 arrays the size of the
-    # tables (2 x 256 bytes per table and term), are freed before the first
-    # block and are smaller than a block's 9 x 4,096 bytes per term.  A
-    # temporary spanning all shots breaks it.
-    block, n_terms = simcore.SHOT_BLOCK, len(term_x)
-    tables = -(-2 * spec.qubits // 8) * 256 * n_terms
-    bound = block * (9 * n_terms + 9 * layers + 4 * 8) + tables + 2 * 8 * np.getbufsize()
-    assert peak - sum(a.nbytes for a in outputs) <= bound
-    assert n_shots * n_terms * 8 > bound  # a float64 column per term for all shots
+    block = simcore.SHOT_BLOCK
+    tables = -(-2 * SPEC.qubits // 8) * 256 * n_terms
+    bound = (n_shots * (2 * 17 + 2 * 8) + block * (32 * n_terms + 32 * layers + 8 * 8)
+             + tables + 2 * 8 * np.getbufsize())
+    assert peak <= bound
+    assert n_shots * n_terms * 8 > bound  # one whole-run float64 column per term breaks it
 
 
 def test_term_order_is_display_string_order():
@@ -285,7 +286,7 @@ def test_simulate_report_ground_diagnostics(spec, gap, degeneracy):
 
 
 def test_estimator_streams_are_pinned():
-    # recorded by feeding _shot_draws(2024, 2000, ...) of the (seed, block)
+    # recorded by feeding 2,000 shots' draws at seed 2024 of the (seed, block)
     # keyed streams to density_matrix_shots_reference and forming the mean
     # and variance of its outcomes; a change of stream keying, block size or
     # draw order moves these bits
@@ -295,6 +296,32 @@ def test_estimator_streams_are_pinned():
     raw_mean, raw_variance = run_raw_estimate(SPEC, NOISE, 2_000, seed=2024)
     assert raw_mean == float.fromhex("-0x1.29cac083126e9p+1")
     assert raw_variance == float.fromhex("0x1.8134197a42144p+1")
+
+
+REPORT_PINS = {
+    # configs/small_sim.cfg: 49 blocks, the last one partial
+    "small_sim-200000shots": (SPEC, NOISE, 200_000, 500, {
+        "mean": "-0x1.6adc44ca43068p+1", "variance": "0x1.184dc90d9ae44p+3",
+        "raw_mean": "-0x1.279ffd60e94eep+1", "raw_variance": "0x1.810d12afd2f39p+1",
+        "gamma_empirical": "0x1.7c941f0657270p+0"}),
+    # the 1x5 periodic chain: 3 blocks, the last one partial
+    "1x5-periodic-9000shots": (
+        HubbardSpec(1, 5, "periodic", 1.0, 4.0, 3.0),
+        NoiseCircuitSpec(layers=4, p_layer=0.05, qubits=10), 9_000, 100, {
+            "mean": "-0x1.2548f1bf4b14ap+4", "variance": "0x1.39cbf491d4de6p+5",
+            "raw_mean": "-0x1.0be6f8091a2b4p+4", "raw_variance": "0x1.5b24313b15492p+3",
+            "gamma_empirical": "0x1.7cb35a2f09a50p+0"}),
+}
+
+
+@pytest.mark.parametrize("spec, noise, n_shots, batch, pins", REPORT_PINS.values(),
+                         ids=REPORT_PINS.keys())
+def test_simulate_report_is_pinned_across_blocks(spec, noise, n_shots, batch, pins):
+    # recorded from simulate_report at seed 7 when the whole run's draws were
+    # still filled before any shot was consumed; drawing and consuming one
+    # block at a time must not move a bit of either estimator
+    report = simulate_report(spec, noise, n_shots=n_shots, seed=7, batch=batch)
+    assert {key: float.hex(report[key]) for key in pins} == pins
 
 
 def test_raw_estimate_builds_no_tables(monkeypatch):
@@ -310,23 +337,26 @@ def test_raw_estimate_builds_no_tables(monkeypatch):
 
 
 def test_shot_streams_are_blocked_prefixes():
-    layers, d2, n_terms = 4, 4**4, 14
+    layers, d2, n_terms, block = 4, 4**4, 14, simcore.SHOT_BLOCK
     for seed in (0, 2024, 2**64 - 2):
-        short = simcore._shot_draws(seed, 5_000, layers, d2, n_terms)
-        long = simcore._shot_draws(seed, 9_000, layers, d2, n_terms)
-        # 5,000 shots end inside block 1, 9,000 inside block 2
-        for a, b in zip(short, long):
-            assert np.array_equal(a, b[:5_000])
+        # 5,000 shots end inside block 1, 9,000 take it in full
+        short = simcore._block_draws(seed, 1, 5_000 - block, layers, d2, n_terms)
+        full = simcore._block_draws(seed, 1, block, layers, d2, n_terms)
+        for a, b in zip(short, full):
+            assert np.array_equal(a, b[:5_000 - block])
         # distinct seeds give distinct streams, and so do distinct blocks
-        for a, b in zip(long, simcore._shot_draws(seed + 1, 9_000, layers, d2, n_terms)):
-            assert not np.array_equal(a, b)
-        block = simcore.SHOT_BLOCK
-        for a in long:
-            assert not np.array_equal(a[:block], a[block:2 * block])
-    u_branch, twirl_idx, u_outcome = simcore._shot_draws(2**64 - 1, 5_000, layers, d2,
-                                                         n_terms)
-    assert u_branch.shape == (5_000, layers) and u_outcome.shape == (5_000, n_terms)
+        for other in (simcore._block_draws(seed + 1, 1, block, layers, d2, n_terms),
+                      simcore._block_draws(seed, 0, block, layers, d2, n_terms)):
+            for a, b in zip(full, other):
+                assert not np.array_equal(a, b)
+    u_branch, twirl_idx, u_outcome = simcore._block_draws(2**64 - 1, 1, 904, layers, d2,
+                                                          n_terms)
+    assert u_branch.shape == (904, layers) and u_outcome.shape == (904, n_terms)
     assert twirl_idx.min() >= 1 and twirl_idx.max() < d2
+    # so a shorter run's shots are the leading shots of a longer one
+    _, _, short_records = run_pec_estimate(SPEC, NOISE, 5_000, seed=2024)
+    _, _, long_records = run_pec_estimate(SPEC, NOISE, 9_000, seed=2024)
+    assert short_records == long_records[:5_000]
 
 
 # the 4-qubit small_sim instance, the 10-qubit 1x5 chain and the 14-qubit 1x7
@@ -338,16 +368,26 @@ def test_trimmed_draws_equal_full_block_draws(qubits, n_terms, layers):
     # twirl indices start from a counter advance; one counter step too many
     # or too few shifts every later draw of the block
     for n_shots in (1, 30, 4_095, 4_096, 4_097, 8_193):
-        ours = simcore._shot_draws(7, n_shots, layers, 4**qubits, n_terms)
         reference = shot_draws_reference(7, n_shots, layers, 4**qubits, n_terms)
-        for a, b in zip(ours, reference):
-            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        for block, start in enumerate(range(0, n_shots, simcore.SHOT_BLOCK)):
+            rows = min(simcore.SHOT_BLOCK, n_shots - start)
+            ours = simcore._block_draws(7, block, rows, layers, 4**qubits, n_terms)
+            for a, b in zip(ours, reference):
+                b = b[start:start + rows]
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
-def test_shot_draw_capacity():
-    n_shots = simcore.MAX_DRAW_BYTES // (8 * (2 * 4 + 14)) + 1
+def test_shot_draw_capacity(monkeypatch):
+    # SPEC has 10 terms; the cap is checked before the first block is drawn
+    def refuse(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(simcore, "_block_draws", refuse)
+    n_shots = simcore.MAX_DRAW_BYTES // (8 * (2 * 4 + 10)) + 1
     with pytest.raises(CapacityError, match="GiB"):
-        simcore._shot_draws(0, n_shots, 4, 4**4, 14)
+        run_pec_estimate(SPEC, NOISE, n_shots, seed=0)
+    with pytest.raises(CapacityError, match="GiB"):
+        simulate_report(SPEC, NOISE, n_shots=n_shots, seed=0)
     with pytest.raises(CapacityError):
         run_raw_estimate(SPEC, NOISE, 10**11, seed=0)
 
@@ -355,7 +395,7 @@ def test_shot_draw_capacity():
 def test_shot_draw_capacity_message_exceeds_the_cap():
     # 14,913,081 shots x (2 x 4 + 10) draws x 8 bytes is 2.01 GiB, over the 2 GiB cap
     with pytest.raises(CapacityError) as raised:
-        simcore._shot_draws(1, 14_913_081, 4, 16, 10)
+        run_raw_estimate(SPEC, NOISE, 14_913_081, seed=1)
     message = str(raised.value)
     figure = float(re.search(r"need ([0-9.]+) GiB", message).group(1))
     cap = simcore.MAX_DRAW_BYTES / 2**30
