@@ -13,6 +13,8 @@ P = i^ny X^x Z^z with ny = popcount(x & z), so P|b> = i^ny (-1)^{|b & z|}
 |b XOR x>; a Hubbard term has an even Y count, so its matrix is real.
 Qubit m's base-4 digit is (x ^ z) | z << 1 of its bits (I0 X1 Y2 Z3): the
 digit that twirl draws and display letters (pauli_string) both read.
+base4 spreads a key's masks into those digits: its index, and its
+symplectic form over indices.
 
 ground_state is the package's only eigensolver, and it never forms the
 2^n x 2^n matrix: H conserves N_up and N_dn, so it diagonalizes the
@@ -137,10 +139,17 @@ def pauli_string(key: tuple[int, int], n: int) -> str:
                    for bit in range(n - 1, -1, -1))
 
 
-def _pauli_index(key: tuple[int, int]) -> int:
-    """Base-4 index of an (x, z) key: a mask's bits read in base 4 put bit b at 2b."""
-    x, z = key
-    return int(format(x ^ z, "b"), 4) | int(format(z, "b"), 4) << 1
+def base4(low, high, n: int) -> np.ndarray:
+    """Base-4 integers whose digit k is bit k of `low` plus twice bit k of `high`.
+
+    Elementwise on int64 masks of up to 31 bits.  base4(x ^ z, z) is a key's
+    index, the twirl draws' name of its Pauli, in display-string order;
+    base4(z, x ^ z) is its symplectic form: index & form has odd parity
+    exactly when the index's Pauli anticommutes with the key's.
+    """
+    bit = np.arange(n)
+    digits = ((low[..., None] >> bit) & 1) | ((high[..., None] >> bit) & 1) << 1
+    return (digits << 2 * bit).sum(axis=-1)  # the digits' bits are disjoint
 
 
 def parity(values):
@@ -334,6 +343,12 @@ def check_sector_capacity(sites: int, what: str) -> None:
             f"{MAX_SECTOR_DIM} states")
 
 
+def check_lattice(spec: HubbardSpec) -> None:
+    """Refuse a lattice above MAX_SECTOR_SITES before any of its masks is built."""
+    check_sector_capacity(
+        spec.sites, f"a {spec.rows}x{spec.cols} lattice ([model] rows x [model] cols)")
+
+
 def ground_state(decomp: PauliDecomposition) -> GroundState:
     """Ground level from the (N_up, N_dn) sector blocks of H.
 
@@ -447,10 +462,12 @@ def term_data(decomp: PauliDecomposition, v: np.ndarray):
     term's position picks its u_outcome column in the simulator.
     <P_j>_0 = sum_b s_j(b) v[b] v[b ^ x_j] on the real ground vector v.
     """
-    keys = sorted(decomp.terms, key=_pauli_index)
+    term_x = np.array([x for x, _ in decomp.terms], dtype=np.int64)
+    term_z = np.array([z for _, z in decomp.terms], dtype=np.int64)
+    order = np.argsort(base4(term_x ^ term_z, term_z, decomp.n))
+    term_x, term_z = term_x[order], term_z[order]
+    keys = list(zip(term_x.tolist(), term_z.tolist()))
     coeffs = np.array([decomp.terms[key] for key in keys])
-    term_x = np.array([x for x, _ in keys], dtype=np.int64)
-    term_z = np.array([z for _, z in keys], dtype=np.int64)
     basis = np.arange(len(v))
     expect0 = np.array([v[basis ^ x] @ (signs * v) for x, signs
                         in zip(term_x.tolist(), real_pauli_signs(keys, basis))])
@@ -480,6 +497,7 @@ def solve(spec: HubbardSpec) -> SolvedInstance:
     A caller that runs several estimators on one lattice can call this once
     and keep the record.
     """
+    check_lattice(spec)
     decomp = build_hubbard_pauli(spec)
     ground = ground_state(decomp)
     coeffs, term_x, term_z, expect0 = term_data(decomp, ground.vector)
@@ -489,4 +507,5 @@ def solve(spec: HubbardSpec) -> SolvedInstance:
 
 def exact_ground_energy(spec: HubbardSpec) -> float:
     """ground_state's energy for the lattice (up to MAX_SECTOR_SITES sites)."""
+    check_lattice(spec)
     return ground_state(build_hubbard_pauli(spec)).energy

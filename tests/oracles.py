@@ -10,9 +10,8 @@ the Pauli-sum oracle adds dense Kronecker-product matrices of display
 strings, the shot oracle evolves an explicit density matrix through
 every noise layer with the same Kronecker-product Pauli matrices, the
 frame-shot oracle takes one anticommutation parity per term from the
-frame's (x, z) masks, with no lookup table, the byte-table oracle decodes
-each byte's Pauli digit by digit and takes the same symplectic product, both
-counting set bits one at a time, the variance oracle sums a PEC shot's
+frame's (x, z) masks, decoded digit by digit and counting set bits one at a
+time, with no symplectic form, the variance oracle sums a PEC shot's
 first two moments over every branch sequence, the draw oracle draws every
 Philox block in full, with no counter advance, and the superoperator oracles
 build the noise layer and the quasi-probability inverse from those
@@ -291,20 +290,6 @@ def _anticommutes(frame_x, frame_z, term_x, term_z, n: int):
     """
     product = (frame_x & term_z) ^ (frame_z & term_x)
     return sum((product >> k) & 1 for k in range(n)) % 2 == 1
-
-
-def byte_tables_reference(term_x, term_z, n_qubits: int) -> np.ndarray:
-    """(bytes, 256, terms) bool anticommutation of the Pauli v << 8k with each term.
-
-    Same contract as simulator.byte_tables: every byte value is decoded to
-    its Pauli's masks, one term at a time.
-    """
-    values = np.arange(256)[:, None] << np.arange(0, 2 * n_qubits, 8)  # (256, bytes)
-    frame_x, frame_z = pauli_masks(values, n_qubits)
-    tables = np.empty((values.shape[1], 256, len(term_x)), dtype=bool)
-    for j, (x, z) in enumerate(zip(term_x.tolist(), term_z.tolist())):
-        tables[:, :, j] = _anticommutes(frame_x, frame_z, x, z, n_qubits).T
-    return tables
 
 
 def frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, u_branch, twirl_idx,

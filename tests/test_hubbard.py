@@ -164,6 +164,17 @@ def test_validation_errors():
         hb.ground_state(decomposition_from_strings(2, {"YZ": 1.0}))
 
 
+def test_solver_entry_points_refuse_the_lattice_before_its_terms(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("the lattice's terms were built")
+
+    monkeypatch.setattr(hb, "hubbard_terms", refuse)
+    for call in (hb.exact_ground_energy, hb.solve):
+        with pytest.raises(CapacityError, match=re.escape(
+                "a 100x100 lattice ([model] rows x [model] cols) has 10000 sites")):
+            call(hb.HubbardSpec(100, 100, "periodic"))
+
+
 def test_dense_capacity_cap():
     big = hb.HubbardSpec(8, 8, "periodic", 1.0, 8.0, 3.75)
     hb.build_hubbard_pauli(big)  # symbolic build is fine at any size
@@ -199,12 +210,26 @@ def test_display_strings_round_trip():
 def test_pauli_index_is_the_twirl_draw_index():
     # one digit convention: a key's index is the twirl index that names it
     for q in (1, 2, 3, 4):
-        assert [hb._pauli_index(pauli_masks(i, q)) for i in range(4**q)] == list(range(4**q))
-    # Python ints, so any n: the index order is the display-string order
-    decomp = hb.build_hubbard_pauli(hb.HubbardSpec(40, 40, "periodic", 1.0, 8.0, 3.75))
-    keys = list(decomp.terms)[::50]
-    assert sorted(keys, key=hb._pauli_index) == sorted(
+        x, z = pauli_masks(np.arange(4**q), q)
+        assert hb.base4(x ^ z, z, q).tolist() == list(range(4**q))
+    # on the 14-qubit 1x7 chain, whose indices take 28 bits, the index names
+    # each key and orders the keys as their display strings
+    decomp = hb.build_hubbard_pauli(hb.HubbardSpec(1, 7, "open", 1.0, 4.0, 1.0))
+    keys = list(decomp.terms)
+    x = np.array([x for x, _ in keys], dtype=np.int64)
+    z = np.array([z for _, z in keys], dtype=np.int64)
+    index = hb.base4(x ^ z, z, decomp.n)
+    assert [pauli_masks(i, decomp.n) for i in index.tolist()] == keys
+    assert [keys[j] for j in np.argsort(index)] == sorted(
         keys, key=lambda key: hb.pauli_string(key, decomp.n))
+
+
+def test_parity_fallback_counts_set_bits(monkeypatch):
+    # numpy < 2 has no bitwise_count, and parity folds shifts instead
+    values = np.random.default_rng(62).integers(0, 2**62, 10_000)
+    expected = [value.bit_count() & 1 for value in values.tolist()]
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert hb.parity(values).tolist() == expected
 
 
 def test_large_periodic_build():

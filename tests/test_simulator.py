@@ -28,8 +28,8 @@ from pecbench.simulator import (
 from pecbench import simulator as simcore
 
 from oracles import (
+    _anticommutes,
     apply_depolarizing,
-    byte_tables_reference,
     dense_ground_state,
     density_matrix_shots_reference,
     frame_shots_reference,
@@ -51,6 +51,11 @@ def _frame_terms(spec):
     """term_data of the instance and its ground vector."""
     decomp = build_hubbard_pauli(spec)
     return simcore.hubbard.term_data(decomp, simcore.hubbard.ground_state(decomp).vector)
+
+
+def _form(term_x, term_z, n_qubits):
+    """The terms' symplectic forms, as the mitigated estimator builds them."""
+    return simcore.hubbard.base4(term_z, term_x ^ term_z, n_qubits)
 
 
 def test_prepare_ground_state_is_valid_pure_state():
@@ -128,7 +133,7 @@ def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers, n_sho
     p_twirl = abs(qpd.q[1]) / qpd.gamma
     keep = (1.0 - p_layer) ** layers
     draws = shot_draws_reference(21, n_shots, layers, 4**spec.qubits, len(strings))
-    frame = simcore.run_shots(expect0, simcore.byte_tables(term_x, term_z, spec.qubits),
+    frame = simcore.run_shots(expect0, _form(term_x, term_z, spec.qubits),
                               keep, p_twirl, *draws, simcore.raw_shots(expect0, keep, draws[2]))
     oracle = density_matrix_shots_reference(
         prepare_ground_state(spec).entries, p_layer, p_twirl, *draws, strings,
@@ -139,8 +144,7 @@ def test_kernels_produce_identical_discrete_outputs(spec, p_layer, layers, n_sho
     assert (np.count_nonzero(frame[1]) > 0) == (p_layer > 0)
 
 
-# run_shots reads one byte table per byte of the 2n-bit frame index: 1x5
-# periodic is 10 qubits and 3 tables, 2x3 open 12 and 3, 1x7 open 14 and 4
+# frame indices of 2n bits: 20 on 1x5 periodic, 24 on 2x3 open, 28 on 1x7 open
 FRAME_LATTICES = {
     "1x5-periodic": HubbardSpec(1, 5, "periodic", 1.0, 4.0, 3.0),
     "2x3-open": HubbardSpec(2, 3, "open", 1.0, 4.0, 1.0),
@@ -172,7 +176,7 @@ def test_table_kernel_matches_the_per_term_kernel(spec, n_shots):
     keep = (1.0 - noise.p_layer) ** noise.layers
     expect0, term_x, term_z, draws = _frame_inputs(spec, noise.layers, n_shots)
     for p_twirl in (0.0, abs(qpd.q[1]) / qpd.gamma, 0.9):
-        ours = simcore.run_shots(expect0, simcore.byte_tables(term_x, term_z, spec.qubits),
+        ours = simcore.run_shots(expect0, _form(term_x, term_z, spec.qubits),
                                  keep, p_twirl, *draws, simcore.raw_shots(expect0, keep, draws[2]))
         reference = frame_shots_reference(expect0, term_x, term_z, keep, p_twirl, *draws,
                                           spec.qubits)
@@ -180,22 +184,26 @@ def test_table_kernel_matches_the_per_term_kernel(spec, n_shots):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-# 1x2 open is 4 qubits and one byte table, 1x5 periodic 10 and 3, 1x7 open 14 and 4
-@pytest.mark.parametrize("spec", [SPEC, FRAME_LATTICES["1x5-periodic"],
-                                  FRAME_LATTICES["1x7-open"]],
-                         ids=["4-qubits", "10-qubits", "14-qubits"])
-def test_byte_tables_match_the_symplectic_product(spec):
-    # the instance's terms, and random masks that reach every digit pattern
-    keys = list(build_hubbard_pauli(spec).terms)
-    random_masks = np.random.default_rng(spec.qubits).integers(0, 2**spec.qubits, (2, 64))
-    term_x = np.concatenate([[x for x, _ in keys], random_masks[0]]).astype(np.int64)
-    term_z = np.concatenate([[z for _, z in keys], random_masks[1]]).astype(np.int64)
-    ours = simcore.byte_tables(term_x, term_z, spec.qubits)
-    reference = byte_tables_reference(term_x, term_z, spec.qubits)
-    assert ours.dtype == reference.dtype and ours.shape == reference.shape
-    for k in range(len(reference)):
-        for v in range(256):
-            assert np.array_equal(ours[k, v], reference[k, v]), (k, v)
+# every Pauli as a term against every frame index on 1-4 qubits; on 10 and
+# 14 qubits the 1x5 and 1x7 chains' terms and random masks, which reach every
+# digit pattern, against random indices
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 10, 14], ids=lambda q: f"{q}-qubits")
+def test_form_parity_is_the_symplectic_product(qubits):
+    rng = np.random.default_rng(qubits)
+    if qubits <= 4:
+        frames = np.arange(4**qubits)
+        term_x, term_z = pauli_masks(frames, qubits)
+    else:
+        spec = {10: FRAME_LATTICES["1x5-periodic"], 14: FRAME_LATTICES["1x7-open"]}[qubits]
+        keys = list(build_hubbard_pauli(spec).terms)
+        random_masks = rng.integers(0, 2**qubits, (2, 64))
+        term_x = np.concatenate([[x for x, _ in keys], random_masks[0]]).astype(np.int64)
+        term_z = np.concatenate([[z for _, z in keys], random_masks[1]]).astype(np.int64)
+        frames = rng.integers(0, 4**qubits, 10_000)
+    ours = simcore.hubbard.parity(frames[:, None] & _form(term_x, term_z, qubits)) != 0
+    frame_x, frame_z = pauli_masks(frames, qubits)
+    for j, (x, z) in enumerate(zip(term_x.tolist(), term_z.tolist())):
+        assert np.array_equal(ours[:, j], _anticommutes(frame_x, frame_z, x, z, qubits)), j
 
 
 @pytest.mark.parametrize("n_shots", [1, 4_097])
@@ -227,18 +235,17 @@ def test_simulate_report_memory_is_one_block_plus_its_outputs():
     # of the run: the reported raw and PEC outcomes (float64) and signs
     # (int8), once in the blocks and once joined, and two float64
     # temporaries of a moment.  Per shot of one block: for each term, the
-    # uniform, its gather on the twirled rows and the float64 cast of the
-    # outcomes in their sum (3 float64s), and up to 8 int8 or bool columns
-    # (outcomes, anticommutation rows and their XOR, selections); for each
-    # layer, its uniform, its twirl index in the fully drawn block, its
-    # branch and twirl flag (25 bytes, rounded to 32); and eight int64
-    # vectors (frame and its bytes, moved rows, signs, outcomes).  Once: the
-    # byte tables, 256 bool rows per byte of the frame index, and numpy's
+    # uniform, the int64 AND of the moved rows' frames with the forms or,
+    # once it is freed, the uniform's gather on those rows, and the float64
+    # cast of the outcomes in their sum (3 eight-byte columns), and up to 8
+    # int8 or bool columns (outcomes, parity and its low bit, anticommutation,
+    # selections); for each layer, its uniform, its twirl index in the fully
+    # drawn block, its branch and twirl flag (25 bytes, rounded to 32); and
+    # eight int64 vectors (frame, moved rows, signs, outcomes).  Once: numpy's
     # iterator buffers, np.getbufsize() float64s for each of two operands.
     block = simcore.SHOT_BLOCK
-    tables = -(-2 * SPEC.qubits // 8) * 256 * n_terms
     bound = (n_shots * (2 * 17 + 2 * 8) + block * (32 * n_terms + 32 * layers + 8 * 8)
-             + tables + 2 * 8 * np.getbufsize())
+             + 2 * 8 * np.getbufsize())
     assert peak <= bound
     assert n_shots * n_terms * 8 > bound  # one whole-run float64 column per term breaks it
 
@@ -324,16 +331,29 @@ def test_simulate_report_is_pinned_across_blocks(spec, noise, n_shots, batch, pi
     assert {key: float.hex(report[key]) for key in pins} == pins
 
 
-def test_raw_estimate_builds_no_tables(monkeypatch):
-    # raw shots never twirl, so the raw estimator reads no byte tables and
-    # must not build them; its bits are test_estimator_streams_are_pinned's
-    def refuse(*args):
-        raise AssertionError("the raw estimator built byte tables")
+def test_raw_estimate_forms_no_anticommutation(monkeypatch):
+    # raw shots never twirl, so the raw estimator builds no symplectic form
+    # and reads no parity; its bits are test_estimator_streams_are_pinned's
+    solved = simcore.hubbard.solve(SPEC)
 
-    monkeypatch.setattr(simcore, "byte_tables", refuse)
+    def refuse(*args):
+        raise AssertionError("the raw estimator formed an anticommutation")
+
+    monkeypatch.setattr(simcore.hubbard, "solve", lambda spec: solved)
+    for name in ("base4", "parity"):
+        monkeypatch.setattr(simcore.hubbard, name, refuse)
+    monkeypatch.setattr(simcore, "run_shots", refuse)
     raw_mean, raw_variance = run_raw_estimate(SPEC, NOISE, 2_000, seed=2024)
     assert raw_mean == float.fromhex("-0x1.29cac083126e9p+1")
     assert raw_variance == float.fromhex("0x1.8134197a42144p+1")
+
+
+def test_simulate_report_pins_hold_under_the_parity_fallback(monkeypatch):
+    # numpy < 2 has no bitwise_count, and hubbard.parity folds shifts instead
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    for spec, noise, n_shots, batch, pins in REPORT_PINS.values():
+        report = simulate_report(spec, noise, n_shots=n_shots, seed=7, batch=batch)
+        assert {key: float.hex(report[key]) for key in pins} == pins
 
 
 def test_shot_streams_are_blocked_prefixes():
@@ -402,6 +422,18 @@ def test_shot_draw_capacity_message_exceeds_the_cap():
     assert figure > cap and figure == 2.01
     assert message.startswith("[simulate] shots = 14913081 at [circuit] layers = 4 ")
     assert f"the {cap:.0f} GiB cap" in message
+
+
+def test_shot_draw_capacity_counts_full_twirl_blocks(monkeypatch):
+    # one shot at D = 65,536 draws a full block of twirl indices, 2 GiB, though
+    # its uniforms take 0.5 MB; the cap is checked before the block is drawn
+    def refuse(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(simcore, "_block_draws", refuse)
+    with pytest.raises(CapacityError, match="GiB"):
+        run_raw_estimate(SPEC, NoiseCircuitSpec(layers=65_536, p_layer=0.05, qubits=4), 1,
+                         seed=0)
 
 
 def test_noiseless_pec_is_unbiased():
